@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import Diagnostic, Model
@@ -107,12 +107,17 @@ def _read_file(path: str) -> str | None:
         return None
 
 
-def _load_model(path: str, *, lax: bool = False) -> tuple[Model | None, list[Diagnostic]]:
+def _load_or_report(path: str, lax: bool) -> Model | int:
+    """The validated model, or the exit status after reporting why not."""
     text = _read_file(path)
     if text is None:
-        return None, []
+        return USAGE_OR_IO
     result = parse(text, path, lax=lax)
-    return result.model, result.diagnostics
+    if result.model is not None:
+        return result.model
+    for diag in result.diagnostics:
+        print(_format_diagnostic(diag, path))
+    return VALIDATION_ERRORS if result.diagnostics else USAGE_OR_IO
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -189,29 +194,22 @@ def run(argv: list[str] | None = None) -> int:
                 worst = max(worst, VALIDATION_ERRORS)
         return worst
 
+    if args.command in ("fmt", "sim", "render", "coverage"):
+        model = _load_or_report(args.file, args.lax)
+        if isinstance(model, int):
+            return model
+
     if args.command == "fmt":
-        model, diagnostics = _load_model(args.file, lax=args.lax)
-        if model is None:
-            for diag in diagnostics:
-                print(_format_diagnostic(diag, args.file))
-            return VALIDATION_ERRORS if diagnostics else USAGE_OR_IO
         _emit(serialize(model), args.output)
         return OK
 
     if args.command == "sim":
-        model, diagnostics = _load_model(args.file, lax=args.lax)
-        if model is None:
-            for diag in diagnostics:
-                print(_format_diagnostic(diag, args.file))
-            return VALIDATION_ERRORS if diagnostics else USAGE_OR_IO
         scenario_text = _read_file(args.scenario)
         if scenario_text is None:
             return USAGE_OR_IO
         try:
             scenario = load_scenario(scenario_text, args.scenario)
             if args.max_steps is not None:
-                from dataclasses import replace
-
                 scenario = replace(scenario, max_steps=args.max_steps)
             trace = simulate(model, scenario, lax=args.lax)
         except ScenarioError as exc:
@@ -227,11 +225,6 @@ def run(argv: list[str] | None = None) -> int:
         return OK
 
     if args.command == "render":
-        model, diagnostics = _load_model(args.file, lax=args.lax)
-        if model is None:
-            for diag in diagnostics:
-                print(_format_diagnostic(diag, args.file))
-            return VALIDATION_ERRORS if diagnostics else USAGE_OR_IO
         try:
             if args.view == "static":
                 doc = render_static(model, lax=args.lax)
@@ -246,11 +239,6 @@ def run(argv: list[str] | None = None) -> int:
         return OK
 
     if args.command == "coverage":
-        model, diagnostics = _load_model(args.file, lax=args.lax)
-        if model is None:
-            for diag in diagnostics:
-                print(_format_diagnostic(diag, args.file))
-            return VALIDATION_ERRORS if diagnostics else USAGE_OR_IO
         report = coverage(model)
         if args.output is not None:
             _atomic_write(args.output, json.dumps(report.as_dict(), indent=2) + "\n")
@@ -286,3 +274,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "StageKind",
@@ -177,10 +177,6 @@ class Machine:
     def id(self) -> str:
         return ".".join(self.path)
 
-    @property
-    def parent_path(self) -> tuple[str, ...] | None:
-        return self.path[:-1] or None
-
 
 @dataclass(frozen=True)
 class FlowEdge:
@@ -264,8 +260,15 @@ class Chronology:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def predecessor_map(self) -> dict[str, tuple[str, ...]]:
+        out: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            out.setdefault(b, []).append(a)
+        return {k: tuple(v) for k, v in out.items()}
+
     def predecessors(self, node: str) -> tuple[str, ...]:
-        return tuple(a for a, b in self.edges if b == node)
+        return self.predecessor_map.get(node, ())
 
 
 @dataclass(frozen=True)
@@ -346,22 +349,11 @@ class NodeItemDecl:
     span: object | None = None
 
 
-@dataclass(frozen=True)
-class FlowItemDecl:
-    thing: str
-    src: str
-    dst: str
-    span: object | None = None
+# Event items reuse the static declarations; the old names stay for importers.
+FlowItemDecl = FlowDecl
+TriggerItemDecl = TriggerDecl
 
-
-@dataclass(frozen=True)
-class TriggerItemDecl:
-    src: str
-    dst: str
-    span: object | None = None
-
-
-EventItemDecl = Union[NodeItemDecl, FlowItemDecl, TriggerItemDecl]
+EventItemDecl = Union[NodeItemDecl, FlowDecl, TriggerDecl]
 
 
 @dataclass(frozen=True)
@@ -428,6 +420,18 @@ class Model:
         return {e.id: e for e in self.triggers}
 
     @cached_property
+    def flows_by_key(self) -> dict[tuple[str, StageRef, StageRef], FlowEdge]:
+        return {(e.thing, e.src, e.dst): e for e in self.flows}
+
+    @cached_property
+    def triggers_by_key(self) -> dict[tuple[StageRef, StageRef], TriggerEdge]:
+        return {(e.src, e.dst): e for e in self.triggers}
+
+    @cached_property
+    def trigger_destinations(self) -> frozenset[StageRef]:
+        return frozenset(t.dst for t in self.triggers)
+
+    @cached_property
     def events_by_name(self) -> dict[str, Event]:
         return {e.name: e for e in self.events}
 
@@ -442,6 +446,10 @@ class Model:
             seen.setdefault(t.src)
             seen.setdefault(t.dst)
         return tuple(seen)
+
+    @cached_property
+    def used_stage_set(self) -> frozenset[StageRef]:
+        return frozenset(self.used_stages)
 
     @cached_property
     def stage_in_things(self) -> dict[StageRef, tuple[str, ...]]:
@@ -594,9 +602,6 @@ def _check_event_decl(
                 decl.span or decl.name,
             )
         )
-    used = set(model.used_stages)
-    flows_by_key = {(e.thing, e.src, e.dst): e for e in model.flows}
-    triggers_by_key = {(e.src, e.dst): e for e in model.triggers}
     items: list[RegionItem] = []
 
     def add(item: RegionItem) -> None:
@@ -607,7 +612,7 @@ def _check_event_decl(
     for item in decl.items:
         if isinstance(item, NodeItemDecl):
             ref, msg = _resolve_ref(item.ref, model.machines_by_path)
-            if ref is None or ref not in used:
+            if ref is None or ref not in model.used_stage_set:
                 diags.append(
                     _error(
                         "E301",
@@ -617,10 +622,10 @@ def _check_event_decl(
                 )
                 continue
             add(RegionNode(ref))
-        elif isinstance(item, FlowItemDecl):
+        elif isinstance(item, FlowDecl):
             src, _ = _resolve_ref(item.src, model.machines_by_path)
             dst, _ = _resolve_ref(item.dst, model.machines_by_path)
-            edge = flows_by_key.get((item.thing, src, dst)) if src and dst else None
+            edge = model.flows_by_key.get((item.thing, src, dst)) if src and dst else None
             if edge is None:
                 diags.append(
                     _error(
@@ -635,7 +640,7 @@ def _check_event_decl(
         else:
             src, _ = _resolve_ref(item.src, model.machines_by_path)
             dst, _ = _resolve_ref(item.dst, model.machines_by_path)
-            edge = triggers_by_key.get((src, dst)) if src and dst else None
+            edge = model.triggers_by_key.get((src, dst)) if src and dst else None
             if edge is None:
                 diags.append(
                     _error(
@@ -705,37 +710,47 @@ def _chronology_diagnostics(
 def _tarjan_sccs(
     nodes: tuple[str, ...], adjacency: dict[str, list[str]]
 ) -> list[list[str]]:
+    """Tarjan's SCCs on an explicit call stack, in the recursive version's
+    order: components as they complete, each popped root-last."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = [0]
     sccs: list[list[str]] = []
+    calls: list[tuple[str, Iterator[str]]] = []  # (node, unvisited successors)
 
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in adjacency[v]:
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            sccs.append(component)
+        calls.append((v, iter(adjacency[v])))
 
     for n in nodes:
-        if n not in index:
-            strongconnect(n)
+        if n in index:
+            continue
+        visit(n)
+        while calls:
+            v, successors = calls[-1]
+            for w in successors:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                calls.pop()
+                if calls:
+                    parent = calls[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    sccs.append(component)
     return sccs
 
 
@@ -788,31 +803,21 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
         else:
             raise TypeError(f"not an element declaration: {decl!r}")
 
-    things: list[Thing] = []
+    things: dict[str, Thing] = {}
     for d in thing_decls:
         _require_ident(d.name, "thing name")
-        if d.name in {t.name for t in things}:
+        if d.name in things:
             diags.append(_error("E106", f"duplicate thing '{d.name}'", d.span or d.name))
             continue
-        things.append(Thing(d.name))
+        things[d.name] = Thing(d.name)
 
-    roots = _build_machines(machine_decls, diags)
-    machines_by_path: dict[tuple[str, ...], Machine] = {}
-
-    def index_machine(m: Machine) -> None:
-        machines_by_path[m.path] = m
-        for c in m.children:
-            index_machine(c)
-
-    for r in roots:
-        index_machine(r)
-
-    thing_names = {t.name for t in things}
+    static = Model(name, tuple(things.values()), _build_machines(machine_decls, diags))
+    machines_by_path = static.machines_by_path
     flows: list[FlowEdge] = []
     seen_flows: set[tuple[str, StageRef, StageRef]] = set()
     for d in flow_decls:
         ok = True
-        if d.thing not in thing_names:
+        if d.thing not in things:
             diags.append(
                 _error("E101", f"unresolved path: unknown thing '{d.thing}'", d.span or d.thing)
             )
@@ -870,13 +875,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
         seen_triggers.add(key)
         triggers.append(TriggerEdge(f"t{len(triggers) + 1}", src, dst))
 
-    model = Model(
-        name=name,
-        things=tuple(things),
-        root_machines=roots,
-        flows=tuple(flows),
-        triggers=tuple(triggers),
-    )
+    model = replace(static, flows=tuple(flows), triggers=tuple(triggers))
 
     events: dict[str, Event] = {}
     for ed in event_decls:

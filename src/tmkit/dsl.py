@@ -24,6 +24,7 @@ machine name ``env`` is reserved and implicitly declared.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .core import (
@@ -32,7 +33,6 @@ from .core import (
     Diagnostic,
     EventDecl,
     FlowDecl,
-    FlowItemDecl,
     MachineDecl,
     Model,
     NodeItemDecl,
@@ -43,7 +43,6 @@ from .core import (
     STAGE_KINDS,
     ThingDecl,
     TriggerDecl,
-    TriggerItemDecl,
     build_model,
     validate,
 )
@@ -52,6 +51,8 @@ __all__ = ["SourceSpan", "ParseResult", "parse", "serialize"]
 
 _ITEM_KEYWORDS = {"thing", "machine", "flow", "trigger", "event", "chronology"}
 _KEYWORDS = RESERVED_WORDS
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,9 @@ def _lex(text: str) -> list[_Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             word = text[i:j]
             push("kw" if word in _KEYWORDS else "ident", word)
@@ -399,12 +400,12 @@ class _Parser:
                 flow = self.parse_flow()
                 if flow is None:
                     return None
-                items.append(FlowItemDecl(flow.thing, flow.src, flow.dst, flow.span))
+                items.append(flow)
             elif tok.kind == "kw" and tok.text == "trigger":
                 trig = self.parse_trigger()
                 if trig is None:
                     return None
-                items.append(TriggerItemDecl(trig.src, trig.dst, trig.span))
+                items.append(trig)
             else:
                 self.error_here(
                     f"expected 'node', 'flow', 'trigger' or '}}' inside event, "

@@ -97,7 +97,6 @@ class Token:
     id: str
     thing: str
     at: StageRef
-    born_step: int
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def _check_scenario(model: Model, scenario: Scenario) -> None:
             raise ScenarioError(
                 f"choice branch '{branch}' is not an outgoing flow of '{key}'"
             )
-    trigger_dsts = {str(t.dst) for t in model.triggers}
+    trigger_dsts = {str(d) for d in model.trigger_destinations}
     for gate_id, _ in scenario.gates:
         if gate_id not in trigger_dsts:
             raise ScenarioError(
@@ -302,7 +301,7 @@ class _Engine:
         self.entries.append(TraceEntry(self.step_no, kind, subject, detail or "-"))
 
     def mint(self, thing: str, ref: StageRef, via: str) -> Token:
-        token = Token(f"tok{self.next_token}", thing, ref, self.step_no)
+        token = Token(f"tok{self.next_token}", thing, ref)
         self.next_token += 1
         self.tokens.append(token)
         self.emit("create", token.id, f"{thing} @ {ref} via {via}")
@@ -341,12 +340,9 @@ class _Engine:
 
     # -- region mechanics ------------------------------------------------------
 
-    def trigger_destinations(self) -> set[StageRef]:
-        return {t.dst for t in self.model.triggers}
-
     def region_mints(self, event: Event) -> list[tuple[str, StageRef]]:
         """(thing, create-stage) pairs minted when the event (re-)enters."""
-        blocked = self.trigger_destinations()
+        blocked = self.model.trigger_destinations
         out: list[tuple[str, StageRef]] = []
         for fid in event.flow_ids:
             edge = self.model.flows_by_id[fid]
@@ -421,17 +417,9 @@ class _Engine:
                         continue
                 self.emit("trigger", edge.id, f"{edge.src} ~> {edge.dst}")
                 if edge.dst.kind is StageKind.CREATE:
-                    for thing in self.create_things(edge.dst):
+                    for thing in self.model.stage_out_things.get(edge.dst, ()):
                         self.mint(thing, edge.dst, edge.id)
         return len(self.entries) > before
-
-    def create_things(self, ref: StageRef) -> list[str]:
-        """Things minted at a create stage: those its outgoing flows carry."""
-        out: list[str] = []
-        for e in self.model.flows:
-            if e.src == ref and e.thing not in out:
-                out.append(e.thing)
-        return out
 
     def has_work(self, event: Event) -> bool:
         """Whether firing the event now would emit anything."""

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tmkit
 from tmkit.cli import run, corpus_list
+from tmkit.dsl import parse, serialize
+from tmkit.events import coverage
+from tmkit.render import render_static
+from tmkit.sim import format_trace, simulate
 
-from helpers import corpus_path
+from helpers import corpus_path, load_corpus_scenario
 
 
 @pytest.fixture()
@@ -245,3 +254,68 @@ def test_corpus_copy(tmp_path):
 def test_corpus_models_parse_and_validate():
     for entry in corpus_list():
         assert run(["validate", str(entry.model_file)]) == 0
+
+
+def test_python_dash_m_runs_the_tool():
+    src = str(Path(tmkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmkit.cli", "corpus", "list"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split(":")[0] for line in proc.stdout.splitlines()]
+    assert names == ["reservoir", "kant_ci", "murderer", "islamic"]
+
+
+# fmt, sim, render and coverage share one load path: every one of them must
+# report a missing file, an invalid model and a warnings-only model alike.
+
+_LOADING_COMMANDS = ("fmt", "sim", "render", "coverage")
+
+_EXPECTED_STDOUT = {
+    "fmt": serialize,
+    "sim": lambda model: format_trace(simulate(model, load_corpus_scenario("reservoir"))),
+    "render": lambda model: render_static(model).text,
+    "coverage": lambda model: coverage(model).text(),
+}
+
+
+def _loading_argv(command: str, model_file) -> list[str]:
+    extra = ["--scenario", str(corpus_path("reservoir.scn"))] if command == "sim" else []
+    return [command, str(model_file), *extra]
+
+
+@pytest.mark.parametrize("command", _LOADING_COMMANDS)
+def test_load_missing_model_exit_two(command, tmp_path, capsys):
+    assert run(_loading_argv(command, tmp_path / "missing.tm")) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", _LOADING_COMMANDS)
+def test_load_invalid_model_prints_diagnostics_exit_one(command, tmp_path, capsys):
+    bad = tmp_path / "bad.tm"
+    bad.write_text("model bad\nthing x\nmachine m\nflow x m.process -> m.create\n")
+    assert run(["validate", str(bad)]) == 1
+    expected, _ = capsys.readouterr()
+    assert run(_loading_argv(command, bad)) == 1
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert out.startswith(f"error E104 {bad}:4:")
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", _LOADING_COMMANDS)
+def test_load_warnings_only_model_prints_only_the_output(command, tmp_path, capsys):
+    noisy = tmp_path / "noisy.tm"
+    noisy.write_text(corpus_path("reservoir.tm").read_text() + "machine lonely\n")
+    assert run(["validate", str(noisy)]) == 0
+    warnings, _ = capsys.readouterr()
+    assert warnings.startswith("warning W202 ")
+    model = parse(noisy.read_text(), str(noisy)).model
+    assert run(_loading_argv(command, noisy)) == 0
+    out, _err = capsys.readouterr()
+    assert out == _EXPECTED_STDOUT[command](model)

@@ -212,7 +212,20 @@ def test_canonical_order_groups_categories():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(alphabet="model thingmachineflowtrigger{}->~>.\n abc_#", max_size=200))
+@given(st.text(alphabet="model thingmachineflowtrigger{}->~>.\n abc_#é²ñß\U0001f642", max_size=200))
 def test_parser_never_crashes(text):
     result = parse(text)
     assert (result.model is None) == any(d.is_error for d in result.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [("model m\nthing café\n", 2, 10), ("model m\nthing x²\n", 2, 8), ("model ñ\n", 1, 7)],
+)
+def test_non_ascii_identifier_character_is_e001_with_span(text, line, col):
+    result = parse(text, "u.tm")
+    assert result.model is None
+    assert [d.code for d in result.diagnostics] == ["E001"]
+    span = result.diagnostics[0].location
+    assert isinstance(span, SourceSpan)
+    assert (span.start_line, span.start_col) == (line, col)

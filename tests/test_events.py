@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.core import Chronology, Event, EventDecl, FlowItemDecl, NodeItemDecl
+from tmkit.core import Chronology, Event, EventDecl, FlowItemDecl, NodeItemDecl, _tarjan_sccs
 from tmkit.events import (
     attach_event,
     coverage,
@@ -121,6 +121,81 @@ def test_two_cycle_is_one_e302_naming_the_cycle():
     e302 = [d for d in result.diagnostics if d.code == "E302"]
     assert len(e302) == 1
     assert "a" in e302[0].message and "b" in e302[0].message
+
+
+def _chain_model_text(n: int, back_edge: bool = False) -> str:
+    lines = ["model chain", "thing x", "machine m", "flow x m.create -> m.release"]
+    lines += [f"event e{i} {{ flow x m.create -> m.release }}" for i in range(n)]
+    edges = [f"  e{i} -> e{i + 1}" for i in range(n - 1)]
+    if back_edge:
+        edges.append(f"  e{n - 1} -> e0")
+    return "\n".join(lines + ["chronology {", *edges, "}"]) + "\n"
+
+
+def test_long_chronology_chain_builds():
+    result = parse(_chain_model_text(2000))
+    assert result.model is not None, result.diagnostics[:3]
+    assert len(result.model.chronology.edges) == 1999
+    assert result.model.chronology.predecessors("e1999") == ("e1998",)
+
+
+def test_long_chronology_cycle_is_one_e302():
+    result = parse(_chain_model_text(2000, back_edge=True))
+    assert [d.code for d in result.diagnostics] == ["E302"]
+    cycle = [f"e{i}" for i in range(2000)] + ["e0"]
+    assert result.diagnostics[0].message == "chronology cycle: " + " -> ".join(cycle)
+
+
+def _random_digraph(seed: int) -> tuple[tuple[str, ...], dict[str, list[str]]]:
+    rng = random.Random(seed)
+    nodes = tuple(f"n{i}" for i in range(rng.randint(1, 12)))
+    adjacency = {a: [b for b in nodes if rng.random() < 0.2] for a in nodes}
+    return nodes, adjacency
+
+
+def _recursive_tarjan(nodes, adjacency) -> list[list[str]]:
+    """Textbook recursive Tarjan, the reference for component order."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    sccs: list[list[str]] = []
+
+    def strongconnect(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in adjacency[v]:
+            if w not in index:
+                strongconnect(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            component = [stack.pop()]
+            while component[-1] != v:
+                component.append(stack.pop())
+            sccs.append(component)
+
+    for n in nodes:
+        if n not in index:
+            strongconnect(n)
+    return sccs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sccs_keep_the_recursive_order(seed):
+    nodes, adjacency = _random_digraph(seed)
+    assert _tarjan_sccs(nodes, adjacency) == _recursive_tarjan(nodes, adjacency)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sccs_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    nodes, adjacency = _random_digraph(seed)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from((a, b) for a in nodes for b in adjacency[a])
+    expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
+    assert {frozenset(c) for c in _tarjan_sccs(nodes, adjacency)} == expected
 
 
 def test_unknown_event_reference_is_e303():
