@@ -393,14 +393,11 @@ class Model:
     def machines(self) -> tuple[Machine, ...]:
         """All machines in depth-first declaration order."""
         out: list[Machine] = []
-
-        def walk(m: Machine) -> None:
+        stack = list(reversed(self.root_machines))
+        while stack:
+            m = stack.pop()
             out.append(m)
-            for c in m.children:
-                walk(c)
-
-        for root in self.root_machines:
-            walk(root)
+            stack.extend(reversed(m.children))
         return tuple(out)
 
     @cached_property
@@ -550,37 +547,41 @@ def _require_ident(name: str, what: str) -> None:
 def _build_machines(
     decls: list[MachineDecl], diags: list[Diagnostic]
 ) -> tuple[Machine, ...]:
-    def build_level(
-        level: Iterable[MachineDecl], prefix: tuple[str, ...]
-    ) -> tuple[Machine, ...]:
-        out: list[Machine] = []
-        seen: set[str] = set()
-        for d in level:
-            _require_ident(d.name, "machine name")
-            if d.name == ENV_NAME:
-                diags.append(
-                    _error(
-                        "E106",
-                        f"machine name '{ENV_NAME}' is reserved for the environment",
-                        d.span or ENV_NAME,
-                    )
+    # One frame per open level: (declarations left, path, built, names seen).
+    # A finished level becomes the children of the machine at its path.
+    stack: list[tuple[Iterator[MachineDecl], tuple[str, ...], list[Machine], set[str]]] = [
+        (iter(decls), (), [], set())
+    ]
+    while True:
+        level, prefix, out, seen = stack[-1]
+        d = next(level, None)
+        if d is None:
+            stack.pop()
+            if not stack:
+                return tuple(out)
+            stack[-1][2].append(Machine(prefix[-1], prefix, tuple(out)))
+            continue
+        _require_ident(d.name, "machine name")
+        if d.name == ENV_NAME:
+            diags.append(
+                _error(
+                    "E106",
+                    f"machine name '{ENV_NAME}' is reserved for the environment",
+                    d.span or ENV_NAME,
                 )
-                continue
-            if d.name in seen:
-                diags.append(
-                    _error(
-                        "E106",
-                        f"duplicate machine '{'.'.join(prefix + (d.name,))}'",
-                        d.span or ".".join(prefix + (d.name,)),
-                    )
+            )
+            continue
+        if d.name in seen:
+            diags.append(
+                _error(
+                    "E106",
+                    f"duplicate machine '{'.'.join(prefix + (d.name,))}'",
+                    d.span or ".".join(prefix + (d.name,)),
                 )
-                continue
-            seen.add(d.name)
-            path = prefix + (d.name,)
-            out.append(Machine(d.name, path, build_level(d.children, path)))
-        return tuple(out)
-
-    return build_level(decls, ())
+            )
+            continue
+        seen.add(d.name)
+        stack.append((iter(d.children), prefix + (d.name,), [], set()))
 
 
 def _check_event_decl(
@@ -662,6 +663,7 @@ def _chronology_diagnostics(
 ) -> tuple[Chronology | None, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     edges: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
     for a, b in decl.edges:
         missing = [n for n in (a, b) if n not in events]
         if missing:
@@ -674,7 +676,7 @@ def _chronology_diagnostics(
                     )
                 )
             continue
-        if (a, b) in edges:
+        if (a, b) in seen:
             diags.append(
                 _error(
                     "E106",
@@ -683,6 +685,7 @@ def _chronology_diagnostics(
                 )
             )
             continue
+        seen.add((a, b))
         edges.append((a, b))
     nodes = tuple(events)
     # One E302 per strongly connected component with a cycle.
@@ -969,18 +972,15 @@ def validate(model: Model, *, lax: bool = False) -> list[Diagnostic]:
                     t.id,
                 )
             )
-    touched: set[tuple[str, ...]] = set()
-    for e in model.flows:
-        touched.add(e.src.path)
-        touched.add(e.dst.path)
-    for t in model.triggers:
-        touched.add(t.src.path)
-        touched.add(t.dst.path)
+    # A machine's subtree is touched iff its path prefixes a touched path.
+    touched_prefixes: set[tuple[str, ...]] = set()
+    for ref in model.used_stages:
+        path = ref.path
+        while path and path != (ENV_NAME,) and path not in touched_prefixes:
+            touched_prefixes.add(path)
+            path = path[:-1]
     for m in model.machines:
-        subtree_touched = any(
-            p[: len(m.path)] == m.path for p in touched if p != (ENV_NAME,)
-        )
-        if not subtree_touched:
+        if m.path not in touched_prefixes:
             diags.append(
                 _warning("W202", f"machine '{m.id}' has no incident edges", m.id)
             )

@@ -33,6 +33,7 @@ from .core import (
     Diagnostic,
     EventDecl,
     FlowDecl,
+    Machine,
     MachineDecl,
     Model,
     NodeItemDecl,
@@ -264,33 +265,36 @@ class _Parser:
         return ThingDecl(tok.text, self.span_of(start, tok))
 
     def parse_machine(self) -> MachineDecl | None:
-        start = self.advance()
-        tok = self.expect_ident("machine name")
-        if tok is None:
-            return None
-        children: list[MachineDecl] = []
-        end = tok
-        if self.peek().kind == "{":
-            self.advance()
-            while True:
-                inner = self.peek()
-                if inner.kind == "}":
-                    end = self.advance()
-                    break
-                if inner.kind == "eof":
-                    self.error_here("unterminated machine block, expected '}'")
-                    return None
-                if inner.kind == "kw" and inner.text == "machine":
-                    child = self.parse_machine()
-                    if child is None:
-                        return None
-                    children.append(child)
-                else:
-                    self.error_here(
-                        f"expected 'machine' or '}}' inside machine block, found {inner.text!r}"
-                    )
-                    return None
-        return MachineDecl(tok.text, tuple(children), self.span_of(start, end))
+        # Open blocks wait on an explicit stack, so nesting depth is unbounded.
+        blocks: list[tuple[_Token, _Token, list[MachineDecl]]] = []
+        while True:
+            start = self.advance()
+            tok = self.expect_ident("machine name")
+            if tok is None:
+                return None
+            if self.peek().kind == "{":
+                self.advance()
+                blocks.append((start, tok, []))
+            else:
+                leaf = MachineDecl(tok.text, (), self.span_of(start, tok))
+                if not blocks:
+                    return leaf
+                blocks[-1][2].append(leaf)
+            while (inner := self.peek()).kind == "}":
+                end = self.advance()
+                start, tok, children = blocks.pop()
+                decl = MachineDecl(tok.text, tuple(children), self.span_of(start, end))
+                if not blocks:
+                    return decl
+                blocks[-1][2].append(decl)
+            if inner.kind == "eof":
+                self.error_here("unterminated machine block, expected '}'")
+                return None
+            if inner.kind != "kw" or inner.text != "machine":
+                self.error_here(
+                    f"expected 'machine' or '}}' inside machine block, found {inner.text!r}"
+                )
+                return None
 
     def parse_stage_ref(self) -> tuple[str, _Token, _Token] | None:
         """Parse a dotted stage reference, returning (text, first, last)."""
@@ -478,19 +482,18 @@ def _element_spans(model: Model, decls: list[Decl]) -> dict[object, object]:
             trigger_index += 1
             spans[f"t{trigger_index}"] = decl.span
         elif isinstance(decl, MachineDecl):
-            _machine_spans(decl, (), spans)
+            _machine_spans(decl, spans)
         elif isinstance(decl, (ThingDecl, EventDecl)):
             spans[decl.name] = decl.span
     return spans
 
 
-def _machine_spans(
-    decl: MachineDecl, prefix: tuple[str, ...], spans: dict[object, object]
-) -> None:
-    path = prefix + (decl.name,)
-    spans[".".join(path)] = decl.span
-    for child in decl.children:
-        _machine_spans(child, path, spans)
+def _machine_spans(decl: MachineDecl, spans: dict[object, object]) -> None:
+    stack = [(decl, (decl.name,))]
+    while stack:
+        d, path = stack.pop()
+        spans[".".join(path)] = d.span
+        stack.extend((c, path + (c.name,)) for c in reversed(d.children))
 
 
 def serialize(model: Model) -> str:
@@ -504,18 +507,21 @@ def serialize(model: Model) -> str:
     for thing in model.things:
         lines.append(f"thing {thing.name}")
 
-    def emit_machine(machine, depth: int) -> None:
+    # Depth-first with an explicit stack; a str entry is a pending "}" line.
+    stack: list[tuple[Machine, int] | str] = [(m, 0) for m in reversed(model.root_machines)]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            lines.append(top)
+            continue
+        machine, depth = top
         pad = "  " * depth
         if machine.children:
             lines.append(f"{pad}machine {machine.name} {{")
-            for child in machine.children:
-                emit_machine(child, depth + 1)
-            lines.append(f"{pad}}}")
+            stack.append(f"{pad}}}")
+            stack.extend((c, depth + 1) for c in reversed(machine.children))
         else:
             lines.append(f"{pad}machine {machine.name}")
-
-    for root in model.root_machines:
-        emit_machine(root, 0)
     for e in model.flows:
         lines.append(f"flow {e.thing} {e.src} -> {e.dst}")
     for t in model.triggers:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ENV_NAME, Model, StageRef, validate
+from .core import ENV_NAME, Machine, Model, StageRef, validate
 
 __all__ = [
     "DotDocument",
@@ -63,25 +63,32 @@ def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[StageRef]]:
     return grouped
 
 
-def _emit_machine(
-    machine, grouped: dict[tuple[str, ...], list[StageRef]], depth: int, lines: list[str]
+def _emit_machines(
+    model: Model, grouped: dict[tuple[str, ...], list[StageRef]], lines: list[str]
 ) -> None:
-    pad = "  " * depth
-    cluster_id = "cluster_" + "__".join(machine.path)
-    lines.append(f'{pad}subgraph "{cluster_id}" {{')
-    lines.append(f'{pad}  label="{machine.name}";')
-    for ref in grouped.get(machine.path, ()):
-        lines.append(f'{pad}  "{ref}" [label="{ref.kind.value}"];')
-    for child in machine.children:
-        _emit_machine(child, grouped, depth + 1, lines)
-    lines.append(f"{pad}}}")
+    """Nested machine clusters, depth-first with an explicit stack; a str
+    entry is a pending closing line."""
+    stack: list[tuple[Machine, int] | str] = [(m, 1) for m in reversed(model.root_machines)]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            lines.append(top)
+            continue
+        machine, depth = top
+        pad = "  " * depth
+        cluster_id = "cluster_" + "__".join(machine.path)
+        lines.append(f'{pad}subgraph "{cluster_id}" {{')
+        lines.append(f'{pad}  label="{machine.name}";')
+        for ref in grouped.get(machine.path, ()):
+            lines.append(f'{pad}  "{ref}" [label="{ref.kind.value}"];')
+        stack.append(f"{pad}}}")
+        stack.extend((c, depth + 1) for c in reversed(machine.children))
 
 
 def _static_body(model: Model) -> list[str]:
     lines: list[str] = []
     grouped = _stages_by_machine(model)
-    for root in model.root_machines:
-        _emit_machine(root, grouped, 1, lines)
+    _emit_machines(model, grouped, lines)
     env_refs = grouped.get((ENV_NAME,), ())
     for ref in env_refs:
         lines.append(f'  "{ref}" [label="{ref}", shape=plaintext];')

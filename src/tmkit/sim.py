@@ -46,6 +46,7 @@ from .core import (
     Diagnostic,
     ENV_NAME,
     Event,
+    FlowEdge,
     Model,
     RegionFlow,
     RegionNode,
@@ -254,29 +255,23 @@ def _check_scenario(model: Model, scenario: Scenario) -> None:
 
 
 class _Engine:
-    """Mutable working copy of a SimState for executing one macro-step."""
+    """Mutable state of one run, resumable from a SimState.
+
+    ``timings`` is the record of fired events, in firing order; ``tokens``
+    maps live token ids to tokens, in mint order.
+    """
 
     def __init__(self, model: Model, state: SimState):
         self.model = model
         self.scenario = state.scenario
-        self.tokens: list[Token] = list(state.tokens)
+        self.tokens: dict[str, Token] = {t.id: t for t in state.tokens}
         self.next_token = state.next_token
-        self.fired: list[str] = list(state.fired)
-        self.ended: set[str] = set(state.ended)
         self.timings: dict[str, EventTiming] = dict(state.timings)
-        self.choice_keys: list[str] = []
-        self.choice_queues: dict[str, list[str]] = {}
+        self.choices: dict[str, list[str]] = {}
         for key, branch in state.scenario.choices:
-            if key not in self.choice_queues:
-                self.choice_keys.append(key)
-                self.choice_queues[key] = []
-            self.choice_queues[key].append(branch)
-        self.choice_next: dict[str, int] = {
-            key: taken
-            for key, taken in zip(self.choice_keys, state.choice_taken)
-        }
-        for key in self.choice_keys:
-            self.choice_next.setdefault(key, 0)
+            self.choices.setdefault(key, []).append(branch)
+        taken = state.choice_taken or (0,) * len(self.choices)
+        self.taken: dict[str, int] = dict(zip(self.choices, taken))
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
 
@@ -286,11 +281,13 @@ class _Engine:
         return SimState(
             scenario=self.scenario,
             step_no=self.step_no,
-            tokens=tuple(self.tokens),
+            tokens=tuple(self.tokens.values()),
             next_token=self.next_token,
-            fired=tuple(self.fired),
-            ended=frozenset(self.ended),
-            choice_taken=tuple(self.choice_next[k] for k in self.choice_keys),
+            fired=tuple(self.timings),
+            ended=frozenset(
+                name for name, t in self.timings.items() if t.released_at is not None
+            ),
+            choice_taken=tuple(self.taken.values()),
             timings=tuple(self.timings.items()),
             quiescent=quiescent,
         )
@@ -300,30 +297,29 @@ class _Engine:
     def emit(self, kind: str, subject: str, detail: str) -> None:
         self.entries.append(TraceEntry(self.step_no, kind, subject, detail or "-"))
 
-    def mint(self, thing: str, ref: StageRef, via: str) -> Token:
+    def mint(self, thing: str, ref: StageRef, via: str) -> None:
         token = Token(f"tok{self.next_token}", thing, ref)
         self.next_token += 1
-        self.tokens.append(token)
+        self.tokens[token.id] = token
         self.emit("create", token.id, f"{thing} @ {ref} via {via}")
-        return token
 
     def tokens_at(self, ref: StageRef, thing: str | None = None) -> list[Token]:
         return [
             t
-            for t in self.tokens
+            for t in self.tokens.values()
             if t.at == ref and (thing is None or t.thing == thing)
         ]
 
     def move(self, token: Token, dst: StageRef) -> None:
-        moved = replace(token, at=dst)
-        self.tokens[self.tokens.index(token)] = moved
         self.emit(dst.kind.value, token.id, f"{token.thing}: {token.at} -> {dst}")
         if dst.is_env:
-            self.tokens.remove(moved)
+            del self.tokens[token.id]
+        else:
+            self.tokens[token.id] = replace(token, at=dst)
 
     def take_choice(self, key: str) -> str:
-        queue = self.choice_queues.get(key, [])
-        index = self.choice_next.get(key, 0)
+        queue = self.choices.get(key, ())
+        index = self.taken.get(key, 0)
         if index >= len(queue):
             raise SimulationError(
                 Diagnostic(
@@ -333,7 +329,7 @@ class _Engine:
                     f"no choice left for decision point '{key}'",
                 )
             )
-        self.choice_next[key] = index + 1
+        self.taken[key] = index + 1
         branch = queue[index]
         self.emit("choice", key, f"-> {branch}")
         return branch
@@ -356,37 +352,27 @@ class _Engine:
         for thing, ref in self.region_mints(event):
             self.mint(thing, ref, event.name)
 
-    def region_fanout(self, event: Event, src: StageRef, thing: str) -> list[str]:
-        """Region flow edges leaving src with the same thing, by id."""
-        out = []
-        for fid in event.flow_ids:
-            edge = self.model.flows_by_id[fid]
-            if edge.src == src and edge.thing == thing:
-                out.append(fid)
-        return out
-
     def run_pass(self, event: Event, spent_triggers: set[str]) -> bool:
         """One declaration-order pass over the region. True if it emitted."""
         before = len(self.entries)
+        fanouts: dict[tuple[StageRef, str], list[FlowEdge]] = {}
+        for fid in event.flow_ids:
+            edge = self.model.flows_by_id[fid]
+            fanouts.setdefault((edge.src, edge.thing), []).append(edge)
         handled_fanouts: set[tuple[StageRef, str]] = set()
         for item in event.items:
             if isinstance(item, RegionFlow):
                 edge = self.model.flows_by_id[item.edge_id]
-                fanout = self.region_fanout(event, edge.src, edge.thing)
+                group_key = (edge.src, edge.thing)
+                fanout = fanouts[group_key]
                 if len(fanout) >= 2:
-                    group_key = (edge.src, edge.thing)
                     if group_key in handled_fanouts:
                         continue
                     handled_fanouts.add(group_key)
-                    for token in list(self.tokens_at(edge.src, edge.thing)):
+                    for token in self.tokens_at(edge.src, edge.thing):
                         branch = self.take_choice(str(edge.src))
                         chosen = next(
-                            (
-                                self.model.flows_by_id[fid]
-                                for fid in fanout
-                                if str(self.model.flows_by_id[fid].dst) == branch
-                            ),
-                            None,
+                            (e for e in fanout if str(e.dst) == branch), None
                         )
                         if chosen is None:
                             raise SimulationError(
@@ -400,7 +386,7 @@ class _Engine:
                             )
                         self.move(token, chosen.dst)
                 else:
-                    for token in list(self.tokens_at(edge.src, edge.thing)):
+                    for token in self.tokens_at(edge.src, edge.thing):
                         self.move(token, edge.dst)
             elif isinstance(item, RegionTrigger):
                 if item.edge_id in spent_triggers:
@@ -439,56 +425,59 @@ class _Engine:
                     return True
         return False
 
-    def eligible(self, event: Event, fired_before: frozenset[str]) -> bool:
+    def eligible(self, event: Event) -> bool:
+        """Whether every chronology predecessor fired before this step."""
         chronology = self.model.chronology
         if chronology is None:
             return True
-        return all(p in fired_before for p in chronology.predecessors(event.name))
+        return all(
+            p in self.timings and self.timings[p].received_at < self.step_no
+            for p in chronology.predecessors(event.name)
+        )
 
     # -- one macro-step ----------------------------------------------------------
 
-    def run_step(self) -> None:
+    def run_step(self) -> bool:
+        """Run one macro-step; return whether the run is now quiescent."""
         self.step_no += 1
+        before = len(self.entries)
         for inj in self.scenario.injections:
             if inj.step == self.step_no:
                 self.mint(inj.thing, inj.ref, "injection")
-        fired_before = frozenset(self.fired)
         for event in self.model.events:
-            if event.name in self.fired:
+            if event.name in self.timings:
                 if event.perpetual:
                     self.mint_entry_creates(event)
                     self.run_pass(event, set())
                 continue
-            if not self.eligible(event, fired_before):
-                continue
-            if not self.has_work(event):
+            if not self.eligible(event) or not self.has_work(event):
                 continue
             self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
-            self.fired.append(event.name)
             self.timings[event.name] = EventTiming(received_at=self.step_no)
             self.mint_entry_creates(event)
             if event.perpetual:
                 self.run_pass(event, set())
+                continue
+            spent: set[str] = set()
+            for _ in range(_MAX_PASSES):
+                if not self.run_pass(event, spent):
+                    break
             else:
-                spent: set[str] = set()
-                for _ in range(_MAX_PASSES):
-                    if not self.run_pass(event, spent):
-                        break
-                else:
-                    raise SimulationError(
-                        Diagnostic(
-                            "E402",
-                            "error",
-                            event.name,
-                            f"event '{event.name}' did not run to completion",
-                        )
+                raise SimulationError(
+                    Diagnostic(
+                        "E402",
+                        "error",
+                        event.name,
+                        f"event '{event.name}' did not run to completion",
                     )
-                self.emit("event_end", event.name, "")
-                self.ended.add(event.name)
-                self.timings[event.name] = EventTiming(
-                    received_at=self.timings[event.name].received_at,
-                    released_at=self.step_no,
                 )
+            self.emit("event_end", event.name, "")
+            self.timings[event.name] = EventTiming(self.step_no, released_at=self.step_no)
+        return (
+            len(self.entries) == before
+            and all(inj.step <= self.step_no for inj in self.scenario.injections)
+            and all(e.name in self.timings for e in self.model.events if not e.perpetual)
+        )
 
 
 def init_state(model: Model, scenario: Scenario, *, lax: bool = False) -> SimState:
@@ -507,14 +496,7 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     if state.quiescent:
         return state, []
     engine = _Engine(model, state)
-    engine.run_step()
-    future_injections = any(
-        inj.step > engine.step_no for inj in state.scenario.injections
-    )
-    all_fired = all(
-        e.name in engine.fired for e in model.events if not e.perpetual
-    )
-    quiescent = not engine.entries and not future_injections and all_fired
+    quiescent = engine.run_step()
     return engine.snapshot(quiescent), engine.entries
 
 
@@ -525,33 +507,26 @@ def simulate(model: Model, scenario: Scenario, *, lax: bool = False) -> Trace:
     scenario choices are reported as warnings; running out of choices at
     a decision point raises :class:`SimulationError` (E401).
     """
-    state = init_state(model, scenario, lax=lax)
-    entries: list[TraceEntry] = []
+    engine = _Engine(model, init_state(model, scenario, lax=lax))
     terminated = "step_limit"
     for _ in range(scenario.max_steps):
-        state, new_entries = step(model, state)
-        entries.extend(new_entries)
-        if state.quiescent:
+        if engine.run_step():
             terminated = "quiescent"
             break
-    warnings: list[str] = []
-    key_order = list(dict.fromkeys(key for key, _ in scenario.choices))
-    taken = dict(zip(key_order, state.choice_taken))
-    for key in key_order:
-        total = sum(1 for k, _ in scenario.choices if k == key)
-        used = taken.get(key, 0)
-        if used < total:
-            warnings.append(
-                f"unconsumed choices for '{key}': {total - used} of {total} left"
-            )
+    warnings = tuple(
+        f"unconsumed choices for '{key}': "
+        f"{len(queue) - engine.taken[key]} of {len(queue)} left"
+        for key, queue in engine.choices.items()
+        if engine.taken[key] < len(queue)
+    )
     return Trace(
-        entries=tuple(entries),
-        fired_events=tuple(state.fired),
+        entries=tuple(engine.entries),
+        fired_events=tuple(engine.timings),
         terminated=terminated,
-        warnings=tuple(warnings),
-        timings=dict(state.timings),
+        warnings=warnings,
+        timings=dict(engine.timings),
         perpetual_events=frozenset(
-            e.name for e in model.events if e.perpetual and e.name in state.fired
+            e.name for e in model.events if e.perpetual and e.name in engine.timings
         ),
     )
 

@@ -198,12 +198,14 @@ def test_isolated_machine_is_w202_but_parents_of_active_children_are_not():
             ThingDecl("water"),
             MachineDecl("outer", (MachineDecl("inner"),)),
             MachineDecl("lonely"),
+            MachineDecl("outer2", (MachineDecl("inner2"),)),
             FlowDecl("water", "outer.inner.create", "outer.inner.release"),
         ],
     )
     assert isinstance(model, Model)
     diags = validate(model)
-    assert codes(diags) == ["W202"]
+    assert codes(diags) == ["W202"] * 3
+    assert [d.location for d in diags] == ["lonely", "outer2", "outer2.inner2"]
     assert "lonely" in diags[0].message
 
 

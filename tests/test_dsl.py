@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit.dsl import SourceSpan, parse, serialize
+from tmkit.render import dot_well_formed, render_static
 
 from helpers import CORPUS_NAMES, load_corpus_model, models_equal, random_valid_model
 
@@ -229,3 +230,18 @@ def test_non_ascii_identifier_character_is_e001_with_span(text, line, col):
     span = result.diagnostics[0].location
     assert isinstance(span, SourceSpan)
     assert (span.start_line, span.start_col) == (line, col)
+
+
+def test_deep_machine_nesting_has_no_recursion_limit():
+    # Texts are compared, not models: == on nested Machines recurses.
+    depth = 3000
+    opening = "model deep\n" + "".join(f"machine m{i} {{\n" for i in range(depth))
+    result = parse(opening + "}\n" * depth)
+    assert result.model is not None
+    assert len(result.model.machines) == depth
+    text = serialize(result.model)
+    assert serialize(parse(text).model) == text
+    assert dot_well_formed(str(render_static(result.model)))
+    unclosed = parse(opening)
+    assert unclosed.model is None
+    assert [d.code for d in unclosed.diagnostics] == ["E001"]

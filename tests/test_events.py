@@ -146,6 +146,23 @@ def test_long_chronology_cycle_is_one_e302():
     assert result.diagnostics[0].message == "chronology cycle: " + " -> ".join(cycle)
 
 
+def test_duplicate_chronology_edge_is_one_e106():
+    text = (
+        "model twice\n"
+        "thing x\n"
+        "machine m\n"
+        "flow x m.create -> m.release\n"
+        "event a { flow x m.create -> m.release }\n"
+        "event b { flow x m.create -> m.release }\n"
+        "chronology { a -> b a -> b }\n"
+    )
+    result = parse(text)
+    assert result.model is None
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E106", "duplicate chronology edge 'a -> b'")
+    ]
+
+
 def _random_digraph(seed: int) -> tuple[tuple[str, ...], dict[str, list[str]]]:
     rng = random.Random(seed)
     nodes = tuple(f"n{i}" for i in range(rng.randint(1, 12)))

@@ -12,6 +12,8 @@ import tmkit.events
 import tmkit.render
 import tmkit.sim
 
+from helpers import load_corpus_model, load_corpus_scenario
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -28,3 +30,23 @@ def test_every_traced_name_exists(monkeypatch):
     missing = [f"{m.__name__}.{attr}" for m, attr, _ in targets if not hasattr(m, attr)]
     assert targets
     assert missing == []
+
+
+def test_simulate_validates_and_initialises_once(monkeypatch):
+    # The traced benchmark reads sim.init_state and core.validate spans
+    # from these two names; one run must pass through each exactly once.
+    calls = {"init_state": 0, "validate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tmkit.sim, name, counting(name, getattr(tmkit.sim, name)))
+    model = load_corpus_model("reservoir")
+    trace = tmkit.sim.simulate(model, load_corpus_scenario("reservoir"))
+    assert trace.entries
+    assert calls == {"init_state": 1, "validate": 1}
