@@ -468,6 +468,37 @@ class Model:
                 bucket.append(e.thing)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def region_fanouts(self) -> dict[str, dict[tuple[StageRef, str], tuple[FlowEdge, ...]]]:
+        """Per event, its region flows grouped by (source stage, thing)."""
+        out: dict[str, dict[tuple[StageRef, str], tuple[FlowEdge, ...]]] = {}
+        for event in self.events:
+            groups: dict[tuple[StageRef, str], list[FlowEdge]] = {}
+            for fid in event.flow_ids:
+                edge = self.flows_by_id[fid]
+                groups.setdefault((edge.src, edge.thing), []).append(edge)
+            out[event.name] = {k: tuple(v) for k, v in groups.items()}
+        return out
+
+    @cached_property
+    def region_mints(self) -> dict[str, tuple[tuple[str, StageRef], ...]]:
+        """Per event, the (thing, create stage) pairs minted when it (re-)enters.
+
+        Create stages that are trigger destinations are left to their trigger.
+        """
+        out: dict[str, tuple[tuple[str, StageRef], ...]] = {}
+        for event in self.events:
+            pairs: dict[tuple[str, StageRef], None] = {}
+            for fid in event.flow_ids:
+                edge = self.flows_by_id[fid]
+                if (
+                    edge.src.kind is StageKind.CREATE
+                    and edge.src not in self.trigger_destinations
+                ):
+                    pairs.setdefault((edge.thing, edge.src))
+            out[event.name] = tuple(pairs)
+        return out
+
     def stage_things(self, ref: StageRef) -> tuple[str, ...]:
         """Distinct things on flow edges incident to a stage."""
         seen: dict[str, None] = {}

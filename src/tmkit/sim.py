@@ -33,6 +33,13 @@ Operational semantics (fixed here so that runs are reproducible):
   stops at ``max_steps`` (reported as ``step_limit``, a normal outcome for
   models with perpetual events).
 
+Cost follows the work done, not the size of the run. Live tokens are
+indexed by stage, so a hop reads only its source stage's tokens (still in
+mint order, not arrival order). A ready frontier counts each unfired
+event's unfired predecessors, so a step sweeps, in declaration order, only
+the fired perpetual events and the unfired events whose predecessors have
+all fired; an event unlocked in step s is swept from step s+1.
+
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
 """
@@ -40,13 +47,13 @@ and may be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import count
 
 from .core import (
     Chronology,
     Diagnostic,
     ENV_NAME,
     Event,
-    FlowEdge,
     Model,
     RegionFlow,
     RegionNode,
@@ -258,13 +265,21 @@ class _Engine:
     """Mutable state of one run, resumable from a SimState.
 
     ``timings`` is the record of fired events, in firing order; ``tokens``
-    maps live token ids to tokens, in mint order.
+    maps live token ids to tokens, in mint order. ``at`` indexes the live
+    tokens by stage, each bucket keyed by mint rank. ``sweep`` holds the
+    declaration positions of the events a step visits: fired perpetual
+    events and unfired events whose predecessors have all fired.
     """
 
     def __init__(self, model: Model, state: SimState):
         self.model = model
         self.scenario = state.scenario
-        self.tokens: dict[str, Token] = {t.id: t for t in state.tokens}
+        self.tokens: dict[str, Token] = {}
+        self.rank: dict[str, int] = {}
+        self.at: dict[StageRef, dict[int, Token]] = {}
+        self.ranks = count()
+        for token in state.tokens:
+            self.place(token)
         self.next_token = state.next_token
         self.timings: dict[str, EventTiming] = dict(state.timings)
         self.choices: dict[str, list[str]] = {}
@@ -272,8 +287,35 @@ class _Engine:
             self.choices.setdefault(key, []).append(branch)
         taken = state.choice_taken or (0,) * len(self.choices)
         self.taken: dict[str, int] = dict(zip(self.choices, taken))
+        self.gates: dict[str, bool] = {}
+        for key, value in state.scenario.gates:
+            self.gates.setdefault(key, value)  # the first line for a gate wins
+        self.injections: dict[int, list[Injection]] = {}
+        for inj in state.scenario.injections:
+            self.injections.setdefault(inj.step, []).append(inj)
+        self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
+        chronology = model.chronology
+        preds = chronology.predecessor_map if chronology is not None else {}
+        self.sweep: set[int] = set()
+        self.waiting: dict[int, int] = {}  # unfired predecessors of a blocked event
+        self.successors: dict[str, list[int]] = {}  # events each unfired one blocks
+        self.unfired = 0  # non-perpetual events that have not fired
+        for i, event in enumerate(model.events):
+            if event.name in self.timings:
+                if event.perpetual:
+                    self.sweep.add(i)
+                continue
+            if not event.perpetual:
+                self.unfired += 1
+            blockers = [p for p in preds.get(event.name, ()) if p not in self.timings]
+            for p in blockers:
+                self.successors.setdefault(p, []).append(i)
+            if blockers:
+                self.waiting[i] = len(blockers)
+            else:
+                self.sweep.add(i)
 
     # -- state snapshot ------------------------------------------------------
 
@@ -297,25 +339,44 @@ class _Engine:
     def emit(self, kind: str, subject: str, detail: str) -> None:
         self.entries.append(TraceEntry(self.step_no, kind, subject, detail or "-"))
 
+    def place(self, token: Token) -> None:
+        """Add a live token under the next mint rank."""
+        rank = next(self.ranks)
+        self.tokens[token.id] = token
+        self.rank[token.id] = rank
+        self.at.setdefault(token.at, {})[rank] = token
+
     def mint(self, thing: str, ref: StageRef, via: str) -> None:
         token = Token(f"tok{self.next_token}", thing, ref)
         self.next_token += 1
-        self.tokens[token.id] = token
+        self.place(token)
         self.emit("create", token.id, f"{thing} @ {ref} via {via}")
 
-    def tokens_at(self, ref: StageRef, thing: str | None = None) -> list[Token]:
-        return [
-            t
-            for t in self.tokens.values()
-            if t.at == ref and (thing is None or t.thing == thing)
-        ]
+    def tokens_at(self, ref: StageRef, thing: str) -> list[Token]:
+        """The thing's tokens at a stage in mint order, whatever their arrival."""
+        bucket = self.at.get(ref)
+        if not bucket:
+            return []
+        return [t for rank in sorted(bucket) if (t := bucket[rank]).thing == thing]
+
+    def occupied(self, ref: StageRef, thing: str | None = None) -> bool:
+        """Whether a token (of the thing, if one is given) sits at a stage."""
+        bucket = self.at.get(ref)
+        if not bucket:
+            return False
+        return thing is None or any(t.thing == thing for t in bucket.values())
 
     def move(self, token: Token, dst: StageRef) -> None:
         self.emit(dst.kind.value, token.id, f"{token.thing}: {token.at} -> {dst}")
+        rank = self.rank[token.id]
+        del self.at[token.at][rank]
         if dst.is_env:
             del self.tokens[token.id]
+            del self.rank[token.id]
         else:
-            self.tokens[token.id] = replace(token, at=dst)
+            moved = replace(token, at=dst)
+            self.tokens[token.id] = moved
+            self.at.setdefault(dst, {})[rank] = moved
 
     def take_choice(self, key: str) -> str:
         queue = self.choices.get(key, ())
@@ -336,29 +397,14 @@ class _Engine:
 
     # -- region mechanics ------------------------------------------------------
 
-    def region_mints(self, event: Event) -> list[tuple[str, StageRef]]:
-        """(thing, create-stage) pairs minted when the event (re-)enters."""
-        blocked = self.model.trigger_destinations
-        out: list[tuple[str, StageRef]] = []
-        for fid in event.flow_ids:
-            edge = self.model.flows_by_id[fid]
-            if edge.src.kind is StageKind.CREATE and edge.src not in blocked:
-                pair = (edge.thing, edge.src)
-                if pair not in out:
-                    out.append(pair)
-        return out
-
     def mint_entry_creates(self, event: Event) -> None:
-        for thing, ref in self.region_mints(event):
+        for thing, ref in self.model.region_mints[event.name]:
             self.mint(thing, ref, event.name)
 
     def run_pass(self, event: Event, spent_triggers: set[str]) -> bool:
         """One declaration-order pass over the region. True if it emitted."""
         before = len(self.entries)
-        fanouts: dict[tuple[StageRef, str], list[FlowEdge]] = {}
-        for fid in event.flow_ids:
-            edge = self.model.flows_by_id[fid]
-            fanouts.setdefault((edge.src, edge.thing), []).append(edge)
+        fanouts = self.model.region_fanouts[event.name]
         handled_fanouts: set[tuple[StageRef, str]] = set()
         for item in event.items:
             if isinstance(item, RegionFlow):
@@ -392,11 +438,11 @@ class _Engine:
                 if item.edge_id in spent_triggers:
                     continue
                 edge = self.model.triggers_by_id[item.edge_id]
-                if not self.tokens_at(edge.src):
+                if not self.occupied(edge.src):
                     continue
                 spent_triggers.add(item.edge_id)
                 gate_id = str(edge.dst)
-                gate = self.scenario.gate_value(gate_id)
+                gate = self.gates.get(gate_id)
                 if gate is not None:
                     self.emit("gate", gate_id, "true" if gate else "false")
                     if not gate:
@@ -409,31 +455,20 @@ class _Engine:
 
     def has_work(self, event: Event) -> bool:
         """Whether firing the event now would emit anything."""
-        if self.region_mints(event):
+        if self.model.region_mints[event.name]:
             return True
         for item in event.items:
             if isinstance(item, RegionFlow):
                 edge = self.model.flows_by_id[item.edge_id]
-                if self.tokens_at(edge.src, edge.thing):
+                if self.occupied(edge.src, edge.thing):
                     return True
             elif isinstance(item, RegionTrigger):
-                edge = self.model.triggers_by_id[item.edge_id]
-                if self.tokens_at(edge.src):
+                if self.occupied(self.model.triggers_by_id[item.edge_id].src):
                     return True
             elif isinstance(item, RegionNode):
-                if self.tokens_at(item.ref):
+                if self.occupied(item.ref):
                     return True
         return False
-
-    def eligible(self, event: Event) -> bool:
-        """Whether every chronology predecessor fired before this step."""
-        chronology = self.model.chronology
-        if chronology is None:
-            return True
-        return all(
-            p in self.timings and self.timings[p].received_at < self.step_no
-            for p in chronology.predecessors(event.name)
-        )
 
     # -- one macro-step ----------------------------------------------------------
 
@@ -441,23 +476,30 @@ class _Engine:
         """Run one macro-step; return whether the run is now quiescent."""
         self.step_no += 1
         before = len(self.entries)
-        for inj in self.scenario.injections:
-            if inj.step == self.step_no:
-                self.mint(inj.thing, inj.ref, "injection")
-        for event in self.model.events:
+        for inj in self.injections.get(self.step_no, ()):
+            self.mint(inj.thing, inj.ref, "injection")
+        # sorted() copies the sweep, so an event unlocked in this step is
+        # swept from the next one: its predecessor fired before that step.
+        for i in sorted(self.sweep):
+            event = self.model.events[i]
             if event.name in self.timings:
-                if event.perpetual:
-                    self.mint_entry_creates(event)
-                    self.run_pass(event, set())
+                self.mint_entry_creates(event)
+                self.run_pass(event, set())
                 continue
-            if not self.eligible(event) or not self.has_work(event):
+            if not self.has_work(event):
                 continue
             self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
             self.timings[event.name] = EventTiming(received_at=self.step_no)
+            for j in self.successors.pop(event.name, ()):
+                self.waiting[j] -= 1
+                if not self.waiting[j]:
+                    self.sweep.add(j)
             self.mint_entry_creates(event)
             if event.perpetual:
                 self.run_pass(event, set())
                 continue
+            self.sweep.discard(i)
+            self.unfired -= 1
             spent: set[str] = set()
             for _ in range(_MAX_PASSES):
                 if not self.run_pass(event, spent):
@@ -475,8 +517,8 @@ class _Engine:
             self.timings[event.name] = EventTiming(self.step_no, released_at=self.step_no)
         return (
             len(self.entries) == before
-            and all(inj.step <= self.step_no for inj in self.scenario.injections)
-            and all(e.name in self.timings for e in self.model.events if not e.perpetual)
+            and self.step_no >= self.last_injection
+            and not self.unfired
         )
 
 

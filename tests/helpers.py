@@ -204,3 +204,40 @@ def random_valid_model(seed: int) -> Model:
     model = build_model(f"gen{seed}", decls)
     assert isinstance(model, Model), [str(d) for d in model]
     return model
+
+
+# ---------------------------------------------------------------------------
+# Perpetual relay for simulator scaling: x passes env -> m0 -> ... -> m<n-1>,
+# one perpetual event per hop, declared back to front so that one pass moves
+# a token one hop, and chained by the chronology. A token is injected every
+# step and tokens pile up on the last machine, so live tokens grow with the
+# run. Every machine's transfer triggers its process stage; a quarter of those
+# triggers are gated true and a quarter gated false.
+
+
+def perpetual_relay(machines: int, steps: int) -> tuple[Model, Scenario]:
+    stages = ["env.transfer"] + [f"m{i}.transfer" for i in range(machines)]
+    lines = [f"model relay{machines}", "thing x"]
+    lines += [f"machine m{i}" for i in range(machines)]
+    lines += [f"flow x {stages[i]} -> {stages[i + 1]}" for i in range(machines)]
+    lines += [f"trigger m{i}.transfer ~> m{i}.process" for i in range(machines)]
+    for i in reversed(range(machines)):
+        lines += [
+            f"event e{i} perpetual {{",
+            f"  flow x {stages[i]} -> {stages[i + 1]}",
+            f"  trigger m{i}.transfer ~> m{i}.process",
+            "}",
+        ]
+    lines.append("chronology {")
+    lines += [f"  e{i} -> e{i + 1}" for i in range(machines - 1)]
+    lines.append("}")
+    result = parse("\n".join(lines) + "\n")
+    assert result.model is not None, [str(d) for d in result.diagnostics]
+    scenario = [f"inject x env.transfer @{s}" for s in range(1, steps + 1)]
+    scenario += [
+        f"gate m{i}.process {'true' if i % 4 == 0 else 'false'}"
+        for i in range(machines)
+        if i % 4 < 2
+    ]
+    scenario.append(f"max_steps {steps}")
+    return result.model, load_scenario("\n".join(scenario) + "\n")

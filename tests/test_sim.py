@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import pytest
 
 from tmkit.core import Chronology
@@ -19,7 +22,7 @@ from tmkit.sim import (
     step,
 )
 
-from helpers import load_corpus_model, load_corpus_scenario
+from helpers import load_corpus_model, load_corpus_scenario, perpetual_relay
 
 
 def run_corpus(model_name: str, scenario_name: str) -> Trace:
@@ -294,6 +297,16 @@ def test_islamic_gate_true_actualizes_last():
     assert any(e.kind == "gate" and e.detail == "true" for e in trace.entries)
 
 
+def test_the_first_line_for_a_gate_wins():
+    model = load_corpus_model("islamic")
+    scenario = load_corpus_scenario("islamic_gate_true")
+    doubled = replace(scenario, gates=scenario.gates + (("reality.create", False),))
+    assert doubled.gate_value("reality.create") is True
+    assert format_trace(simulate(model, doubled)) == format_trace(
+        simulate(model, scenario)
+    )
+
+
 def test_islamic_abstain_never_reaches_the_divine_gate():
     trace = run_corpus("islamic", "islamic_abstain")
     assert "e8_divine_will" not in trace.fired_events
@@ -429,6 +442,130 @@ def test_tokens_leave_a_stage_in_mint_order_not_arrival_order():
     assert arrivals == ["tok2", "tok1"]
     assert departures == ["tok1", "tok2"]
     assert trace.terminated == "quiescent"
+
+
+_FANOUT_AFTER_DETOUR_MODEL = """\
+model hub
+thing x
+machine a
+machine mid
+machine hub
+machine p
+machine q
+flow x env.transfer -> a.transfer
+flow x a.transfer -> mid.transfer
+flow x a.transfer -> hub.transfer
+flow x mid.transfer -> hub.transfer
+flow x hub.transfer -> p.transfer
+flow x hub.transfer -> q.transfer
+event route {
+  flow x env.transfer -> a.transfer
+  flow x a.transfer -> mid.transfer
+  flow x a.transfer -> hub.transfer
+  flow x mid.transfer -> hub.transfer
+  flow x hub.transfer -> p.transfer
+  flow x hub.transfer -> q.transfer
+}
+"""
+
+
+def test_tokens_take_choices_at_a_decision_point_in_mint_order():
+    # tok1 detours through mid and reaches the decision point hub.transfer
+    # after tok2; tok1 still takes hub's first choice and tok2 its second.
+    model = parse(_FANOUT_AFTER_DETOUR_MODEL).model
+    scenario = load_scenario(
+        "inject x env.transfer @1\n"
+        "inject x env.transfer @1\n"
+        "choose a.transfer mid.transfer\n"
+        "choose a.transfer hub.transfer\n"
+        "choose hub.transfer p.transfer\n"
+        "choose hub.transfer q.transfer\n"
+    )
+    trace = simulate(model, scenario)
+    arrivals = [
+        e.subject
+        for e in trace.entries
+        if e.kind == "transfer" and e.detail.endswith("-> hub.transfer")
+    ]
+    departures = [
+        (e.subject, e.detail.rsplit(" ", 1)[-1])
+        for e in trace.entries
+        if e.kind == "transfer" and e.detail.startswith("x: hub.transfer")
+    ]
+    assert arrivals == ["tok2", "tok1"]
+    assert departures == [("tok1", "p.transfer"), ("tok2", "q.transfer")]
+    assert trace.warnings == ()
+
+
+_CHAIN_MODEL = """\
+model chain
+thing x
+thing y
+machine a
+machine b
+flow x env.transfer -> a.transfer
+flow y b.create -> b.process
+event first {
+  flow x env.transfer -> a.transfer
+}
+event second {
+  flow y b.create -> b.process
+}
+chronology {
+  first -> second
+}
+"""
+
+
+def test_an_event_fires_the_step_after_its_predecessor():
+    # second has work from step 1 and is swept after first, which fires in
+    # step 1; a predecessor must fire before the step, so second waits.
+    model = parse(_CHAIN_MODEL).model
+    scenario = load_scenario("inject x env.transfer @1\n")
+    trace = simulate(model, scenario)
+    assert trace.fired_events == ("first", "second")
+    assert trace.timings["first"].received_at == 1
+    assert trace.timings["second"].received_at == 2
+    state = init_state(model, scenario)
+    fired = []
+    for _ in range(2):
+        state, _ = step(model, state)
+        fired.append(state.fired)
+    assert fired == [("first",), ("first", "second")]
+
+
+def test_stepping_a_perpetual_gated_relay_reproduces_simulate():
+    model, scenario = perpetual_relay(20, 60)
+    trace = simulate(model, scenario)
+    state = init_state(model, scenario)
+    entries = []
+    for _ in range(scenario.max_steps):
+        state, new_entries = step(model, state)
+        entries.extend(new_entries)
+    kinds = {e.kind for e in trace.entries}
+    assert {"gate", "trigger", "event_start"} <= kinds
+    assert len(state.tokens) > 20
+    assert tuple(entries) == trace.entries
+    assert state.fired == trace.fired_events
+    assert dict(state.timings) == trace.timings
+    assert trace.terminated == "step_limit" and not state.quiescent
+
+
+def _best_simulate_seconds(steps: int) -> float:
+    model, scenario = perpetual_relay(20, steps)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        simulate(model, scenario)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_simulate_scales_linearly_with_trace_length():
+    # Live tokens grow with the run; a per-hop scan of every live token
+    # makes the cost quadratic, about 4x per doubling of the steps.
+    ratio = _best_simulate_seconds(300) / _best_simulate_seconds(150)
+    assert ratio <= 3.0, f"simulate grew {ratio:.2f}x from 150 to 300 steps"
 
 
 def test_choice_entries_match_consumed_choices():
