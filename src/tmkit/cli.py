@@ -103,8 +103,11 @@ def _read_file(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        return None
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _load_or_report(path: str, lax: bool) -> Model | int:
@@ -120,11 +123,17 @@ def _load_or_report(path: str, lax: bool) -> Model | int:
     return VALIDATION_ERRORS if result.diagnostics else USAGE_OR_IO
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None) -> int:
+    """Write ``text`` to stdout or to the file ``output``; the exit status."""
     if output is None:
         sys.stdout.write(text)
-    else:
+        return OK
+    try:
         _atomic_write(output, text)
+    except OSError as exc:
+        print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_OR_IO
+    return OK
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -200,8 +209,7 @@ def run(argv: list[str] | None = None) -> int:
             return model
 
     if args.command == "fmt":
-        _emit(serialize(model), args.output)
-        return OK
+        return _emit(serialize(model), args.output)
 
     if args.command == "sim":
         scenario_text = _read_file(args.scenario)
@@ -221,8 +229,7 @@ def run(argv: list[str] | None = None) -> int:
             return SIMULATION_ERROR
         for warning in trace.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        _emit(format_trace(trace), args.output)
-        return OK
+        return _emit(format_trace(trace), args.output)
 
     if args.command == "render":
         try:
@@ -235,16 +242,13 @@ def run(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_OR_IO
-        _emit(doc.text, args.output)
-        return OK
+        return _emit(doc.text, args.output)
 
     if args.command == "coverage":
         report = coverage(model)
-        if args.output is not None:
-            _atomic_write(args.output, json.dumps(report.as_dict(), indent=2) + "\n")
-        else:
-            sys.stdout.write(report.text())
-        return OK
+        if args.output is None:
+            return _emit(report.text(), None)
+        return _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.output)
 
     if args.command == "corpus":
         entries = corpus_list()

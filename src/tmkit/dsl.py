@@ -24,8 +24,9 @@ machine name ``env`` is reserved and implicitly declared.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ChronologyDecl,
@@ -52,8 +53,6 @@ __all__ = ["SourceSpan", "ParseResult", "parse", "serialize"]
 
 _ITEM_KEYWORDS = {"thing", "machine", "flow", "trigger", "event", "chronology"}
 _KEYWORDS = RESERVED_WORDS
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 
 
 @dataclass(frozen=True)
@@ -78,79 +77,49 @@ class ParseResult:
     diagnostics: list[Diagnostic]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "kw", "{", "}", "->", "~>", ".", "error", "eof"
     text: str
     line: int
     col: int
-    end_line: int
     end_col: int
     bol: bool  # first token on its line
 
 
+# One alternative per token class, tried in order at each position; any
+# other single character is an error token.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>->|~>|[{}.])|(?P<error>.)"
+)
+
+
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    bol = True
-
-    def push(kind: str, tok_text: str, length: int | None = None) -> None:
-        nonlocal bol
-        width = length if length is not None else len(tok_text)
-        tokens.append(_Token(kind, tok_text, line, col, line, col + width - 1, bol))
+    line, line_start, bol = 1, 0, True
+    # The eof token sits where the last non-comment match ended, so a
+    # trailing comment without a newline does not move it.
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
+            continue
+        end = m.end()
+        if kind == "newline":
+            line, line_start, bol = line + 1, end, True
+            continue
+        if kind == "space":
+            continue
+        lexeme = m.group()
+        if kind == "word":
+            kind = "kw" if lexeme in _KEYWORDS else "ident"
+        elif kind == "symbol":
+            kind = lexeme
+        col = m.start() - line_start + 1
+        tokens.append(_Token(kind, lexeme, line, col, end - line_start, bol))
         bol = False
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            bol = True
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            word = text[i:j]
-            push("kw" if word in _KEYWORDS else "ident", word)
-            col += j - i
-            i = j
-            continue
-        if c == "{" or c == "}":
-            push(c, c)
-            i += 1
-            col += 1
-            continue
-        if c == ".":
-            push(".", c)
-            i += 1
-            col += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            push("->", "->")
-            i += 2
-            col += 2
-            continue
-        if c == "~" and i + 1 < n and text[i + 1] == ">":
-            push("~>", "~>")
-            i += 2
-            col += 2
-            continue
-        push("error", c)
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col, line, col, bol))
+    col = end - line_start + 1
+    tokens.append(_Token("eof", "", line, col, col, bol))
     return tokens
 
 
@@ -175,7 +144,7 @@ class _Parser:
 
     def span_of(self, tok: _Token, end: _Token | None = None) -> SourceSpan:
         last = end or tok
-        return SourceSpan(self.file, tok.line, tok.col, last.end_line, last.end_col)
+        return SourceSpan(self.file, tok.line, tok.col, last.line, last.end_col)
 
     def error_here(self, message: str) -> None:
         tok = self.peek()

@@ -10,6 +10,7 @@ comments. Output is deterministic: same model, same bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import ENV_NAME, Machine, Model, StageRef, validate
@@ -166,54 +167,33 @@ def render_chronology(model: Model) -> DotDocument:
     return DotDocument("\n".join(lines) + "\n")
 
 
+# A closed string (with backslash escapes) or comment; a string or block
+# comment that never closes falls through to the `unclosed` group.
+_DOT_SKIP_RE = re.compile(
+    r'(?P<string>"(?:[^"\\]|\\.)*")|/\*.*?\*/|//[^\n]*\n?|(?P<unclosed>"|/\*)', re.S
+)
+_DOT_NEST_RE = re.compile(r"[{}\[\]]")
+
+
 def dot_well_formed(text: str) -> bool:
     """Tokenizer-level well-formedness: balanced braces/brackets, closed
     strings and comments, a digraph header, and terminated statements."""
-    i = 0
-    n = len(text)
-    depth_braces = 0
-    depth_brackets = 0
-    stripped: list[str] = []
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
-                return False
-            stripped.append("s")
-            i = j + 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                return False
-            i = j + 2
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if c == "{":
-            depth_braces += 1
-        elif c == "}":
-            depth_braces -= 1
-            if depth_braces < 0:
-                return False
-        elif c == "[":
-            depth_brackets += 1
-        elif c == "]":
-            depth_brackets -= 1
-            if depth_brackets < 0:
-                return False
-        stripped.append(c)
-        i += 1
-    if depth_braces != 0 or depth_brackets != 0:
+    kept: list[str] = []
+    pos = 0
+    for m in _DOT_SKIP_RE.finditer(text):
+        if m.lastgroup == "unclosed":
+            return False
+        kept.append(text[pos : m.start()])
+        if m.lastgroup == "string":
+            kept.append("s")
+        pos = m.end()
+    kept.append(text[pos:])
+    flat = "".join(kept).strip()
+    depth = dict.fromkeys("{}[]", 0)
+    for m in _DOT_NEST_RE.finditer(flat):
+        depth[m.group()] += 1
+        if depth["}"] > depth["{"] or depth["]"] > depth["["]:
+            return False
+    if depth["{"] != depth["}"] or depth["["] != depth["]"]:
         return False
-    flat = "".join(stripped).strip()
-    if not flat.startswith("digraph"):
-        return False
-    return flat.endswith("}")
+    return flat.startswith("digraph") and flat.endswith("}")

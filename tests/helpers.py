@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 from pathlib import Path
 
 from tmkit.cli import corpus_dir
@@ -14,6 +15,7 @@ from tmkit.core import (
     MachineDecl,
     Model,
     NodeItemDecl,
+    RESERVED_WORDS,
     RegionFlow,
     RegionNode,
     RegionTrigger,
@@ -40,6 +42,79 @@ def load_corpus_model(name: str) -> Model:
 
 def load_corpus_scenario(name: str) -> Scenario:
     return load_scenario(corpus_path(f"{name}.scn").read_text(), f"{name}.scn")
+
+
+# ---------------------------------------------------------------------------
+# Lexer oracle: the character loop the master-regex lexer replaced.
+
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
+
+
+def reference_lex(text: str) -> list[tuple[str, str, int, int, int, bool]]:
+    """One ``(kind, text, line, col, end_col, bol)`` per token of ``text``,
+    ending with the eof token, as ``tmkit.dsl._lex`` must give them."""
+    tokens: list[tuple[str, str, int, int, int, bool]] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    bol = True
+
+    def push(kind: str, tok_text: str) -> None:
+        nonlocal bol
+        tokens.append((kind, tok_text, line, col, col + len(tok_text) - 1, bol))
+        bol = False
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            bol = True
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in _IDENT_START:
+            j = i
+            while j < n and text[j] in _IDENT_CHARS:
+                j += 1
+            word = text[i:j]
+            push("kw" if word in RESERVED_WORDS else "ident", word)
+            col += j - i
+            i = j
+            continue
+        if c == "{" or c == "}":
+            push(c, c)
+            i += 1
+            col += 1
+            continue
+        if c == ".":
+            push(".", c)
+            i += 1
+            col += 1
+            continue
+        if c == "-" and i + 1 < n and text[i + 1] == ">":
+            push("->", "->")
+            i += 2
+            col += 2
+            continue
+        if c == "~" and i + 1 < n and text[i + 1] == ">":
+            push("~>", "~>")
+            i += 2
+            col += 2
+            continue
+        push("error", c)
+        i += 1
+        col += 1
+    tokens.append(("eof", "", line, col, col, bol))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -319,3 +319,36 @@ def test_load_warnings_only_model_prints_only_the_output(command, tmp_path, caps
     assert run(_loading_argv(command, noisy)) == 0
     out, _err = capsys.readouterr()
     assert out == _EXPECTED_STDOUT[command](model)
+
+
+@pytest.mark.parametrize("command", _LOADING_COMMANDS)
+@pytest.mark.parametrize("target", ["missing/out", "existing_dir"])
+def test_unwritable_output_is_exit_two(command, target, tmp_path, capsys):
+    (tmp_path / "existing_dir").mkdir()
+    output = tmp_path / target
+    argv = [*_loading_argv(command, corpus_path("reservoir.tm")), "-o", str(output)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: cannot write {output}: " in err
+    # no temporary file is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["existing_dir"]
+    assert list((tmp_path / "existing_dir").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda bad: ["validate", bad],
+        lambda bad: ["fmt", bad],
+        lambda bad: ["sim", str(corpus_path("reservoir.tm")), "--scenario", bad],
+    ],
+    ids=["validate", "fmt", "sim-scenario"],
+)
+def test_non_utf8_input_is_exit_two(argv, tmp_path, capsys):
+    bad = tmp_path / "latin1.tm"
+    bad.write_bytes(b"model m\nthing \xff\n")
+    assert run(argv(str(bad))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")

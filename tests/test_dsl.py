@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.dsl import SourceSpan, parse, serialize
+from tmkit.dsl import SourceSpan, _lex, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
-from helpers import CORPUS_NAMES, load_corpus_model, models_equal, random_valid_model
+from helpers import (
+    CORPUS_NAMES,
+    load_corpus_model,
+    models_equal,
+    random_valid_model,
+    reference_lex,
+)
 
 
 def test_parse_empty_model():
@@ -217,6 +223,30 @@ def test_canonical_order_groups_categories():
 def test_parser_never_crashes(text):
     result = parse(text)
     assert (result.model is None) == any(d.is_error for d in result.diagnostics)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_lexer_matches_reference_on_any_text(text):
+    assert _lex(text) == reference_lex(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        alphabet="model thingmachineflowtrigger{}->~>.\n abc_#é²ñß\U0001f642\r\t", max_size=200
+    ),
+    st.sampled_from(["", "-", "~", "#", "# tail"]),
+)
+def test_lexer_matches_reference_on_tm_alphabet(text, tail):
+    assert _lex(text + tail) == reference_lex(text + tail)
+
+
+def test_trailing_comment_does_not_move_the_eof_span():
+    result = parse("# only a comment", "c.tm")
+    assert [d.code for d in result.diagnostics] == ["E001"]
+    span = result.diagnostics[0].location
+    assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -200,3 +200,8 @@ def test_dot_well_formed_rejects_broken_documents():
     assert not dot_well_formed('graph g { }')
     assert not dot_well_formed('digraph g { "unclosed }')
     assert dot_well_formed('digraph g { "a" -> "b"; }')
+    assert dot_well_formed('digraph g { "say \\"}\\"" -> "b"; }')
+    assert not dot_well_formed("digraph g { /* never closed }")
+    assert dot_well_formed("digraph g {\n  // } hidden\n  a;\n}")
+    assert not dot_well_formed("digraph g } a; {")
+    assert not dot_well_formed('digraph g { a [label="x"; }')
