@@ -40,8 +40,6 @@ __all__ = [
     "FlowDecl",
     "TriggerDecl",
     "NodeItemDecl",
-    "FlowItemDecl",
-    "TriggerItemDecl",
     "EventDecl",
     "ChronologyDecl",
     "flow_legal",
@@ -267,9 +265,6 @@ class Chronology:
             out.setdefault(b, []).append(a)
         return {k: tuple(v) for k, v in out.items()}
 
-    def predecessors(self, node: str) -> tuple[str, ...]:
-        return self.predecessor_map.get(node, ())
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -331,28 +326,25 @@ class MachineDecl:
 @dataclass(frozen=True)
 class FlowDecl:
     thing: str
-    src: str
-    dst: str
+    src: StageRef | str
+    dst: StageRef | str
     span: object | None = None
 
 
 @dataclass(frozen=True)
 class TriggerDecl:
-    src: str
-    dst: str
+    src: StageRef | str
+    dst: StageRef | str
     span: object | None = None
 
 
 @dataclass(frozen=True)
 class NodeItemDecl:
-    ref: str
+    ref: StageRef | str
     span: object | None = None
 
 
-# Event items reuse the static declarations; the old names stay for importers.
-FlowItemDecl = FlowDecl
-TriggerItemDecl = TriggerDecl
-
+# Event items reuse the static flow and trigger declarations.
 EventItemDecl = Union[NodeItemDecl, FlowDecl, TriggerDecl]
 
 
@@ -499,6 +491,11 @@ class Model:
             out[event.name] = tuple(pairs)
         return out
 
+    @cached_property
+    def _validation(self) -> dict[bool, tuple[Diagnostic, ...]]:
+        # validate's diagnostics per lax value; racing threads store equal tuples
+        return {}
+
     def stage_things(self, ref: StageRef) -> tuple[str, ...]:
         """Distinct things on flow edges incident to a stage."""
         seen: dict[str, None] = {}
@@ -518,30 +515,37 @@ class Model:
 _ENV_MACHINE = Machine(name=ENV_NAME, path=(ENV_NAME,))
 
 
+def _unknown_segment(
+    text: str, path: tuple[str, ...], machines: dict[tuple[str, ...], Machine]
+) -> str:
+    """E101 message for a path that names no machine: its first unknown segment."""
+    seg = next((s for i, s in enumerate(path) if path[: i + 1] not in machines), "")
+    return f"unresolved path '{text}': unknown segment '{seg}'"
+
+
 def _resolve_ref(
-    text: str, machines: dict[tuple[str, ...], Machine]
+    ref: StageRef | str, machines: dict[tuple[str, ...], Machine]
 ) -> tuple[StageRef | None, str | None]:
-    """Resolve a stage reference string against the machine tree.
+    """Resolve a stage reference (or its dotted text) against the machine tree.
 
     Returns (ref, None) on success or (None, message) for an E101.
     """
-    try:
-        ref = parse_stage_ref(text)
-    except ValueError as exc:
-        return None, str(exc)
-    if ref.path[0] == ENV_NAME:
+    if isinstance(ref, str):
+        try:
+            ref = parse_stage_ref(ref)
+        except ValueError as exc:
+            return None, str(exc)
+    if ref.path[:1] == (ENV_NAME,):
         if ref.path != (ENV_NAME,):
-            return None, f"unresolved path '{text}': '{ENV_NAME}' has no sub-machines"
+            return None, f"unresolved path '{ref}': '{ENV_NAME}' has no sub-machines"
         if ref.kind is not StageKind.TRANSFER:
             return None, (
-                f"unresolved path '{text}': the environment possesses only a transfer stage"
+                f"unresolved path '{ref}': the environment possesses only a transfer stage"
             )
         return ref, None
-    walked: tuple[str, ...] = ()
-    for seg in ref.path:
-        walked = walked + (seg,)
-        if walked not in machines:
-            return None, f"unresolved path '{text}': unknown segment '{seg}'"
+    # Every prefix of a declared machine's path is declared too.
+    if ref.path not in machines:
+        return None, _unknown_segment(str(ref), ref.path, machines)
     return ref, None
 
 
@@ -560,14 +564,11 @@ def resolve(model: Model, path: str) -> StageRef | Machine:
         return ref
     if path == ENV_NAME:
         return _ENV_MACHINE
-    walked: tuple[str, ...] = ()
-    for seg in segments:
-        walked = walked + (seg,)
-        if walked not in model.machines_by_path:
-            raise PathError(
-                _error("E101", f"unresolved path '{path}': unknown segment '{seg}'", path)
-            )
-    return model.machines_by_path[walked]
+    machine = model.machines_by_path.get(tuple(segments))
+    if machine is None:
+        msg = _unknown_segment(path, tuple(segments), model.machines_by_path)
+        raise PathError(_error("E101", msg, path))
+    return machine
 
 
 def _require_ident(name: str, what: str) -> None:
@@ -621,6 +622,7 @@ def _check_event_decl(
     decl: EventDecl,
 ) -> Event | list[Diagnostic]:
     """Check one event declaration against the static model (E301/E303)."""
+    _require_ident(decl.name, "event name")
     diags: list[Diagnostic] = []
     if decl.name in existing:
         diags.append(
@@ -634,13 +636,8 @@ def _check_event_decl(
                 decl.span or decl.name,
             )
         )
-    items: list[RegionItem] = []
-
-    def add(item: RegionItem) -> None:
-        # the region is a set; repeated declarations collapse
-        if item not in items:
-            items.append(item)
-
+    # The region is a set; repeated declarations collapse in first-seen order.
+    items: dict[RegionItem, None] = {}
     for item in decl.items:
         if isinstance(item, NodeItemDecl):
             ref, msg = _resolve_ref(item.ref, model.machines_by_path)
@@ -649,11 +646,11 @@ def _check_event_decl(
                     _error(
                         "E301",
                         f"event '{decl.name}': no stage '{item.ref}' in use",
-                        item.span or item.ref,
+                        item.span or str(item.ref),
                     )
                 )
                 continue
-            add(RegionNode(ref))
+            items[RegionNode(ref)] = None
         elif isinstance(item, FlowDecl):
             src, _ = _resolve_ref(item.src, model.machines_by_path)
             dst, _ = _resolve_ref(item.dst, model.machines_by_path)
@@ -668,7 +665,7 @@ def _check_event_decl(
                     )
                 )
                 continue
-            add(RegionFlow(edge.id))
+            items[RegionFlow(edge.id)] = None
         else:
             src, _ = _resolve_ref(item.src, model.machines_by_path)
             dst, _ = _resolve_ref(item.dst, model.machines_by_path)
@@ -683,7 +680,7 @@ def _check_event_decl(
                     )
                 )
                 continue
-            add(RegionTrigger(edge.id))
+            items[RegionTrigger(edge.id)] = None
     if diags:
         return diags
     return Event(decl.name, decl.perpetual, tuple(items))
@@ -858,11 +855,11 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
             ok = False
         src, msg = _resolve_ref(d.src, machines_by_path)
         if src is None:
-            diags.append(_error("E101", msg or d.src, d.span or d.src))
+            diags.append(_error("E101", msg or str(d.src), d.span or str(d.src)))
             ok = False
         dst, msg = _resolve_ref(d.dst, machines_by_path)
         if dst is None:
-            diags.append(_error("E101", msg or d.dst, d.span or d.dst))
+            diags.append(_error("E101", msg or str(d.dst), d.span or str(d.dst)))
             ok = False
         if not ok:
             continue
@@ -890,11 +887,11 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
     for d in trigger_decls:
         src, msg = _resolve_ref(d.src, machines_by_path)
         if src is None:
-            diags.append(_error("E101", msg or d.src, d.span or d.src))
+            diags.append(_error("E101", msg or str(d.src), d.span or str(d.src)))
             continue
         dst, msg = _resolve_ref(d.dst, machines_by_path)
         if dst is None:
-            diags.append(_error("E101", msg or d.dst, d.span or d.dst))
+            diags.append(_error("E101", msg or str(d.dst), d.span or str(d.dst)))
             continue
         key = (src, dst)
         if key in seen_triggers:
@@ -913,7 +910,6 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     events: dict[str, Event] = {}
     for ed in event_decls:
-        _require_ident(ed.name, "event name")
         result = _check_event_decl(model, events, ed)
         if isinstance(result, Event):
             events[result.name] = result
@@ -938,10 +934,17 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 def validate(model: Model, *, lax: bool = False) -> list[Diagnostic]:
     """Report all legality violations of a structurally complete model.
 
-    Pure: two calls on the same model return identical lists. With
-    ``lax=True`` cross-boundary violations (E103) are downgraded to
-    warnings, admitting figure-style shortcut flows.
+    Computed once per model and ``lax`` value; each call returns a fresh,
+    equal list. With ``lax=True`` cross-boundary violations (E103) are
+    downgraded to warnings, admitting figure-style shortcut flows.
     """
+    cache = model._validation
+    if lax not in cache:
+        cache[lax] = tuple(_diagnose(model, lax))
+    return list(cache[lax])
+
+
+def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for e in model.flows:
         same = e.src.path == e.dst.path

@@ -43,6 +43,7 @@ from .core import (
     RegionNode,
     RegionTrigger,
     STAGE_KINDS,
+    StageRef,
     ThingDecl,
     TriggerDecl,
     build_model,
@@ -265,8 +266,8 @@ class _Parser:
                 )
                 return None
 
-    def parse_stage_ref(self) -> tuple[str, _Token, _Token] | None:
-        """Parse a dotted stage reference, returning (text, first, last)."""
+    def parse_stage_ref(self) -> tuple[StageRef, _Token, _Token] | None:
+        """Parse a dotted stage reference, returning (ref, first, last)."""
         first = self.peek()
         segments: list[str] = []
         while True:
@@ -284,37 +285,20 @@ class _Parser:
             break
         last = self.tokens[self.pos - 1]
         if segments[-1] not in STAGE_KINDS:
-            self.diagnostics.append(
-                Diagnostic(
-                    "E001",
-                    "error",
-                    self.span_of(first, last),
-                    "syntax error: stage reference must end in a stage kind "
-                    "(create, process, release, transfer, receive)",
-                )
+            problem = (
+                "stage reference must end in a stage kind "
+                "(create, process, release, transfer, receive)"
             )
-            return None
-        if len(segments) < 2:
-            self.diagnostics.append(
-                Diagnostic(
-                    "E001",
-                    "error",
-                    self.span_of(first, last),
-                    "syntax error: stage reference needs a machine path",
-                )
-            )
-            return None
-        if any(seg in STAGE_KINDS for seg in segments[:-1]):
-            self.diagnostics.append(
-                Diagnostic(
-                    "E001",
-                    "error",
-                    self.span_of(first, last),
-                    "syntax error: stage kinds may only end a stage reference",
-                )
-            )
-            return None
-        return ".".join(segments), first, last
+        elif len(segments) < 2:
+            problem = "stage reference needs a machine path"
+        elif any(seg in STAGE_KINDS for seg in segments[:-1]):
+            problem = "stage kinds may only end a stage reference"
+        else:
+            return StageRef(tuple(segments[:-1]), STAGE_KINDS[segments[-1]]), first, last
+        self.diagnostics.append(
+            Diagnostic("E001", "error", self.span_of(first, last), f"syntax error: {problem}")
+        )
+        return None
 
     def parse_flow(self) -> FlowDecl | None:
         start = self.advance()

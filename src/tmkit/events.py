@@ -61,8 +61,10 @@ def attach_event(model: Model, decl: EventDecl) -> Event | list[Diagnostic]:
     """Check an event declaration against a validated model.
 
     Returns the resolved event iff its region is a non-empty subgraph of
-    the static model and its name is fresh (E301/E303 otherwise). Attach
-    the result with ``model.with_event(event)``.
+    the static model and its name is fresh (E301/E303 otherwise). A name
+    the language cannot express (not an identifier, or a reserved word)
+    raises ValueError, as in ``build_model``. Attach the result with
+    ``model.with_event(event)``.
     """
     return _check_event_decl(model, dict(model.events_by_name), decl)
 

@@ -130,12 +130,6 @@ class Scenario:
     gates: tuple[tuple[str, bool], ...] = ()
     max_steps: int = 100
 
-    def gate_value(self, gate_id: str) -> bool | None:
-        for key, value in self.gates:
-            if key == gate_id:
-                return value
-        return None
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -596,7 +590,7 @@ def conforms(trace: Trace, chronology: Chronology) -> bool:
             raise ValueError(f"unknown event id '{name}' in trace")
     position = {name: i for i, name in enumerate(trace.fired_events)}
     for name in trace.fired_events:
-        for pred in chronology.predecessors(name):
+        for pred in chronology.predecessor_map.get(name, ()):
             if pred not in position or position[pred] >= position[name]:
                 return False
     subsequence = tuple(

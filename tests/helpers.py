@@ -11,7 +11,6 @@ from tmkit.core import (
     ChronologyDecl,
     EventDecl,
     FlowDecl,
-    FlowItemDecl,
     MachineDecl,
     Model,
     NodeItemDecl,
@@ -21,7 +20,6 @@ from tmkit.core import (
     RegionTrigger,
     ThingDecl,
     TriggerDecl,
-    TriggerItemDecl,
     build_model,
 )
 from tmkit.dsl import parse
@@ -259,10 +257,10 @@ def random_valid_model(seed: int) -> Model:
             chunk = edges[i * slab : (i + 1) * slab]
             if not chunk:
                 continue
-            items: list = [FlowItemDecl(f.thing, f.src, f.dst) for f in chunk]
+            items: list = [FlowDecl(f.thing, f.src, f.dst) for f in chunk]
             if trigger_decls and rng.random() < 0.5:
                 t = rng.choice(trigger_decls)
-                items.append(TriggerItemDecl(t.src, t.dst))
+                items.append(TriggerDecl(t.src, t.dst))
             if rng.random() < 0.3:
                 items.insert(0, NodeItemDecl(chunk[0].src))
             name = f"ev{i + 1}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from tmkit.core import (
@@ -272,3 +274,81 @@ def test_diagnostic_registry_codes_used_by_validate():
     model = load_corpus_model("reservoir")
     for diag in validate(model):
         assert isinstance(diag, Diagnostic)
+
+
+def test_validate_returns_equal_but_distinct_lists():
+    model = build_model(
+        "shortcut",
+        [
+            ThingDecl("water"),
+            MachineDecl("tank"),
+            MachineDecl("processor"),
+            FlowDecl("water", "tank.process", "processor.receive"),
+        ],
+    )
+    first = validate(model)
+    second = validate(model)
+    assert first == second and first is not second
+    first.clear()
+    assert codes(validate(model)) == ["E103"]
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)])
+def test_lax_and_strict_results_do_not_leak_into_each_other(order):
+    model = build_model(
+        "shortcut",
+        [
+            ThingDecl("water"),
+            MachineDecl("tank"),
+            MachineDecl("processor"),
+            FlowDecl("water", "tank.process", "processor.receive"),
+        ],
+    )
+    for lax in order * 2:
+        (diag,) = validate(model, lax=lax)
+        assert diag.code == "E103"
+        assert diag.is_error is not lax
+
+
+def test_a_replaced_model_gets_its_own_diagnostics():
+    model = load_corpus_model("reservoir")
+    assert validate(model) == []
+    edge = model.flows[0]
+    bent = replace(model, flows=model.flows + (
+        replace(edge, id="f99", dst=StageRef(("nowhere",), StageKind.CREATE)),
+    ))
+    assert codes(validate(bent)) == ["E104"]
+    assert validate(model) == []
+
+
+def _deep_chain(depth: int) -> list:
+    chain = MachineDecl(f"m{depth - 1}")
+    for i in reversed(range(depth - 1)):
+        chain = MachineDecl(f"m{i}", (chain,))
+    return [ThingDecl("water"), chain]
+
+
+def test_deep_paths_resolve_and_report_the_first_unknown_segment():
+    depth = 3000
+    decls = _deep_chain(depth)
+    model = build_model("deep", decls)
+    assert isinstance(model, Model)
+    names = [f"m{i}" for i in range(depth)]
+    leaf = ".".join(names)
+    ref = resolve(model, leaf + ".process")
+    assert ref == StageRef(tuple(names), StageKind.PROCESS)
+    machine = resolve(model, leaf)
+    assert isinstance(machine, Machine) and machine.path == tuple(names)
+
+    names[depth // 2] = "wrong"
+    bad = ".".join(names)
+    for path in (bad, bad + ".process"):
+        with pytest.raises(PathError) as excinfo:
+            resolve(model, path)
+        assert excinfo.value.diagnostic.message == (
+            f"unresolved path '{path}': unknown segment 'wrong'"
+        )
+    built = build_model("deep", decls + [FlowDecl("water", bad + ".process", leaf + ".release")])
+    assert [d.message for d in built] == [
+        f"unresolved path '{bad}.process': unknown segment 'wrong'"
+    ]

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.core import Chronology, Event, EventDecl, FlowItemDecl, NodeItemDecl, _tarjan_sccs
+from tmkit.core import Chronology, Event, EventDecl, FlowDecl, NodeItemDecl, _tarjan_sccs
+from tmkit.core import MachineDecl, RegionFlow, ThingDecl, build_model
 from tmkit.events import (
     attach_event,
     coverage,
@@ -33,10 +34,10 @@ def test_attach_level_measured_style_event():
         "second_measurement",
         items=(
             NodeItemDecl("tank.sensor.create"),
-            FlowItemDecl("level", "tank.sensor.create", "tank.sensor.release"),
-            FlowItemDecl("level", "tank.sensor.release", "tank.sensor.transfer"),
-            FlowItemDecl("level", "tank.sensor.transfer", "processor.transfer"),
-            FlowItemDecl("level", "processor.transfer", "processor.receive"),
+            FlowDecl("level", "tank.sensor.create", "tank.sensor.release"),
+            FlowDecl("level", "tank.sensor.release", "tank.sensor.transfer"),
+            FlowDecl("level", "tank.sensor.transfer", "processor.transfer"),
+            FlowDecl("level", "processor.transfer", "processor.receive"),
         ),
     )
     event = attach_event(model, decl)
@@ -77,8 +78,8 @@ def test_region_items_collapse_duplicates():
     decl = EventDecl(
         "doubled",
         items=(
-            FlowItemDecl("water", "source.create", "source.release"),
-            FlowItemDecl("water", "source.create", "source.release"),
+            FlowDecl("water", "source.create", "source.release"),
+            FlowDecl("water", "source.create", "source.release"),
             NodeItemDecl("tank.sensor.create"),
             NodeItemDecl("tank.sensor.create"),
         ),
@@ -92,7 +93,7 @@ def test_attach_event_region_flow_must_match_static_edge():
     model = load_corpus_model("reservoir")
     decl = EventDecl(
         "phantom_flow",
-        items=(FlowItemDecl("water", "tank.process", "tank.receive"),),
+        items=(FlowDecl("water", "tank.process", "tank.receive"),),
     )
     result = attach_event(model, decl)
     assert isinstance(result, list)
@@ -136,7 +137,7 @@ def test_long_chronology_chain_builds():
     result = parse(_chain_model_text(2000))
     assert result.model is not None, result.diagnostics[:3]
     assert len(result.model.chronology.edges) == 1999
-    assert result.model.chronology.predecessors("e1999") == ("e1998",)
+    assert result.model.chronology.predecessor_map["e1999"] == ("e1998",)
 
 
 def test_long_chronology_cycle_is_one_e302():
@@ -293,12 +294,12 @@ def test_coverage_monotone_under_adding_events():
     # add an event covering one currently uncovered edge
     report = coverage(model)
     assert report.uncovered  # the copy-model trigger is uncovered
-    from tmkit.core import TriggerItemDecl
+    from tmkit.core import TriggerDecl
 
     edge = model.triggers_by_id[report.uncovered[0]]
     event = attach_event(
         model,
-        EventDecl("extra", items=(TriggerItemDecl(str(edge.src), str(edge.dst)),)),
+        EventDecl("extra", items=(TriggerDecl(str(edge.src), str(edge.dst)),)),
     )
     assert isinstance(event, Event)
     grown = coverage(model.with_event(event)).ratio
@@ -386,3 +387,44 @@ def test_random_dag_counts_match_between_scan_and_dp(seed):
         1 for p in itertools.permutations(nodes) if is_linear_extension(chron, p)
     )
     assert scanned == _dp_linear_extension_count(chron)
+
+
+@pytest.mark.parametrize("name", ["two words", "create", "flow", ""])
+def test_attach_event_rejects_names_the_language_cannot_express(name):
+    # The same ValueError as build_model, so serialize never writes an
+    # event name that fails to parse.
+    model = load_corpus_model("reservoir")
+    decl = EventDecl(name, items=(NodeItemDecl("tank.sensor.create"),))
+    with pytest.raises(ValueError) as from_attach:
+        attach_event(model, decl)
+    with pytest.raises(ValueError) as from_build:
+        build_model("m", [ThingDecl("water"), MachineDecl("tank"), decl])
+    assert str(from_attach.value) == str(from_build.value)
+    assert "event name" in str(from_attach.value)
+
+
+def _relay_event_text(n: int) -> str:
+    # n flows along a machine chain; one event lists each flow twice.
+    lines = ["model relay", "thing w"] + [f"machine m{i}" for i in range(n + 1)]
+    flows = [f"flow w m{i}.transfer -> m{i + 1}.transfer" for i in range(n)]
+    return "\n".join(lines + flows + ["event big {", *flows, *flows, "}"]) + "\n"
+
+
+def test_region_collapse_compares_each_repeat_once(monkeypatch):
+    eq_calls = 0
+    plain_eq = RegionFlow.__eq__
+
+    def counting_eq(self, other):
+        nonlocal eq_calls
+        eq_calls += 1
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(RegionFlow, "__eq__", counting_eq)
+    for n in (200, 400):
+        eq_calls = 0
+        model = parse(_relay_event_text(n)).model
+        assert model is not None
+        (event,) = model.events
+        assert event.flow_ids == tuple(f"f{i + 1}" for i in range(n))
+        # A quadratic collapse makes ~n * n comparisons here.
+        assert eq_calls <= 2 * n

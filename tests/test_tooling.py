@@ -6,13 +6,16 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import tmkit.cli
+import tmkit.core
 import tmkit.dsl
 import tmkit.events
 import tmkit.render
 import tmkit.sim
 
-from helpers import load_corpus_model, load_corpus_scenario
+from helpers import CORPUS_NAMES, corpus_path, load_corpus_model, load_corpus_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +53,35 @@ def test_simulate_validates_and_initialises_once(monkeypatch):
     trace = tmkit.sim.simulate(model, load_corpus_scenario("reservoir"))
     assert trace.entries
     assert calls == {"init_state": 1, "validate": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", "reservoir.tm", "--scenario", "reservoir.scn"],
+        ["render", "murderer.tm", "--view", "static"],
+        ["render", "murderer.tm", "--view", "events"],
+    ],
+    ids=["sim", "render-static", "render-events"],
+)
+def test_each_command_runs_the_validation_body_once(monkeypatch, capsys, argv):
+    calls = []
+    diagnose = tmkit.core._diagnose
+    monkeypatch.setattr(
+        tmkit.core, "_diagnose", lambda *a, **k: calls.append(a) or diagnose(*a, **k)
+    )
+    argv = [str(corpus_path(a)) if a.endswith((".tm", ".scn")) else a for a in argv]
+    assert tmkit.cli.run(argv) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_parse_does_not_reparse_stage_references(monkeypatch):
+    calls = []
+    parse_ref = tmkit.core.parse_stage_ref
+    monkeypatch.setattr(
+        tmkit.core, "parse_stage_ref", lambda text: calls.append(text) or parse_ref(text)
+    )
+    for name in CORPUS_NAMES:
+        assert load_corpus_model(name).flows
+    assert calls == []
