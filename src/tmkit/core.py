@@ -13,6 +13,7 @@ codes; checks are exhaustive, never fail-fast.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -365,6 +366,23 @@ class ChronologyDecl:
 Decl = Union[ThingDecl, MachineDecl, FlowDecl, TriggerDecl, EventDecl, ChronologyDecl]
 
 
+class _Stage:
+    """What the edges touching one stage say about it; fixed once built.
+
+    ``ins`` holds the things flowing in and ``outs`` the destinations of the
+    out-flows per thing, both in first-seen order; ``first_in`` is the id of
+    the first flow in and ``triggered`` whether some trigger ends here.
+    """
+
+    __slots__ = ("ins", "outs", "first_in", "triggered")
+
+    def __init__(self) -> None:
+        self.ins: tuple[str, ...] = ()
+        self.outs: dict[str, list[StageRef]] = {}
+        self.first_in: str | None = None
+        self.triggered = False
+
+
 @dataclass(frozen=True)
 class Model:
     """The static TM graph plus attached events and chronology.
@@ -417,48 +435,24 @@ class Model:
         return {(e.src, e.dst): e for e in self.triggers}
 
     @cached_property
-    def trigger_destinations(self) -> frozenset[StageRef]:
-        return frozenset(t.dst for t in self.triggers)
-
-    @cached_property
     def events_by_name(self) -> dict[str, Event]:
         return {e.name: e for e in self.events}
 
     @cached_property
-    def used_stages(self) -> tuple[StageRef, ...]:
-        """Stage nodes touched by at least one edge, in first-touch order."""
-        seen: dict[StageRef, None] = {}
+    def stages(self) -> dict[StageRef, _Stage]:
+        """Each stage touched by at least one edge, in first-touch order."""
+        stages: defaultdict[StageRef, _Stage] = defaultdict(_Stage)
         for e in self.flows:
-            seen.setdefault(e.src)
-            seen.setdefault(e.dst)
+            stages[e.src].outs.setdefault(e.thing, []).append(e.dst)
+            dst = stages[e.dst]
+            if e.thing not in dst.ins:
+                dst.ins += (e.thing,)
+            if dst.first_in is None:
+                dst.first_in = e.id
         for t in self.triggers:
-            seen.setdefault(t.src)
-            seen.setdefault(t.dst)
-        return tuple(seen)
-
-    @cached_property
-    def used_stage_set(self) -> frozenset[StageRef]:
-        return frozenset(self.used_stages)
-
-    @cached_property
-    def stage_in_things(self) -> dict[StageRef, tuple[str, ...]]:
-        """Distinct things carried by flow edges into each stage."""
-        out: dict[StageRef, list[str]] = {}
-        for e in self.flows:
-            bucket = out.setdefault(e.dst, [])
-            if e.thing not in bucket:
-                bucket.append(e.thing)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
-    def stage_out_things(self) -> dict[StageRef, tuple[str, ...]]:
-        """Distinct things carried by flow edges out of each stage."""
-        out: dict[StageRef, list[str]] = {}
-        for e in self.flows:
-            bucket = out.setdefault(e.src, [])
-            if e.thing not in bucket:
-                bucket.append(e.thing)
-        return {k: tuple(v) for k, v in out.items()}
+            stages[t.src]  # a trigger source is a stage even with no flows
+            stages[t.dst].triggered = True
+        return dict(stages)
 
     @cached_property
     def region_fanouts(self) -> dict[str, dict[tuple[StageRef, str], tuple[FlowEdge, ...]]]:
@@ -485,7 +479,7 @@ class Model:
                 edge = self.flows_by_id[fid]
                 if (
                     edge.src.kind is StageKind.CREATE
-                    and edge.src not in self.trigger_destinations
+                    and not self.stages[edge.src].triggered
                 ):
                     pairs.setdefault((edge.thing, edge.src))
             out[event.name] = tuple(pairs)
@@ -495,18 +489,6 @@ class Model:
     def _validation(self) -> dict[bool, tuple[Diagnostic, ...]]:
         # validate's diagnostics per lax value; racing threads store equal tuples
         return {}
-
-    def stage_things(self, ref: StageRef) -> tuple[str, ...]:
-        """Distinct things on flow edges incident to a stage."""
-        seen: dict[str, None] = {}
-        for t in self.stage_in_things.get(ref, ()):
-            seen.setdefault(t)
-        for t in self.stage_out_things.get(ref, ()):
-            seen.setdefault(t)
-        return tuple(seen)
-
-    def machine(self, path: tuple[str, ...]) -> Machine | None:
-        return self.machines_by_path.get(path)
 
     def with_event(self, event: Event) -> "Model":
         return replace(self, events=self.events + (event,))
@@ -641,7 +623,7 @@ def _check_event_decl(
     for item in decl.items:
         if isinstance(item, NodeItemDecl):
             ref, msg = _resolve_ref(item.ref, model.machines_by_path)
-            if ref is None or ref not in model.used_stage_set:
+            if ref is None or ref not in model.stages:
                 diags.append(
                     _error(
                         "E301",
@@ -978,24 +960,22 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
                     t.id,
                 )
             )
-    for ref in model.used_stages:
-        ins = model.stage_in_things.get(ref, ())
-        outs = model.stage_out_things.get(ref, ())
-        if ins and outs and len(set(ins) | set(outs)) > 1:
+    for ref, stage in model.stages.items():
+        if stage.ins and stage.outs and len({*stage.ins, *stage.outs}) > 1:
             thing_in, thing_out = next(
-                (a, b) for a in ins for b in outs if a != b
+                (a, b) for a in stage.ins for b in stage.outs if a != b
             )
-            first_in = next(e for e in model.flows if e.dst == ref)
             diags.append(
                 _error(
                     "E105",
                     f"thing identity break at '{ref}': '{thing_in}' flows in, "
                     f"'{thing_out}' flows out",
-                    first_in.id,
+                    stage.first_in,
                 )
             )
     for t in model.triggers:
-        shared = set(model.stage_things(t.src)) & set(model.stage_things(t.dst))
+        src, dst = model.stages[t.src], model.stages[t.dst]
+        shared = {*src.ins, *src.outs} & {*dst.ins, *dst.outs}
         if shared:
             thing = sorted(shared)[0]
             diags.append(
@@ -1008,7 +988,7 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
             )
     # A machine's subtree is touched iff its path prefixes a touched path.
     touched_prefixes: set[tuple[str, ...]] = set()
-    for ref in model.used_stages:
+    for ref in model.stages:
         path = ref.path
         while path and path != (ENV_NAME,) and path not in touched_prefixes:
             touched_prefixes.add(path)

@@ -423,17 +423,14 @@ def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseR
 
 
 def _element_spans(model: Model, decls: list[Decl]) -> dict[object, object]:
-    """Map element ids to the source spans of their declarations."""
+    """Map element ids to source spans; the n-th flow or trigger decl is edge n."""
     spans: dict[object, object] = {}
-    flow_index = 0
-    trigger_index = 0
+    flows, triggers = iter(model.flows), iter(model.triggers)
     for decl in decls:
         if isinstance(decl, FlowDecl):
-            flow_index += 1
-            spans[f"f{flow_index}"] = decl.span
+            spans[next(flows).id] = decl.span
         elif isinstance(decl, TriggerDecl):
-            trigger_index += 1
-            spans[f"t{trigger_index}"] = decl.span
+            spans[next(triggers).id] = decl.span
         elif isinstance(decl, MachineDecl):
             _machine_spans(decl, spans)
         elif isinstance(decl, (ThingDecl, EventDecl)):

@@ -59,7 +59,7 @@ def _require_valid(model: Model, lax: bool) -> None:
 
 def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[StageRef]]:
     grouped: dict[tuple[str, ...], list[StageRef]] = {}
-    for ref in model.used_stages:
+    for ref in model.stages:
         grouped.setdefault(ref.path, []).append(ref)
     return grouped
 

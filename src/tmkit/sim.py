@@ -167,11 +167,19 @@ class SimState:
     step_no: int = 0
     tokens: tuple[Token, ...] = ()
     next_token: int = 1
-    fired: tuple[str, ...] = ()
-    ended: frozenset[str] = frozenset()
     choice_taken: tuple[int, ...] = ()  # per decision point, in scenario key order
     timings: tuple[tuple[str, EventTiming], ...] = ()
     quiescent: bool = False
+
+    @property
+    def fired(self) -> tuple[str, ...]:
+        """Fired events in firing order."""
+        return tuple(name for name, _ in self.timings)
+
+    @property
+    def ended(self) -> frozenset[str]:
+        """Fired events that have released their time."""
+        return frozenset(name for name, t in self.timings if t.released_at is not None)
 
 
 def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
@@ -215,32 +223,22 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
     return Scenario(tuple(injections), tuple(choices), tuple(gates), max_steps)
 
 
-def _decision_points(model: Model) -> dict[str, list[StageRef]]:
-    """Stages with two or more same-thing outgoing flows, with branch dsts."""
-    fanout: dict[tuple[StageRef, str], list[StageRef]] = {}
-    for e in model.flows:
-        fanout.setdefault((e.src, e.thing), []).append(e.dst)
-    points: dict[str, list[StageRef]] = {}
-    for (src, _thing), dsts in fanout.items():
-        if len(dsts) >= 2:
-            points.setdefault(str(src), []).extend(dsts)
-    return points
-
 def _check_scenario(model: Model, scenario: Scenario) -> None:
     """Hard-fail on scenario keys that name nothing in the model."""
-    points = _decision_points(model)
+    stages = {str(ref): stage for ref, stage in model.stages.items()}
     for key, branch in scenario.choices:
-        if key not in points:
+        outs = stages[key].outs.values() if key in stages else ()
+        branches = [str(dst) for dsts in outs if len(dsts) >= 2 for dst in dsts]
+        if not branches:
             raise ScenarioError(
                 f"choice key '{key}' is not a decision point of the model"
             )
-        if branch not in {str(d) for d in points[key]}:
+        if branch not in branches:
             raise ScenarioError(
                 f"choice branch '{branch}' is not an outgoing flow of '{key}'"
             )
-    trigger_dsts = {str(d) for d in model.trigger_destinations}
     for gate_id, _ in scenario.gates:
-        if gate_id not in trigger_dsts:
+        if gate_id not in stages or not stages[gate_id].triggered:
             raise ScenarioError(
                 f"gate '{gate_id}' does not name a trigger destination"
             )
@@ -319,10 +317,6 @@ class _Engine:
             step_no=self.step_no,
             tokens=tuple(self.tokens.values()),
             next_token=self.next_token,
-            fired=tuple(self.timings),
-            ended=frozenset(
-                name for name, t in self.timings.items() if t.released_at is not None
-            ),
             choice_taken=tuple(self.taken.values()),
             timings=tuple(self.timings.items()),
             quiescent=quiescent,
@@ -443,7 +437,7 @@ class _Engine:
                         continue
                 self.emit("trigger", edge.id, f"{edge.src} ~> {edge.dst}")
                 if edge.dst.kind is StageKind.CREATE:
-                    for thing in self.model.stage_out_things.get(edge.dst, ()):
+                    for thing in self.model.stages[edge.dst].outs:
                         self.mint(thing, edge.dst, edge.id)
         return len(self.entries) > before
 

@@ -193,6 +193,58 @@ def test_thing_identity_break_is_e105():
     assert codes(validate(model)) == ["E105"]
 
 
+def test_same_thing_trigger_names_the_alphabetically_first_shared_thing():
+    model = build_model(
+        "warned",
+        [
+            ThingDecl("water"),
+            ThingDecl("level"),
+            MachineDecl("p"),
+            MachineDecl("d"),
+            FlowDecl("water", "p.receive", "p.process"),
+            FlowDecl("level", "p.receive", "p.process"),
+            FlowDecl("water", "d.create", "d.release"),
+            FlowDecl("level", "d.create", "d.release"),
+            TriggerDecl("p.process", "d.create"),
+        ],
+    )
+    assert isinstance(model, Model)
+    assert [(d.code, d.location, d.message) for d in validate(model)] == [
+        (
+            "W201",
+            "t1",
+            "trigger p.process ~> d.create connects flows of the same thing 'level'",
+        )
+    ]
+
+
+def test_identity_break_points_at_the_first_flow_in_and_the_first_pair():
+    # a.transfer is first touched by an out-flow (f1); water then level flow
+    # in and out, so the first differing (in, out) pair is (water, level).
+    model = build_model(
+        "mixed",
+        [
+            ThingDecl("level"),
+            ThingDecl("water"),
+            MachineDecl("a"),
+            MachineDecl("b"),
+            MachineDecl("c"),
+            FlowDecl("water", "a.transfer", "b.transfer"),
+            FlowDecl("water", "a.release", "a.transfer"),
+            FlowDecl("level", "c.transfer", "a.transfer"),
+            FlowDecl("level", "a.transfer", "c.transfer"),
+        ],
+    )
+    assert isinstance(model, Model)
+    assert [(d.code, d.location, d.message) for d in validate(model)] == [
+        (
+            "E105",
+            "f2",
+            "thing identity break at 'a.transfer': 'water' flows in, 'level' flows out",
+        )
+    ]
+
+
 def test_isolated_machine_is_w202_but_parents_of_active_children_are_not():
     model = build_model(
         "quiet",
@@ -352,3 +404,37 @@ def test_deep_paths_resolve_and_report_the_first_unknown_segment():
     assert [d.message for d in built] == [
         f"unresolved path '{bad}.process': unknown segment 'wrong'"
     ]
+
+
+def _identity_breaks(k: int) -> Model:
+    # Each machine turns thing a into thing b at its process stage.
+    decls = [ThingDecl("a"), ThingDecl("b")]
+    for i in range(k):
+        decls += [
+            MachineDecl(f"m{i}"),
+            FlowDecl("a", f"m{i}.create", f"m{i}.process"),
+            FlowDecl("b", f"m{i}.process", f"m{i}.release"),
+        ]
+    model = build_model("breaks", decls)
+    assert isinstance(model, Model)
+    return model
+
+
+def test_identity_breaks_compare_each_stage_a_bounded_number_of_times(monkeypatch):
+    eq_calls = 0
+    plain_eq = StageRef.__eq__
+
+    def counting_eq(self, other):
+        nonlocal eq_calls
+        eq_calls += 1
+        return plain_eq(self, other)
+
+    k = 2000
+    model = _identity_breaks(k)
+    monkeypatch.setattr(StageRef, "__eq__", counting_eq)
+    diags = validate(model)
+    assert codes(diags) == ["E105"] * k
+    assert [d.location for d in diags[:2]] == ["f1", "f3"]
+    # A scan of every flow per identity break makes ~k * k comparisons.
+    assert eq_calls <= 2 * k
+

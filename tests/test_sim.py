@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import replace
 
 import pytest
 
+import tmkit.sim
 from tmkit.core import Chronology
 from tmkit.dsl import parse
 from tmkit.sim import (
@@ -57,11 +59,54 @@ def test_load_scenario_rejects_garbage():
 
 
 def test_invalid_scenario_keys_are_hard_errors():
-    model = load_corpus_model("reservoir")
-    with pytest.raises(ScenarioError):
-        simulate(model, Scenario(choices=(("tank.process", "tank.release"),)))
-    with pytest.raises(ScenarioError):
-        simulate(model, Scenario(gates=(("nowhere.create", True),)))
+    cases = [
+        (
+            "reservoir",
+            Scenario(choices=(("tank.process", "tank.release"),)),
+            "choice key 'tank.process' is not a decision point of the model",
+        ),
+        (
+            "kant_ci",
+            Scenario(choices=(("person.will.transfer", "person.will.release"),)),
+            "choice branch 'person.will.release' is not an outgoing flow of "
+            "'person.will.transfer'",
+        ),
+        (
+            "reservoir",
+            Scenario(gates=(("nowhere.create", True),)),
+            "gate 'nowhere.create' does not name a trigger destination",
+        ),
+    ]
+    for model_name, scenario, message in cases:
+        with pytest.raises(ScenarioError) as excinfo:
+            simulate(load_corpus_model(model_name), scenario)
+        assert str(excinfo.value) == message
+
+
+_TWO_THING_MINT_MODEL = """\
+model mint
+thing x
+thing b
+thing a
+machine src
+machine gen
+flow x env.transfer -> src.transfer
+flow b gen.create -> gen.process
+flow a gen.create -> gen.release
+trigger src.transfer ~> gen.create
+event go {
+  flow x env.transfer -> src.transfer
+  trigger src.transfer ~> gen.create
+}
+"""
+
+
+def test_a_create_trigger_mints_its_things_in_out_flow_order():
+    # gen.create has out-flows of b, then a: the trigger mints b first.
+    model = parse(_TWO_THING_MINT_MODEL).model
+    trace = simulate(model, load_scenario("inject x env.transfer @1\n"))
+    mints = [e.detail for e in trace.entries if e.kind == "create" and "via t1" in e.detail]
+    assert mints == ["b @ gen.create via t1", "a @ gen.create via t1"]
 
 
 # -- the trivial cases ------------------------------------------------------
@@ -565,6 +610,36 @@ def test_simulate_scales_linearly_with_trace_length():
     # makes the cost quadratic, about 4x per doubling of the steps.
     ratio = _best_simulate_seconds(300) / _best_simulate_seconds(150)
     assert ratio <= 3.0, f"simulate grew {ratio:.2f}x from 150 to 300 steps"
+
+
+def _simulate_line_events(steps: int) -> int:
+    # Line events executed in tmkit/sim.py frames: the same count on every run.
+    model, scenario = perpetual_relay(20, steps)
+    sim_file = tmkit.sim.__file__
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def start(frame, event, arg):
+        return local if frame.f_code.co_filename == sim_file else None
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        simulate(model, scenario)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_simulate_executes_lines_linear_in_trace_length():
+    # The deterministic twin of the wall-clock gate above.
+    ratio = _simulate_line_events(300) / _simulate_line_events(150)
+    assert ratio <= 2.5, f"sim.py ran {ratio:.2f}x the lines from 150 to 300 steps"
 
 
 def test_choice_entries_match_consumed_choices():
