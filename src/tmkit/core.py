@@ -383,6 +383,26 @@ class _Stage:
         self.triggered = False
 
 
+class _Region:
+    """What one event's region items say about running it; fixed once built.
+
+    ``mints`` holds the (thing, create stage) pairs minted when the event
+    (re-)enters, leaving create stages that are trigger destinations to
+    their trigger. ``walk`` is the region in declaration order: trigger
+    edges, and (source, thing, destinations) groups of the flows that leave
+    one stage with one thing, each at the position of its first flow; two
+    or more destinations make a decision point. ``watch`` holds the
+    (stage, thing or None) pairs whose occupation gives the event work.
+    """
+
+    __slots__ = ("mints", "walk", "watch")
+
+    def __init__(self, mints: tuple, walk: tuple, watch: tuple) -> None:
+        self.mints = mints
+        self.walk = walk
+        self.watch = watch
+
+
 @dataclass(frozen=True)
 class Model:
     """The static TM graph plus attached events and chronology.
@@ -455,35 +475,34 @@ class Model:
         return dict(stages)
 
     @cached_property
-    def region_fanouts(self) -> dict[str, dict[tuple[StageRef, str], tuple[FlowEdge, ...]]]:
-        """Per event, its region flows grouped by (source stage, thing)."""
-        out: dict[str, dict[tuple[StageRef, str], tuple[FlowEdge, ...]]] = {}
+    def regions(self) -> tuple[_Region, ...]:
+        """Per event, parallel to ``events``, its region as the simulator runs it."""
+        regions = []
         for event in self.events:
-            groups: dict[tuple[StageRef, str], list[FlowEdge]] = {}
-            for fid in event.flow_ids:
-                edge = self.flows_by_id[fid]
-                groups.setdefault((edge.src, edge.thing), []).append(edge)
-            out[event.name] = {k: tuple(v) for k, v in groups.items()}
-        return out
-
-    @cached_property
-    def region_mints(self) -> dict[str, tuple[tuple[str, StageRef], ...]]:
-        """Per event, the (thing, create stage) pairs minted when it (re-)enters.
-
-        Create stages that are trigger destinations are left to their trigger.
-        """
-        out: dict[str, tuple[tuple[str, StageRef], ...]] = {}
-        for event in self.events:
-            pairs: dict[tuple[str, StageRef], None] = {}
-            for fid in event.flow_ids:
-                edge = self.flows_by_id[fid]
-                if (
-                    edge.src.kind is StageKind.CREATE
-                    and not self.stages[edge.src].triggered
-                ):
-                    pairs.setdefault((edge.thing, edge.src))
-            out[event.name] = tuple(pairs)
-        return out
+            mints: dict[tuple[str, StageRef], None] = {}
+            walk: dict[object, list[StageRef] | None] = {}  # a flow group: its dsts
+            watch: dict[tuple[StageRef, str | None], None] = {}
+            for item in event.items:
+                if isinstance(item, RegionFlow):
+                    edge = self.flows_by_id[item.edge_id]
+                    watch[edge.src, edge.thing] = None
+                    walk.setdefault((edge.src, edge.thing), []).append(edge.dst)
+                    if (
+                        edge.src.kind is StageKind.CREATE
+                        and not self.stages[edge.src].triggered
+                    ):
+                        mints[edge.thing, edge.src] = None
+                elif isinstance(item, RegionTrigger):
+                    trigger = self.triggers_by_id[item.edge_id]
+                    watch[trigger.src, None] = None
+                    walk[trigger] = None
+                else:
+                    watch[item.ref, None] = None
+            parts = tuple(
+                key if dsts is None else (*key, tuple(dsts)) for key, dsts in walk.items()
+            )
+            regions.append(_Region(tuple(mints), parts, tuple(watch)))
+        return tuple(regions)
 
     @cached_property
     def _validation(self) -> dict[bool, tuple[Diagnostic, ...]]:

@@ -14,10 +14,11 @@ Operational semantics (fixed here so that runs are reproducible):
   in its firing step and one more in every later step, re-minting its
   create stages each time.
 * One region pass walks the region items in declaration order. A flow item
-  moves every matching token one hop (one hop per micro-step). When the
-  token's stage has two or more same-thing outgoing flows inside the same
-  region, the next scenario choice for that stage decides the branch;
-  running out of choices is an E401 hard error.
+  moves every matching token one hop (one hop per micro-step). A region's
+  flows that leave one stage with one thing move together, at the first
+  of them. When there are two or more, the next scenario choice for that
+  stage decides each token's branch; running out of choices is an E401
+  hard error.
 * A trigger item fires at most once per activation when a token occupies
   its source: a create destination mints (one token per thing carried by
   the destination's outgoing flows), a process destination is activated
@@ -53,17 +54,14 @@ from .core import (
     Chronology,
     Diagnostic,
     ENV_NAME,
-    Event,
     Model,
-    RegionFlow,
-    RegionNode,
-    RegionTrigger,
     StageKind,
     StageRef,
+    TriggerEdge,
+    _Region,
     parse_stage_ref,
     validate,
 )
-from .events import is_linear_extension
 
 __all__ = [
     "Token",
@@ -385,78 +383,47 @@ class _Engine:
 
     # -- region mechanics ------------------------------------------------------
 
-    def mint_entry_creates(self, event: Event) -> None:
-        for thing, ref in self.model.region_mints[event.name]:
-            self.mint(thing, ref, event.name)
-
-    def run_pass(self, event: Event, spent_triggers: set[str]) -> bool:
+    def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
         """One declaration-order pass over the region. True if it emitted."""
         before = len(self.entries)
-        fanouts = self.model.region_fanouts[event.name]
-        handled_fanouts: set[tuple[StageRef, str]] = set()
-        for item in event.items:
-            if isinstance(item, RegionFlow):
-                edge = self.model.flows_by_id[item.edge_id]
-                group_key = (edge.src, edge.thing)
-                fanout = fanouts[group_key]
-                if len(fanout) >= 2:
-                    if group_key in handled_fanouts:
-                        continue
-                    handled_fanouts.add(group_key)
-                    for token in self.tokens_at(edge.src, edge.thing):
-                        branch = self.take_choice(str(edge.src))
-                        chosen = next(
-                            (e for e in fanout if str(e.dst) == branch), None
-                        )
-                        if chosen is None:
-                            raise SimulationError(
-                                Diagnostic(
-                                    "E401",
-                                    "error",
-                                    str(edge.src),
-                                    f"choice branch '{branch}' does not match a "
-                                    f"region flow at '{edge.src}'",
-                                )
-                            )
-                        self.move(token, chosen.dst)
-                else:
-                    for token in self.tokens_at(edge.src, edge.thing):
-                        self.move(token, edge.dst)
-            elif isinstance(item, RegionTrigger):
-                if item.edge_id in spent_triggers:
+        for part in region.walk:
+            if isinstance(part, TriggerEdge):
+                if part.id in spent_triggers:
                     continue
-                edge = self.model.triggers_by_id[item.edge_id]
-                if not self.occupied(edge.src):
+                if not self.occupied(part.src):
                     continue
-                spent_triggers.add(item.edge_id)
-                gate_id = str(edge.dst)
+                spent_triggers.add(part.id)
+                gate_id = str(part.dst)
                 gate = self.gates.get(gate_id)
                 if gate is not None:
                     self.emit("gate", gate_id, "true" if gate else "false")
                     if not gate:
                         continue
-                self.emit("trigger", edge.id, f"{edge.src} ~> {edge.dst}")
-                if edge.dst.kind is StageKind.CREATE:
-                    for thing in self.model.stages[edge.dst].outs:
-                        self.mint(thing, edge.dst, edge.id)
+                self.emit("trigger", part.id, f"{part.src} ~> {part.dst}")
+                if part.dst.kind is StageKind.CREATE:
+                    for thing in self.model.stages[part.dst].outs:
+                        self.mint(thing, part.dst, part.id)
+                continue
+            src, thing, dsts = part
+            if len(dsts) == 1:
+                for token in self.tokens_at(src, thing):
+                    self.move(token, dsts[0])
+                continue
+            for token in self.tokens_at(src, thing):
+                branch = self.take_choice(str(src))
+                chosen = next((dst for dst in dsts if str(dst) == branch), None)
+                if chosen is None:
+                    raise SimulationError(
+                        Diagnostic(
+                            "E401",
+                            "error",
+                            str(src),
+                            f"choice branch '{branch}' does not match a "
+                            f"region flow at '{src}'",
+                        )
+                    )
+                self.move(token, chosen)
         return len(self.entries) > before
-
-    def has_work(self, event: Event) -> bool:
-        """Whether firing the event now would emit anything."""
-        if self.model.region_mints[event.name]:
-            return True
-        for item in event.items:
-            if isinstance(item, RegionFlow):
-                edge = self.model.flows_by_id[item.edge_id]
-                if self.occupied(edge.src, edge.thing):
-                    return True
-            elif isinstance(item, RegionTrigger):
-                if self.occupied(self.model.triggers_by_id[item.edge_id].src):
-                    return True
-            elif isinstance(item, RegionNode):
-                if self.occupied(item.ref):
-                    return True
-        return False
 
     # -- one macro-step ----------------------------------------------------------
 
@@ -470,27 +437,28 @@ class _Engine:
         # swept from the next one: its predecessor fired before that step.
         for i in sorted(self.sweep):
             event = self.model.events[i]
-            if event.name in self.timings:
-                self.mint_entry_creates(event)
-                self.run_pass(event, set())
-                continue
-            if not self.has_work(event):
-                continue
-            self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
-            self.timings[event.name] = EventTiming(received_at=self.step_no)
-            for j in self.successors.pop(event.name, ()):
-                self.waiting[j] -= 1
-                if not self.waiting[j]:
-                    self.sweep.add(j)
-            self.mint_entry_creates(event)
+            region = self.model.regions[i]
+            if event.name not in self.timings:  # fired events here are perpetual
+                if not region.mints and not any(
+                    self.occupied(ref, thing) for ref, thing in region.watch
+                ):
+                    continue
+                self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
+                self.timings[event.name] = EventTiming(received_at=self.step_no)
+                for j in self.successors.pop(event.name, ()):
+                    self.waiting[j] -= 1
+                    if not self.waiting[j]:
+                        self.sweep.add(j)
+            for thing, ref in region.mints:
+                self.mint(thing, ref, event.name)
             if event.perpetual:
-                self.run_pass(event, set())
+                self.run_pass(region, set())
                 continue
             self.sweep.discard(i)
             self.unfired -= 1
             spent: set[str] = set()
             for _ in range(_MAX_PASSES):
-                if not self.run_pass(event, spent):
+                if not self.run_pass(region, spent):
                     break
             else:
                 raise SimulationError(
@@ -574,9 +542,9 @@ def conforms(trace: Trace, chronology: Chronology) -> bool:
     """Whether a trace's event order respects the chronology.
 
     Every fired event must be a chronology node (hard error otherwise) and
-    must fire after all of its predecessors; the non-perpetual subsequence
-    must be a linear extension of the induced sub-DAG. The empty trace
-    conforms vacuously.
+    must fire after all of its predecessors, so the non-perpetual
+    subsequence is a linear extension of the induced sub-DAG. The empty
+    trace conforms vacuously.
     """
     nodes = set(chronology.nodes)
     for name in trace.fired_events:
@@ -587,14 +555,4 @@ def conforms(trace: Trace, chronology: Chronology) -> bool:
         for pred in chronology.predecessor_map.get(name, ()):
             if pred not in position or position[pred] >= position[name]:
                 return False
-    subsequence = tuple(
-        n for n in trace.fired_events if n not in trace.perpetual_events
-    )
-    sub_nodes = set(subsequence)
-    induced = Chronology(
-        nodes=subsequence,
-        edges=tuple(
-            (a, b) for a, b in chronology.edges if a in sub_nodes and b in sub_nodes
-        ),
-    )
-    return is_linear_extension(induced, subsequence)
+    return True

@@ -314,3 +314,26 @@ def perpetual_relay(machines: int, steps: int) -> tuple[Model, Scenario]:
     ]
     scenario.append(f"max_steps {steps}")
     return result.model, load_scenario("\n".join(scenario) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# A region that never runs to completion: one machine's stages form a cycle,
+# so every pass of the event moves the token once more round it (E402).
+
+SPIN_MODEL = """\
+model spin
+thing x
+machine a
+flow x env.transfer -> a.transfer
+flow x a.transfer -> a.receive
+flow x a.receive -> a.release
+flow x a.release -> a.transfer
+event spin {
+  flow x env.transfer -> a.transfer
+  flow x a.transfer -> a.receive
+  flow x a.receive -> a.release
+  flow x a.release -> a.transfer
+}
+"""
+
+SPIN_SCENARIO = "inject x env.transfer @1\n"

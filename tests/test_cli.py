@@ -17,7 +17,7 @@ from tmkit.events import coverage
 from tmkit.render import render_static
 from tmkit.sim import format_trace, simulate
 
-from helpers import corpus_path, load_corpus_scenario
+from helpers import SPIN_MODEL, SPIN_SCENARIO, corpus_path, load_corpus_scenario
 
 
 @pytest.fixture()
@@ -174,6 +174,18 @@ def test_sim_missing_choice_is_exit_three(tmp_path, capsys):
     assert status == 3
     _out, err = capsys.readouterr()
     assert "E401" in err
+
+
+def test_sim_region_that_never_settles_is_exit_three(tmp_path, capsys):
+    model = tmp_path / "spin.tm"
+    model.write_text(SPIN_MODEL)
+    scenario = tmp_path / "spin.scn"
+    scenario.write_text(SPIN_SCENARIO)
+    status = run(["sim", str(model), "--scenario", str(scenario)])
+    assert status == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error E402 event 'spin' did not run to completion\n"
 
 
 def test_sim_max_steps_override(tmp_path):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import sys
 import time
 from dataclasses import replace
 
 import pytest
 
+import tmkit.core
 import tmkit.sim
 from tmkit.core import Chronology
 from tmkit.dsl import parse
@@ -24,7 +27,13 @@ from tmkit.sim import (
     step,
 )
 
-from helpers import load_corpus_model, load_corpus_scenario, perpetual_relay
+from helpers import (
+    SPIN_MODEL,
+    SPIN_SCENARIO,
+    load_corpus_model,
+    load_corpus_scenario,
+    perpetual_relay,
+)
 
 
 def run_corpus(model_name: str, scenario_name: str) -> Trace:
@@ -107,6 +116,140 @@ def test_a_create_trigger_mints_its_things_in_out_flow_order():
     trace = simulate(model, load_scenario("inject x env.transfer @1\n"))
     mints = [e.detail for e in trace.entries if e.kind == "create" and "via t1" in e.detail]
     assert mints == ["b @ gen.create via t1", "a @ gen.create via t1"]
+
+
+# -- region walk ------------------------------------------------------------
+
+
+def test_a_region_that_never_settles_is_e402():
+    model = parse(SPIN_MODEL).model
+    with pytest.raises(SimulationError) as info:
+        simulate(model, load_scenario(SPIN_SCENARIO))
+    diagnostic = info.value.diagnostic
+    assert (diagnostic.code, diagnostic.location) == ("E402", "spin")
+    assert diagnostic.message == "event 'spin' did not run to completion"
+
+
+_REGION_BRANCH_MODEL = """\
+model branch
+thing x
+machine a
+machine b
+machine c
+machine d
+flow x env.transfer -> a.transfer
+flow x a.transfer -> b.transfer
+flow x a.transfer -> c.transfer
+flow x a.transfer -> d.transfer
+event route {
+  flow x env.transfer -> a.transfer
+  flow x a.transfer -> b.transfer
+  flow x a.transfer -> c.transfer
+}
+"""
+
+
+def test_a_choice_outside_the_region_is_e401():
+    # d.transfer is a branch of the model's decision point, so the scenario
+    # is valid, but the region only holds the flows to b and c.
+    model = parse(_REGION_BRANCH_MODEL).model
+    scenario = load_scenario("inject x env.transfer @1\nchoose a.transfer d.transfer\n")
+    with pytest.raises(SimulationError) as info:
+        simulate(model, scenario)
+    diagnostic = info.value.diagnostic
+    assert (diagnostic.code, diagnostic.location) == ("E401", "a.transfer")
+    assert diagnostic.message == (
+        "choice branch 'd.transfer' does not match a region flow at 'a.transfer'"
+    )
+
+
+_NODE_EVENT_MODEL = """\
+model watch
+thing x
+machine a
+machine b
+flow x env.transfer -> a.transfer
+flow x a.transfer -> b.transfer
+event arrive {
+  flow x env.transfer -> a.transfer
+}
+event notice {
+  node a.transfer
+}
+event leave {
+  flow x a.transfer -> b.transfer
+}
+chronology {
+  arrive -> notice
+  notice -> leave
+}
+"""
+
+
+def test_a_node_only_event_fires_when_its_stage_is_occupied():
+    model = parse(_NODE_EVENT_MODEL).model
+    trace = simulate(model, load_scenario("inject x env.transfer @1\n"))
+    assert trace.fired_events == ("arrive", "notice", "leave")
+    notice = [(e.step, e.kind) for e in trace.entries if e.subject == "notice"]
+    assert notice == [(2, "event_start"), (2, "event_end")]
+    assert trace.timings["leave"].received_at == 3
+
+
+_SPLIT_FANOUT_MODEL = """\
+model split
+thing x
+thing y
+machine a
+machine b
+machine c
+machine t
+flow x env.transfer -> a.transfer
+flow x a.transfer -> b.transfer
+flow x a.transfer -> c.transfer
+flow y t.create -> t.release
+trigger a.transfer ~> t.create
+event go {
+  flow x env.transfer -> a.transfer
+  flow x a.transfer -> b.transfer
+  trigger a.transfer ~> t.create
+  flow x a.transfer -> c.transfer
+}
+"""
+
+
+def test_a_fanout_group_moves_at_its_first_flow():
+    # The trigger sits between the two flows out of a.transfer; the token
+    # leaves at the first of them, so the trigger never sees it.
+    model = parse(_SPLIT_FANOUT_MODEL).model
+    scenario = load_scenario("inject x env.transfer @1\nchoose a.transfer c.transfer\n")
+    trace = simulate(model, scenario)
+    assert [(e.kind, e.detail) for e in trace.entries if e.subject == "tok1"][1:] == [
+        ("transfer", "x: env.transfer -> a.transfer"),
+        ("transfer", "x: a.transfer -> c.transfer"),
+    ]
+    assert not any(e.kind == "trigger" for e in trace.entries)
+    assert trace.terminated == "quiescent"
+
+
+def test_the_region_table_is_built_once_per_model(monkeypatch):
+    built = 0
+    real_init = tmkit.core._Region.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(tmkit.core._Region, "__init__", counting_init)
+    model = load_corpus_model("murderer")
+    assert built == 0
+    scenario = load_corpus_scenario("murderer_truth")
+    simulate(model, scenario)
+    state = init_state(model, scenario)
+    for _ in range(scenario.max_steps):
+        state, _ = step(model, state)
+    simulate(model, scenario)
+    assert built == len(model.events) > 1
 
 
 # -- the trivial cases ------------------------------------------------------
@@ -320,6 +463,63 @@ def test_conforms_unknown_event_is_hard_error():
     bogus = Trace(entries=(), fired_events=("nope",), terminated="quiescent")
     with pytest.raises(ValueError):
         conforms(bogus, model.chronology)
+
+
+def _conforms_by_brute_force(fired: tuple[str, ...], nodes, edges) -> bool:
+    # The fired events must be closed under predecessors and, taken in the
+    # order of their last firings, be one of the orders of that set that
+    # respect every edge inside it, found by trying every permutation.
+    if any(name not in nodes for name in fired):
+        raise ValueError("unknown event")
+    order = tuple(dict.fromkeys(reversed(fired)))[::-1]
+    chosen = set(order)
+    if any(b in chosen and a not in chosen for a, b in edges):
+        return False
+    inside = [(a, b) for a, b in edges if a in chosen and b in chosen]
+    allowed = {
+        p
+        for p in itertools.permutations(order)
+        if all(p.index(a) < p.index(b) for a, b in inside)
+    }
+    return order in allowed
+
+
+def test_conforms_matches_a_brute_force_oracle():
+    # Small random chronologies, cyclic ones and self-loops included, against
+    # fired sequences with and without repeats and random perpetual sets.
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(3000):
+        nodes = tuple(f"e{i}" for i in range(rng.randint(1, 5)))
+        if rng.random() < 0.5:
+            ranked = rng.sample(nodes, len(nodes))
+            pairs = itertools.combinations(ranked, 2)
+        else:
+            pairs = itertools.product(nodes, repeat=2)
+        edges = tuple(pair for pair in pairs if rng.random() < 0.3)
+        if rng.random() < 0.7:
+            fired = tuple(rng.sample(nodes, rng.randint(0, len(nodes))))
+        else:
+            fired = tuple(rng.choices(nodes, k=rng.randint(0, len(nodes) + 2)))
+        if rng.random() < 0.02:
+            fired += ("unknown",)
+        trace = Trace(
+            entries=(),
+            fired_events=fired,
+            terminated="quiescent",
+            perpetual_events=frozenset(n for n in nodes if rng.random() < 0.3),
+        )
+        chronology = Chronology(nodes=nodes, edges=edges)
+        try:
+            expected = _conforms_by_brute_force(fired, nodes, edges)
+        except ValueError:
+            with pytest.raises(ValueError):
+                conforms(trace, chronology)
+            outcomes.add("error")
+            continue
+        assert conforms(trace, chronology) == expected, (nodes, edges, trace)
+        outcomes.add(expected)
+    assert outcomes == {True, False, "error"}
 
 
 # -- islamic ----------------------------------------------------------------
