@@ -929,7 +929,10 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     if any(d.is_error for d in diags):
         return diags
-    return replace(model, events=tuple(events.values()), chronology=chronology)
+    final = replace(model, events=tuple(events.values()), chronology=chronology)
+    if "stages" in vars(model):  # the table reads only flows and triggers
+        vars(final)["stages"] = model.stages
+    return final
 
 
 def validate(model: Model, *, lax: bool = False) -> list[Diagnostic]:

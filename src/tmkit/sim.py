@@ -41,12 +41,20 @@ event's unfired predecessors, so a step sweeps, in declaration order, only
 the fired perpetual events and the unfired events whose predecessors have
 all fired; an event unlocked in step s is swept from step s+1.
 
+A loop of ``step`` calls costs about what ``simulate`` costs: ``step``
+continues the engine that made its input state when that state is the
+engine's latest snapshot and the model is the same object. Stepping any
+other state (an older one, a copy, a ``replace``d one) gives the same
+result from an engine rebuilt from the state, at a cost that grows with
+the live tokens and the events.
+
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from itertools import count
 
@@ -169,6 +177,10 @@ class SimState:
     timings: tuple[tuple[str, EventTiming], ...] = ()
     quiescent: bool = False
 
+    def __getstate__(self) -> dict:
+        # pickles and copies leave the engine handle behind
+        return {k: v for k, v in vars(self).items() if k != "_engine"}
+
     @property
     def fired(self) -> tuple[str, ...]:
         """Fired events in firing order."""
@@ -264,6 +276,7 @@ class _Engine:
     def __init__(self, model: Model, state: SimState):
         self.model = model
         self.scenario = state.scenario
+        self.latest: weakref.ref[SimState] | None = None  # the snapshot to resume from
         self.tokens: dict[str, Token] = {}
         self.rank: dict[str, int] = {}
         self.at: dict[StageRef, dict[int, Token]] = {}
@@ -310,7 +323,8 @@ class _Engine:
     # -- state snapshot ------------------------------------------------------
 
     def snapshot(self, quiescent: bool) -> SimState:
-        return SimState(
+        """The state after this step, holding a handle that lets ``step`` resume here."""
+        state = SimState(
             scenario=self.scenario,
             step_no=self.step_no,
             tokens=tuple(self.tokens.values()),
@@ -319,6 +333,9 @@ class _Engine:
             timings=tuple(self.timings.items()),
             quiescent=quiescent,
         )
+        vars(state)["_engine"] = self  # not a field: outside init, repr, == and hash
+        self.latest = weakref.ref(state)  # weak, so no state-engine cycle is left
+        return state
 
     # -- helpers -------------------------------------------------------------
 
@@ -490,10 +507,23 @@ def init_state(model: Model, scenario: Scenario, *, lax: bool = False) -> SimSta
 
 
 def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
-    """Run exactly one macro-step. Stepping a quiescent state is a no-op."""
+    """Run exactly one macro-step. Stepping a quiescent state is a no-op.
+
+    A state that ``step`` returned and that has not been stepped yet
+    continues the engine that made it, so a loop of steps costs about what
+    ``simulate`` costs. Any other state (an older one, a copy, a replaced
+    one, or one paired with another model object) gives the same result
+    from an engine rebuilt from the state.
+    """
     if state.quiescent:
         return state, []
-    engine = _Engine(model, state)
+    # The pop is atomic, so of two threads stepping one state at most one
+    # gets the engine; the other rebuilds.
+    engine = vars(state).pop("_engine", None)
+    if engine is None or engine.latest() is not state or engine.model is not model:
+        engine = _Engine(model, state)
+    engine.latest = None  # claimed: a failed step leaves nothing to resume
+    engine.entries = []  # each call's entries are its own
     quiescent = engine.run_step()
     return engine.snapshot(quiescent), engine.entries
 

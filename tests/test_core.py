@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import pytest
 
+import tmkit.core
+
 from tmkit.core import (
     Diagnostic,
     FlowDecl,
@@ -438,3 +440,18 @@ def test_identity_breaks_compare_each_stage_a_bounded_number_of_times(monkeypatc
     # A scan of every flow per identity break makes ~k * k comparisons.
     assert eq_calls <= 2 * k
 
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_parsing_builds_each_stage_record_once(name, monkeypatch):
+    built = 0
+    real_init = tmkit.core._Stage.__init__
+
+    def counting_init(self):
+        nonlocal built
+        built += 1
+        real_init(self)
+
+    monkeypatch.setattr(tmkit.core._Stage, "__init__", counting_init)
+    model = load_corpus_model(name)
+    assert built == len(model.stages)

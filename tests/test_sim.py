@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -283,6 +285,89 @@ def test_step_does_not_mutate_its_input_state():
     assert first_entries == again_entries
     assert first_state == again_state
     assert state.tokens == () and state.fired == ()
+
+
+def _step_chain(model, state, steps, prepare=lambda state: state):
+    """States and entries of ``steps`` steps, each input passed through prepare."""
+    out = []
+    for _ in range(steps):
+        state, entries = step(model, prepare(state))
+        out.append((state, entries))
+    return out
+
+
+def test_stepping_the_same_older_state_twice_is_identical():
+    model = load_corpus_model("reservoir")
+    state = init_state(model, load_corpus_scenario("reservoir"))
+    older, _ = step(model, state)
+    first = step(model, older)
+    second = step(model, older)
+    assert first == second and first[1]
+
+
+def test_stepping_an_older_state_after_the_chain_moved_on_is_identical():
+    model, scenario = perpetual_relay(20, 30)
+    chain = _step_chain(model, init_state(model, scenario), 12)
+    for (older, _), later in zip(chain, chain[1:]):
+        assert step(model, older) == later
+
+
+@pytest.mark.parametrize(
+    "prepare", [replace, copy.copy, lambda s: pickle.loads(pickle.dumps(s))]
+)
+def test_copied_states_step_like_fresh_engines(prepare):
+    # A copy never carries the engine handle, so every step here rebuilds.
+    model, scenario = perpetual_relay(20, 30)
+    start = init_state(model, scenario)
+    assert _step_chain(model, start, 25, prepare) == _step_chain(model, start, 25)
+
+
+def test_an_equal_reparsed_model_steps_like_a_fresh_engine():
+    model, scenario = perpetual_relay(20, 30)
+    twin, _ = perpetual_relay(20, 30)
+    assert twin == model and twin is not model
+    start = init_state(model, scenario)
+    # Alternating the two models never lets a step continue the engine
+    # of the step before.
+    alternating = []
+    state = start
+    for i in range(25):
+        state, entries = step(twin if i % 2 else model, state)
+        alternating.append((state, entries))
+    assert alternating == _step_chain(model, start, 25)
+
+
+@pytest.mark.parametrize(
+    "model_text,scenario_text,code",
+    [
+        (SPIN_MODEL, SPIN_SCENARIO.replace("@1", "@2"), "E402"),
+        (None, "max_steps 12\n", "E401"),
+    ],
+)
+def test_restepping_the_input_of_a_failed_step_fails_the_same_way(
+    model_text, scenario_text, code
+):
+    model = load_corpus_model("kant_ci") if model_text is None else parse(model_text).model
+    state = init_state(model, load_scenario(scenario_text))
+    while True:
+        try:
+            state, _ = step(model, state)
+        except SimulationError as exc:
+            first = exc.diagnostic
+            break
+    assert state.step_no >= 1 and first.code == code
+    with pytest.raises(SimulationError) as again:
+        step(model, state)
+    assert again.value.diagnostic == first
+
+
+def test_a_returned_entries_list_is_unchanged_by_later_steps():
+    model, scenario = perpetual_relay(20, 30)
+    chain = _step_chain(model, init_state(model, scenario), 10)
+    kept = [list(entries) for _, entries in chain]
+    _step_chain(model, chain[-1][0], 10)
+    assert [entries for _, entries in chain] == kept
+    assert all(e.step == i + 1 for i, (_, entries) in enumerate(chain) for e in entries)
 
 
 def test_n_steps_equal_simulate_prefix():
@@ -812,9 +897,9 @@ def test_simulate_scales_linearly_with_trace_length():
     assert ratio <= 3.0, f"simulate grew {ratio:.2f}x from 150 to 300 steps"
 
 
-def _simulate_line_events(steps: int) -> int:
-    # Line events executed in tmkit/sim.py frames: the same count on every run.
-    model, scenario = perpetual_relay(20, steps)
+def _sim_line_events(run) -> int:
+    # Line events executed in tmkit/sim.py frames while run() runs: the same
+    # count on every run.
     sim_file = tmkit.sim.__file__
     events = 0
 
@@ -830,16 +915,39 @@ def _simulate_line_events(steps: int) -> int:
     previous = sys.gettrace()
     sys.settrace(start)
     try:
-        simulate(model, scenario)
+        run()
     finally:
         sys.settrace(previous)
     return events
+
+
+def _simulate_line_events(steps: int) -> int:
+    model, scenario = perpetual_relay(20, steps)
+    return _sim_line_events(lambda: simulate(model, scenario))
 
 
 def test_simulate_executes_lines_linear_in_trace_length():
     # The deterministic twin of the wall-clock gate above.
     ratio = _simulate_line_events(300) / _simulate_line_events(150)
     assert ratio <= 2.5, f"sim.py ran {ratio:.2f}x the lines from 150 to 300 steps"
+
+
+def _step_loop_line_events(steps: int) -> int:
+    model, scenario = perpetual_relay(20, steps)
+
+    def run() -> None:
+        state = init_state(model, scenario)
+        for _ in range(scenario.max_steps):
+            state, _ = step(model, state)
+
+    return _sim_line_events(run)
+
+
+def test_step_loop_executes_lines_linear_in_trace_length():
+    # A step that rebuilds the engine re-indexes every live token, and live
+    # tokens grow with the run, so a loop of steps grows about 3x per doubling.
+    ratio = _step_loop_line_events(300) / _step_loop_line_events(150)
+    assert ratio <= 2.5, f"a step loop ran {ratio:.2f}x the lines from 150 to 300 steps"
 
 
 def test_choice_entries_match_consumed_choices():
