@@ -13,7 +13,6 @@ codes; checks are exhaustive, never fail-fast.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -367,32 +366,46 @@ Decl = Union[ThingDecl, MachineDecl, FlowDecl, TriggerDecl, EventDecl, Chronolog
 
 
 class _Stage:
-    """What the edges touching one stage say about it; fixed once built.
+    """One stage, interned: its ``ref``, ``text`` (``str(ref)``), ``kind`` string,
+    ``env`` flag and what the edges touching it say; fixed once built.
 
-    ``ins`` holds the things flowing in and ``outs`` the destinations of the
-    out-flows per thing, both in first-seen order; ``first_in`` is the id of
-    the first flow in and ``triggered`` whether some trigger ends here.
+    ``ins`` holds the things flowing in and ``outs`` the destination records
+    of the out-flows per thing, both in first-seen order; ``first_in`` is the
+    id of the first flow in and ``triggered`` whether some trigger ends here.
     """
 
-    __slots__ = ("ins", "outs", "first_in", "triggered")
+    __slots__ = ("ref", "text", "kind", "env", "ins", "outs", "first_in", "triggered")
 
-    def __init__(self) -> None:
+    def __init__(self, ref: StageRef) -> None:
+        self.ref = ref
+        self.kind = kind = ref.kind.value
+        self.text = ".".join((*ref.path, kind))
+        self.env = ref.is_env
         self.ins: tuple[str, ...] = ()
-        self.outs: dict[str, list[StageRef]] = {}
+        self.outs: dict[str, list[_Stage]] = {}
         self.first_in: str | None = None
         self.triggered = False
+
+
+class _Interned(dict):
+    """Stage records by ref, made on first touch."""
+
+    def __missing__(self, ref: StageRef) -> _Stage:
+        stage = self[ref] = _Stage(ref)
+        return stage
 
 
 class _Region:
     """What one event's region items say about running it; fixed once built.
 
-    ``mints`` holds the (thing, create stage) pairs minted when the event
-    (re-)enters, leaving create stages that are trigger destinations to
-    their trigger. ``walk`` is the region in declaration order: trigger
-    edges, and (source, thing, destinations) groups of the flows that leave
-    one stage with one thing, each at the position of its first flow; two
-    or more destinations make a decision point. ``watch`` holds the
-    (stage, thing or None) pairs whose occupation gives the event work.
+    All stages are ``_Stage`` records of the model. ``mints`` holds the
+    (thing, create stage) pairs minted when the event (re-)enters, leaving
+    create stages that are trigger destinations to their trigger. ``walk``
+    is the region in declaration order: (source, trigger id, destination)
+    for a trigger, and (source, thing, destinations) for the flows that
+    leave one stage with one thing, each group at the position of its first
+    flow; two or more destinations make a decision point. ``watch`` holds
+    the (stage, thing or None) pairs whose occupation gives the event work.
     """
 
     __slots__ = ("mints", "walk", "watch")
@@ -461,10 +474,10 @@ class Model:
     @cached_property
     def stages(self) -> dict[StageRef, _Stage]:
         """Each stage touched by at least one edge, in first-touch order."""
-        stages: defaultdict[StageRef, _Stage] = defaultdict(_Stage)
+        stages = _Interned()
         for e in self.flows:
-            stages[e.src].outs.setdefault(e.thing, []).append(e.dst)
-            dst = stages[e.dst]
+            src, dst = stages[e.src], stages[e.dst]
+            src.outs.setdefault(e.thing, []).append(dst)
             if e.thing not in dst.ins:
                 dst.ins += (e.thing,)
             if dst.first_in is None:
@@ -477,27 +490,26 @@ class Model:
     @cached_property
     def regions(self) -> tuple[_Region, ...]:
         """Per event, parallel to ``events``, its region as the simulator runs it."""
-        regions = []
+        stages, regions = self.stages, []
         for event in self.events:
-            mints: dict[tuple[str, StageRef], None] = {}
-            walk: dict[object, list[StageRef] | None] = {}  # a flow group: its dsts
-            watch: dict[tuple[StageRef, str | None], None] = {}
+            mints: dict[tuple[str, _Stage], None] = {}
+            walk: dict[tuple, list[_Stage] | None] = {}  # a flow group: its dsts
+            watch: dict[tuple[_Stage, str | None], None] = {}
             for item in event.items:
                 if isinstance(item, RegionFlow):
                     edge = self.flows_by_id[item.edge_id]
-                    watch[edge.src, edge.thing] = None
-                    walk.setdefault((edge.src, edge.thing), []).append(edge.dst)
-                    if (
-                        edge.src.kind is StageKind.CREATE
-                        and not self.stages[edge.src].triggered
-                    ):
-                        mints[edge.thing, edge.src] = None
+                    src = stages[edge.src]
+                    watch[src, edge.thing] = None
+                    walk.setdefault((src, edge.thing), []).append(stages[edge.dst])
+                    if src.kind == "create" and not src.triggered:
+                        mints[edge.thing, src] = None
                 elif isinstance(item, RegionTrigger):
                     trigger = self.triggers_by_id[item.edge_id]
-                    watch[trigger.src, None] = None
-                    walk[trigger] = None
+                    src = stages[trigger.src]
+                    watch[src, None] = None
+                    walk[src, trigger.id, stages[trigger.dst]] = None
                 else:
-                    watch[item.ref, None] = None
+                    watch[stages[item.ref], None] = None
             parts = tuple(
                 key if dsts is None else (*key, tuple(dsts)) for key, dsts in walk.items()
             )
@@ -908,6 +920,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
         triggers.append(TriggerEdge(f"t{len(triggers) + 1}", src, dst))
 
     model = replace(static, flows=tuple(flows), triggers=tuple(triggers))
+    vars(model).update(machines=static.machines, machines_by_path=machines_by_path)
 
     events: dict[str, Event] = {}
     for ed in event_decls:
@@ -930,8 +943,8 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
     if any(d.is_error for d in diags):
         return diags
     final = replace(model, events=tuple(events.values()), chronology=chronology)
-    if "stages" in vars(model):  # the table reads only flows and triggers
-        vars(final)["stages"] = model.stages
+    carried = ("machines", "machines_by_path", "stages")  # they read no events
+    vars(final).update((k, v) for k, v in vars(model).items() if k in carried)
     return final
 
 

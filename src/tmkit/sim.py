@@ -34,12 +34,14 @@ Operational semantics (fixed here so that runs are reproducible):
   stops at ``max_steps`` (reported as ``step_limit``, a normal outcome for
   models with perpetual events).
 
-Cost follows the work done, not the size of the run. Live tokens are
-indexed by stage, so a hop reads only its source stage's tokens (still in
-mint order, not arrival order). A ready frontier counts each unfired
-event's unfired predecessors, so a step sweeps, in declaration order, only
-the fired perpetual events and the unfired events whose predecessors have
-all fired; an event unlocked in step s is swept from step s+1.
+Cost follows the work done, not the size of the run. Stages are interned
+once per model, with their string forms, so a hop neither hashes nor
+formats a ``StageRef``. Live tokens are indexed by stage, so a hop reads
+only its source stage's tokens (still in mint order, not arrival order). A
+ready frontier counts each unfired event's unfired predecessors, so a step
+sweeps, in declaration order, only the fired perpetual events and the
+unfired events whose predecessors have all fired; an event unlocked in step
+s is swept from step s+1.
 
 A loop of ``step`` calls costs about what ``simulate`` costs: ``step``
 continues the engine that made its input state when that state is the
@@ -55,7 +57,7 @@ and may be shared freely.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count
 
 from .core import (
@@ -65,8 +67,9 @@ from .core import (
     Model,
     StageKind,
     StageRef,
-    TriggerEdge,
+    _Interned,
     _Region,
+    _Stage,
     parse_stage_ref,
     validate,
 )
@@ -235,10 +238,10 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
 
 def _check_scenario(model: Model, scenario: Scenario) -> None:
     """Hard-fail on scenario keys that name nothing in the model."""
-    stages = {str(ref): stage for ref, stage in model.stages.items()}
+    stages = {stage.text: stage for stage in model.stages.values()}
     for key, branch in scenario.choices:
         outs = stages[key].outs.values() if key in stages else ()
-        branches = [str(dst) for dsts in outs if len(dsts) >= 2 for dst in dsts]
+        branches = [dst.text for dsts in outs if len(dsts) >= 2 for dst in dsts]
         if not branches:
             raise ScenarioError(
                 f"choice key '{key}' is not a decision point of the model"
@@ -268,9 +271,10 @@ class _Engine:
 
     ``timings`` is the record of fired events, in firing order; ``tokens``
     maps live token ids to tokens, in mint order. ``at`` indexes the live
-    tokens by stage, each bucket keyed by mint rank. ``sweep`` holds the
-    declaration positions of the events a step visits: fired perpetual
-    events and unfired events whose predecessors have all fired.
+    tokens by stage record, each bucket keyed by mint rank; a stage that no
+    edge touches gets one record per engine, in ``untouched``. ``sweep``
+    holds the declaration positions of the events a step visits: fired
+    perpetual events and unfired events whose predecessors have all fired.
     """
 
     def __init__(self, model: Model, state: SimState):
@@ -279,10 +283,11 @@ class _Engine:
         self.latest: weakref.ref[SimState] | None = None  # the snapshot to resume from
         self.tokens: dict[str, Token] = {}
         self.rank: dict[str, int] = {}
-        self.at: dict[StageRef, dict[int, Token]] = {}
+        self.at: dict[_Stage, dict[int, Token]] = {}
+        self.untouched = _Interned()
         self.ranks = count()
         for token in state.tokens:
-            self.place(token)
+            self.place(token, self.stage(token.at))
         self.next_token = state.next_token
         self.timings: dict[str, EventTiming] = dict(state.timings)
         self.choices: dict[str, list[str]] = {}
@@ -293,9 +298,9 @@ class _Engine:
         self.gates: dict[str, bool] = {}
         for key, value in state.scenario.gates:
             self.gates.setdefault(key, value)  # the first line for a gate wins
-        self.injections: dict[int, list[Injection]] = {}
+        self.injections: dict[int, list[tuple[str, _Stage]]] = {}
         for inj in state.scenario.injections:
-            self.injections.setdefault(inj.step, []).append(inj)
+            self.injections.setdefault(inj.step, []).append((inj.thing, self.stage(inj.ref)))
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
@@ -342,42 +347,46 @@ class _Engine:
     def emit(self, kind: str, subject: str, detail: str) -> None:
         self.entries.append(TraceEntry(self.step_no, kind, subject, detail or "-"))
 
-    def place(self, token: Token) -> None:
-        """Add a live token under the next mint rank."""
+    def stage(self, ref: StageRef) -> _Stage:
+        """The model's record of a stage, or this engine's if no edge touches it."""
+        return self.model.stages.get(ref) or self.untouched[ref]
+
+    def place(self, token: Token, stage: _Stage) -> None:
+        """Add a live token at its stage's record under the next mint rank."""
         rank = next(self.ranks)
         self.tokens[token.id] = token
         self.rank[token.id] = rank
-        self.at.setdefault(token.at, {})[rank] = token
+        self.at.setdefault(stage, {})[rank] = token
 
-    def mint(self, thing: str, ref: StageRef, via: str) -> None:
-        token = Token(f"tok{self.next_token}", thing, ref)
+    def mint(self, thing: str, stage: _Stage, via: str) -> None:
+        token = Token(f"tok{self.next_token}", thing, stage.ref)
         self.next_token += 1
-        self.place(token)
-        self.emit("create", token.id, f"{thing} @ {ref} via {via}")
+        self.place(token, stage)
+        self.emit("create", token.id, f"{thing} @ {stage.text} via {via}")
 
-    def tokens_at(self, ref: StageRef, thing: str) -> list[Token]:
+    def tokens_at(self, stage: _Stage, thing: str) -> list[Token]:
         """The thing's tokens at a stage in mint order, whatever their arrival."""
-        bucket = self.at.get(ref)
+        bucket = self.at.get(stage)
         if not bucket:
             return []
         return [t for rank in sorted(bucket) if (t := bucket[rank]).thing == thing]
 
-    def occupied(self, ref: StageRef, thing: str | None = None) -> bool:
+    def occupied(self, stage: _Stage, thing: str | None = None) -> bool:
         """Whether a token (of the thing, if one is given) sits at a stage."""
-        bucket = self.at.get(ref)
+        bucket = self.at.get(stage)
         if not bucket:
             return False
         return thing is None or any(t.thing == thing for t in bucket.values())
 
-    def move(self, token: Token, dst: StageRef) -> None:
-        self.emit(dst.kind.value, token.id, f"{token.thing}: {token.at} -> {dst}")
+    def move(self, token: Token, src: _Stage, dst: _Stage) -> None:
+        self.emit(dst.kind, token.id, f"{token.thing}: {src.text} -> {dst.text}")
         rank = self.rank[token.id]
-        del self.at[token.at][rank]
-        if dst.is_env:
+        del self.at[src][rank]
+        if dst.env:
             del self.tokens[token.id]
             del self.rank[token.id]
         else:
-            moved = replace(token, at=dst)
+            moved = Token(token.id, token.thing, dst.ref)
             self.tokens[token.id] = moved
             self.at.setdefault(dst, {})[rank] = moved
 
@@ -403,43 +412,39 @@ class _Engine:
     def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
         """One declaration-order pass over the region. True if it emitted."""
         before = len(self.entries)
-        for part in region.walk:
-            if isinstance(part, TriggerEdge):
-                if part.id in spent_triggers:
+        for src, label, dsts in region.walk:
+            if isinstance(dsts, _Stage):  # a trigger: label is its id
+                if label in spent_triggers or not self.occupied(src):
                     continue
-                if not self.occupied(part.src):
-                    continue
-                spent_triggers.add(part.id)
-                gate_id = str(part.dst)
-                gate = self.gates.get(gate_id)
+                spent_triggers.add(label)
+                gate = self.gates.get(dsts.text)
                 if gate is not None:
-                    self.emit("gate", gate_id, "true" if gate else "false")
+                    self.emit("gate", dsts.text, "true" if gate else "false")
                     if not gate:
                         continue
-                self.emit("trigger", part.id, f"{part.src} ~> {part.dst}")
-                if part.dst.kind is StageKind.CREATE:
-                    for thing in self.model.stages[part.dst].outs:
-                        self.mint(thing, part.dst, part.id)
+                self.emit("trigger", label, f"{src.text} ~> {dsts.text}")
+                if dsts.kind == "create":
+                    for thing in dsts.outs:
+                        self.mint(thing, dsts, label)
                 continue
-            src, thing, dsts = part
-            if len(dsts) == 1:
-                for token in self.tokens_at(src, thing):
-                    self.move(token, dsts[0])
+            if len(dsts) == 1:  # a flow group: label is its thing
+                for token in self.tokens_at(src, label):
+                    self.move(token, src, dsts[0])
                 continue
-            for token in self.tokens_at(src, thing):
-                branch = self.take_choice(str(src))
-                chosen = next((dst for dst in dsts if str(dst) == branch), None)
+            for token in self.tokens_at(src, label):
+                branch = self.take_choice(src.text)
+                chosen = next((dst for dst in dsts if dst.text == branch), None)
                 if chosen is None:
                     raise SimulationError(
                         Diagnostic(
                             "E401",
                             "error",
-                            str(src),
+                            src.text,
                             f"choice branch '{branch}' does not match a "
-                            f"region flow at '{src}'",
+                            f"region flow at '{src.text}'",
                         )
                     )
-                self.move(token, chosen)
+                self.move(token, src, chosen)
         return len(self.entries) > before
 
     # -- one macro-step ----------------------------------------------------------
@@ -448,8 +453,8 @@ class _Engine:
         """Run one macro-step; return whether the run is now quiescent."""
         self.step_no += 1
         before = len(self.entries)
-        for inj in self.injections.get(self.step_no, ()):
-            self.mint(inj.thing, inj.ref, "injection")
+        for thing, stage in self.injections.get(self.step_no, ()):
+            self.mint(thing, stage, "injection")
         # sorted() copies the sweep, so an event unlocked in this step is
         # swept from the next one: its predecessor fired before that step.
         for i in sorted(self.sweep):
@@ -457,7 +462,7 @@ class _Engine:
             region = self.model.regions[i]
             if event.name not in self.timings:  # fired events here are perpetual
                 if not region.mints and not any(
-                    self.occupied(ref, thing) for ref, thing in region.watch
+                    self.occupied(stage, thing) for stage, thing in region.watch
                 ):
                     continue
                 self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
@@ -466,8 +471,8 @@ class _Engine:
                     self.waiting[j] -= 1
                     if not self.waiting[j]:
                         self.sweep.add(j)
-            for thing, ref in region.mints:
-                self.mint(thing, ref, event.name)
+            for thing, stage in region.mints:
+                self.mint(thing, stage, event.name)
             if event.perpetual:
                 self.run_pass(region, set())
                 continue

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -447,11 +449,28 @@ def test_parsing_builds_each_stage_record_once(name, monkeypatch):
     built = 0
     real_init = tmkit.core._Stage.__init__
 
-    def counting_init(self):
+    def counting_init(self, *args):
         nonlocal built
         built += 1
-        real_init(self)
+        real_init(self, *args)
 
     monkeypatch.setattr(tmkit.core._Stage, "__init__", counting_init)
     model = load_corpus_model(name)
     assert built == len(model.stages)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_parsing_builds_each_model_table_once(name, monkeypatch):
+    # build_model replaces its model twice; tables that still hold must be
+    # carried over rather than built again.
+    built: Counter[str] = Counter()
+    for attr, table in vars(Model).items():
+        if isinstance(table, cached_property):
+
+            def counting(self, build=table.func, attr=attr):
+                built[attr] += 1
+                return build(self)
+
+            monkeypatch.setattr(table, "func", counting)
+    load_corpus_model(name)
+    assert built["machines"] and set(built.values()) == {1}, built

@@ -14,12 +14,13 @@ import pytest
 
 import tmkit.core
 import tmkit.sim
-from tmkit.core import Chronology
+from tmkit.core import Chronology, StageKind, StageRef, validate
 from tmkit.dsl import parse
 from tmkit.sim import (
     Scenario,
     ScenarioError,
     SimulationError,
+    Token,
     Trace,
     conforms,
     format_trace,
@@ -948,6 +949,56 @@ def test_step_loop_executes_lines_linear_in_trace_length():
     # tokens grow with the run, so a loop of steps grows about 3x per doubling.
     ratio = _step_loop_line_events(300) / _step_loop_line_events(150)
     assert ratio <= 2.5, f"a step loop ran {ratio:.2f}x the lines from 150 to 300 steps"
+
+
+def test_simulate_neither_hashes_nor_formats_a_stage_ref_per_entry(monkeypatch):
+    # Stages are interned once per model; a hop that hashed or formatted a
+    # StageRef would make several such calls per trace entry.
+    model, scenario = perpetual_relay(20, 300)
+    validate(model)
+    calls = 0
+    plain_hash, plain_str = StageRef.__hash__, StageRef.__str__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return plain_hash(self)
+
+    def counting_str(self):
+        nonlocal calls
+        calls += 1
+        return plain_str(self)
+
+    monkeypatch.setattr(StageRef, "__hash__", counting_hash)
+    monkeypatch.setattr(StageRef, "__str__", counting_str)
+    trace = simulate(model, scenario)
+    assert calls < len(trace.entries) // 10, f"{calls} calls for {len(trace.entries)} entries"
+
+
+_UNTOUCHED_ENV_MODEL = """\
+model lone
+thing x
+machine a
+flow x a.create -> a.process
+"""
+
+
+def test_an_injection_where_no_flow_leaves_env_is_kept():
+    model = parse(_UNTOUCHED_ENV_MODEL).model
+    trace = simulate(model, load_scenario("inject x env.transfer @1\n"))
+    assert [(e.kind, e.subject, e.detail) for e in trace.entries] == [
+        ("create", "tok1", "x @ env.transfer via injection"),
+    ]
+    assert trace.terminated == "quiescent"
+
+
+def test_a_token_at_an_untouched_stage_is_kept_by_a_replaced_state():
+    model = parse(_UNTOUCHED_ENV_MODEL).model
+    state = init_state(model, load_scenario("inject x env.transfer @1\n"))
+    parked = Token("tok9", "x", StageRef(("a",), StageKind.RELEASE))
+    state, entries = step(model, replace(state, tokens=(parked,), next_token=10))
+    assert [(e.kind, e.subject) for e in entries] == [("create", "tok10")]
+    assert state.tokens == (parked, Token("tok10", "x", StageRef(("env",), StageKind.TRANSFER)))
 
 
 def test_choice_entries_match_consumed_choices():
