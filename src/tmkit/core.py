@@ -59,6 +59,10 @@ class StageKind(Enum):
     TRANSFER = "transfer"
     RECEIVE = "receive"
 
+    # Members are singletons, also when unpickled, so identity hashing agrees
+    # with equality and spares StageRef's hash a Python-level Enum.__hash__.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -20,12 +20,26 @@ Comments run from ``#`` to end of line. Identifiers match
 machine name ``env`` is reserved and implicitly declared.
 
 ``->`` mirrors solid flow arrows, ``~>`` dashed triggers.
+
+Line breaks are not significant to the grammar; the parser only uses line
+starts to resynchronize after an error. ``parse`` still reads most input a
+line at a time: ``_scan`` gives ``_lex``'s tokens, except that a line holding
+one complete ``flow``, ``trigger`` or ``thing`` item (indented or not, with
+or without a trailing comment) is cut to its keyword token, and the line's
+finished declaration is kept beside that token. The line pattern admits
+only lines the token parser would accept as they stand: a reserved word as
+a name, a stage kind inside a reference, or a next token ``.`` (which would
+continue the last reference) leaves the line whole. The parser takes the
+declaration where it expects a whole item, at the top level and in an event
+body; anywhere else it sees the keyword token, so every diagnostic comes
+from the token path.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .core import (
@@ -53,6 +67,8 @@ from .core import (
 __all__ = ["SourceSpan", "ParseResult", "parse", "serialize"]
 
 _ITEM_KEYWORDS = {"thing", "machine", "flow", "trigger", "event", "chronology"}
+_RESYNC_KEYWORDS = _ITEM_KEYWORDS | {"model"}
+_FOLDED = frozenset({"edge", "thingdecl"})
 _KEYWORDS = RESERVED_WORDS
 
 
@@ -124,9 +140,85 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+@cache
+def _scan_re() -> re.Pattern[str]:
+    """``_TOKEN_RE`` behind one alternative per foldable line shape."""
+    name = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})\b)[A-Za-z_][A-Za-z0-9_]*"
+    ref = rf"(?:{name}\.)+(?:{'|'.join(STAGE_KINDS)})\b"
+    # The line ends at a comment or newline, and the next token is not a "."
+    # that would continue its last stage reference.
+    end = r"[ \t\r]*(?![^#\n])(?!(?:[ \t\r\n]|#[^\n]*(?![^\n]))*\.)"
+    # A lookahead and a backreference take the indentation atomically, so a
+    # line that does not fold is not backtracked through space by space. A
+    # flow names its thing and takes "->", a trigger "~>".
+    return re.compile(
+        rf"(?<![^\n])(?=(?P<indent>[ \t\r]*))(?P=indent)(?:"
+        rf"(?P<edge>(?:flow[ \t\r]+(?P<thing>{name})|trigger)[ \t\r]+(?P<src>{ref})"
+        rf"[ \t\r]*(?(thing)->|~>)[ \t\r]*(?P<dst>{ref}))"
+        rf"|(?P<thingdecl>thing[ \t\r]+(?P<name>{name})))"
+        rf"{end}|{_TOKEN_RE.pattern}"
+    )
+
+
+def _scan(text: str, file: str) -> tuple[list[_Token], dict[int, Decl]]:
+    """``_lex(text)`` with each complete flow, trigger or thing line cut to
+    its keyword token, and each such line's declaration by the position of
+    that token. Each distinct reference text makes one ``StageRef``."""
+    refs: dict[str, StageRef] = {}
+
+    def ref(path: str) -> StageRef:
+        stage = refs.get(path)
+        if stage is None:
+            *machines, kind = path.split(".")
+            stage = refs[path] = StageRef(tuple(machines), STAGE_KINDS[kind])
+        return stage
+
+    tokens: list[_Token] = []
+    folded: dict[int, Decl] = {}
+    line, line_start, bol = 1, 0, True
+    end = 0
+    for m in _scan_re().finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
+            continue
+        end = m.end()
+        if kind == "newline":
+            line, line_start, bol = line + 1, end, True
+            continue
+        if kind == "space":
+            continue
+        if kind in _FOLDED:
+            first = m.start(kind) - line_start + 1
+            span = SourceSpan(file, line, first, line, m.end(kind) - line_start)
+            if kind == "thingdecl":
+                word, decl = "thing", ThingDecl(m.group("name"), span)
+            else:
+                thing, src, dst = m.group("thing", "src", "dst")
+                src, dst = ref(src), ref(dst)
+                if thing is None:
+                    word, decl = "trigger", TriggerDecl(src, dst, span)
+                else:
+                    word, decl = "flow", FlowDecl(thing, src, dst, span)
+            folded[len(tokens)] = decl
+            tokens.append(_Token("kw", word, line, first, first + len(word) - 1, True))
+        else:
+            lexeme = m.group()
+            if kind == "word":
+                kind = "kw" if lexeme in _KEYWORDS else "ident"
+            elif kind == "symbol":
+                kind = lexeme
+            col = m.start() - line_start + 1
+            tokens.append(_Token(kind, lexeme, line, col, end - line_start, bol))
+        bol = False
+    col = end - line_start + 1
+    tokens.append(_Token("eof", "", line, col, col, bol))
+    return tokens, folded
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], file: str):
+    def __init__(self, tokens: list[_Token], folded: dict[int, Decl], file: str):
         self.tokens = tokens
+        self.folded = folded  # the top level and event bodies take these whole
         self.file = file
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
@@ -152,6 +244,12 @@ class _Parser:
         if tok.kind == "eof" and self.pos > 0:
             # point at the last real token, e.g. a dangling arrow
             tok = self.tokens[self.pos - 1]
+            decl = self.folded.get(self.pos - 1)
+            if decl is not None:
+                # a folded line ends in the thing name or a stage kind
+                last = decl.name if type(decl) is ThingDecl else decl.dst.kind.value
+                end = decl.span.end_col
+                tok = tok._replace(col=end - len(last) + 1, end_col=end)
         self.diagnostics.append(
             Diagnostic("E001", "error", self.span_of(tok), f"syntax error: {message}")
         )
@@ -163,7 +261,7 @@ class _Parser:
             if tok.kind == "eof":
                 return
             if tok.bol and (
-                (tok.kind == "kw" and tok.text in _ITEM_KEYWORDS | {"model"})
+                (tok.kind == "kw" and tok.text in _RESYNC_KEYWORDS)
                 or tok.kind == "}"
             ):
                 return
@@ -203,6 +301,11 @@ class _Parser:
         if name is None:
             self.resync()
         while True:
+            decl = self.folded.get(self.pos)
+            if decl is not None:
+                self.decls.append(decl)
+                self.pos += 1
+                continue
             tok = self.peek()
             if tok.kind == "eof":
                 break
@@ -211,16 +314,8 @@ class _Parser:
                 self.advance()
                 self.resync()
                 continue
-            handler = {
-                "thing": self.parse_thing,
-                "machine": self.parse_machine,
-                "flow": self.parse_flow,
-                "trigger": self.parse_trigger,
-                "event": self.parse_event,
-                "chronology": self.parse_chronology,
-            }[tok.text]
             before = len(self.diagnostics)
-            decl = handler()
+            decl = self.ITEMS[tok.text](self)
             if decl is not None:
                 self.decls.append(decl)
             elif len(self.diagnostics) > before:
@@ -347,7 +442,11 @@ class _Parser:
             if tok.kind == "eof":
                 self.error_here("unterminated event block, expected '}'")
                 return None
-            if tok.kind == "kw" and tok.text == "node":
+            decl = self.folded.get(self.pos)
+            if decl is not None and tok.text != "thing":
+                self.pos += 1
+                items.append(decl)
+            elif tok.kind == "kw" and tok.text == "node":
                 item_start = self.advance()
                 ref = self.parse_stage_ref()
                 if ref is None:
@@ -395,6 +494,16 @@ class _Parser:
             edges.append((before.text, after.text))
         return ChronologyDecl(tuple(edges), self.span_of(start, end))
 
+    # The item parsers by keyword: plain functions, so no parser holds a cycle.
+    ITEMS = {
+        "thing": parse_thing,
+        "machine": parse_machine,
+        "flow": parse_flow,
+        "trigger": parse_trigger,
+        "event": parse_event,
+        "chronology": parse_chronology,
+    }
+
 
 def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseResult:
     """Parse TM source text into a validated model.
@@ -404,8 +513,8 @@ def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseR
     ``lax`` is wired to the relaxed boundary rule of validation (E103
     becomes a warning).
     """
-    tokens = _lex(text)
-    parser = _Parser(tokens, filename)
+    tokens, folded = _scan(text, filename)
+    parser = _Parser(tokens, folded, filename)
     name, decls, diagnostics = parser.parse()
     if name is None:
         return ParseResult(None, diagnostics)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
 import string
+import sys
 from pathlib import Path
 
 from tmkit.cli import corpus_dir
@@ -40,6 +43,42 @@ def load_corpus_model(name: str) -> Model:
 
 def load_corpus_scenario(name: str) -> Scenario:
     return load_scenario(corpus_path(f"{name}.scn").read_text(), f"{name}.scn")
+
+
+@functools.cache
+def bench_workloads():
+    """``perfbench/workloads.py``, the benchmark's input generators; they
+    write source text without tmkit, broken variants included."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def line_events(module, run) -> int:
+    """Line events executed in ``module``'s frames while ``run()`` runs: the
+    same count on every run, unlike a wall-clock time."""
+    filename = module.__file__
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def start(frame, event, arg):
+        return local if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return events
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import gc
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.dsl import SourceSpan, _lex, parse, serialize
+import tmkit.dsl
+from tmkit.dsl import SourceSpan, _lex, _scan, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
 from helpers import (
     CORPUS_NAMES,
+    bench_workloads,
+    corpus_path,
+    line_events,
     load_corpus_model,
     models_equal,
     random_valid_model,
@@ -275,3 +283,186 @@ def test_deep_machine_nesting_has_no_recursion_limit():
     unclosed = parse(opening)
     assert unclosed.model is None
     assert [d.code for d in unclosed.diagnostics] == ["E001"]
+
+
+# -- folded lines ------------------------------------------------------------
+# parse folds each complete flow, trigger and thing line into one token. The
+# token path (_lex and the token parser alone) is the reference it must match.
+
+
+def _outcome(text: str) -> tuple[list, str | None]:
+    result = parse(text, "d.tm")
+    diagnostics = [(d.code, d.severity, d.location, d.message) for d in result.diagnostics]
+    return diagnostics, None if result.model is None else serialize(result.model)
+
+
+def _paths_agree(text: str) -> tuple[list, str | None, int]:
+    """Both paths' diagnostics and canonical text, once checked equal, and
+    the number of folded lines; the folded token stream is checked against
+    ``_lex``'s with each folded line cut to its keyword."""
+    tokens, folded = _scan(text, "d.tm")
+    lines = {tokens[at].line for at in folded}
+    assert tokens == [tok for tok in _lex(text)
+                      if tok.line not in lines or tok.bol or tok.kind == "eof"]
+    outcome = _outcome(text)
+    with mock.patch.object(tmkit.dsl, "_scan", lambda text, file: (_lex(text), {})):
+        assert _outcome(text) == outcome
+    return (*outcome, len(folded))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_folded_lines_parse_like_tokens_on_the_corpus(name):
+    text = corpus_path(f"{name}.tm").read_text()
+    diagnostics, canonical, folded = _paths_agree(text)
+    assert diagnostics == [] and canonical is not None and folded > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_folded_lines_parse_like_tokens_on_relays_and_their_broken_variants(seed):
+    workloads = bench_workloads()
+    for inputs in (workloads.relay(40, seed), workloads.flood(12, 12, seed)):
+        texts = list(inputs.models.values()) + [text for text, _ in inputs.broken.values()]
+        for text in texts:
+            assert 3 * _paths_agree(text)[2] > text.count("\n")
+
+
+_FRAGMENTS = (".", "->", "~>", "{", "}", "#", "# a.b", "\n", "\n.", ".\n", "\r", "\t", " ",
+              "node", "thing", "flow", "trigger", "event", "create", "release", "transfer",
+              "x", "env", "é", "a.b.release", "->x.create")
+
+
+def _mutant(seed: int, bases: list[str]) -> str:
+    rng = random.Random(seed)
+    lines = bases[seed % len(bases)].split("\n")
+    if len(lines) > 60:  # a window of a corpus model keeps each parse short
+        at = rng.randrange(len(lines))
+        lines = ["model w"] + lines[at:at + rng.randint(2, 20)]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        op = rng.randrange(7)
+        if op == 0:
+            at = rng.randint(0, len(line))
+            lines[i] = line[:at] + rng.choice(_FRAGMENTS) + line[at:]
+        elif op == 1:
+            a = rng.randint(0, len(line))
+            lines[i] = line[:a] + line[rng.randint(a, len(line)):]
+        elif op == 2:
+            words = line.split(" ")
+            del words[rng.randrange(len(words))]
+            lines[i] = " ".join(words)
+        elif op == 3:
+            lines.insert(rng.randrange(len(lines) + 1), lines.pop(i))
+        elif op == 4:
+            lines[i:i + 2] = [" ".join(lines[i:i + 2])]
+        elif op == 5:
+            lines.insert(i, line)
+        else:
+            lines[i] = line + rng.choice(("\r", "\t", " # c"))
+    return "\n".join(lines)
+
+
+def test_folded_lines_parse_like_tokens_on_seeded_line_mutations():
+    workloads = bench_workloads()
+    bases = [corpus_path(f"{name}.tm").read_text() for name in CORPUS_NAMES]
+    bases += [workloads.relay(3).models["relay"], workloads.flood(3, 3).models["flood"]]
+    erroneous = folding = 0
+    for seed in range(2000):
+        diagnostics, _, folded = _paths_agree(_mutant(seed, bases))
+        erroneous += any(code == "E001" for code, *_ in diagnostics)
+        folding += folded > 0
+    # both paths are exercised: syntax errors, and lines that still fold
+    assert erroneous > 500 and folding > 1600, (erroneous, folding)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS + (
+    "model m", "thing x", "thing y", "machine a", "machine a {", "event e {", "  node a.create",
+    "flow x a.create -> a.release", "  flow x a.release -> a.transfer",
+    "trigger a.release ~> a.process", "chronology {", "e -> e", "flow thing a.create -> a.release",
+    "flow x a.create ~> a.release", "trigger a.release -> a.process",
+)), max_size=30))
+def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
+    _paths_agree("".join(fragments))
+
+
+@pytest.mark.parametrize(
+    "text, message, where",
+    [
+        # a stage reference may continue on the next line, even past a comment
+        ("flow x a.create -> a.release\n  .process\n",
+         "syntax error: stage kinds may only end a stage reference", (4, 20, 5, 10)),
+        ("trigger a.create ~> a.process\n\n# note\n.release\n",
+         "syntax error: stage kinds may only end a stage reference", (4, 21, 7, 8)),
+        # a reserved word as the thing name
+        ("flow node a.create -> a.release\n",
+         "syntax error: expected thing name, found 'node'", (4, 6, 4, 9)),
+        # a flow takes "->" and a trigger "~>"
+        ("flow x a.create ~> a.release\n",
+         "syntax error: expected '->', found '~>'", (4, 17, 4, 18)),
+        ("trigger a.release -> a.process\n",
+         "syntax error: expected '~>', found '->'", (4, 19, 4, 20)),
+        # a stage kind inside a reference
+        ("flow x a.create.b.release -> a.release\n",
+         "syntax error: stage kinds may only end a stage reference", (4, 8, 4, 25)),
+        # a folded line is the last token of an unterminated event
+        ("event e {\n  flow x a.create -> a.release  # open",
+         "syntax error: unterminated event block, expected '}'", (5, 24, 5, 30)),
+        ("event e {\n  trigger a.create ~> a.process\t",
+         "syntax error: unterminated event block, expected '}'", (5, 25, 5, 31)),
+        ("event e {\n  thing y",
+         "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'thing'",
+         (5, 3, 5, 7)),
+    ],
+)
+def test_folded_line_edge_cases_parse_like_tokens(text, message, where):
+    diagnostics, _, _ = _paths_agree("model m\nthing x\nmachine a\n" + text)
+    assert diagnostics[0][3] == message
+    span = diagnostics[0][2]
+    assert (span.start_line, span.start_col, span.end_line, span.end_col) == where
+
+
+def test_comments_crlf_and_tabs_still_fold():
+    text = ("model m\r\nthing x\t# the thing\r\nmachine a\r\n"
+            "\tflow\tx a.create\t->\ta.release # c\r\n"
+            "trigger a.release ~>a.process#c\r\n")
+    diagnostics, canonical, folded = _paths_agree(text)
+    assert (diagnostics, folded) == ([], 3)
+    assert canonical == ("model m\nthing x\nmachine a\nflow x a.create -> a.release\n"
+                         "trigger a.release ~> a.process\n")
+
+
+def test_parse_makes_one_stage_ref_per_reference_text():
+    model = parse(corpus_path("reservoir.tm").read_text()).model
+    refs = [ref for flow in model.flows for ref in (flow.src, flow.dst)]
+    assert len({id(ref) for ref in refs}) == len(set(refs))
+
+
+def test_parse_leaves_no_reference_cycles():
+    # Garbage in a cycle waits for the cyclic collector: a parser holding a
+    # cycle (a dict of its own bound methods, say) keeps its tokens alive.
+    texts = [corpus_path(f"{name}.tm").read_text() for name in CORPUS_NAMES]
+    texts.append("model broken\nthing x\nflow x a.b ->\nmachine {\n")
+    parse(texts[0])
+    results, cycles = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            results.append(parse(text))  # kept: a model's stage table may hold cycles
+            cycles.append(gc.collect())
+    finally:
+        gc.enable()
+    assert cycles == [0] * len(texts)
+
+
+def test_parse_executes_lines_linear_in_source_lines():
+    # Per token, lexing and parsing run ~10 lines each; a folded line runs a
+    # few lines in all. The relay is mostly flow, trigger and thing lines.
+    relay = bench_workloads().relay
+    small, large = relay(200).models["relay"], relay(400).models["relay"]
+    events = line_events(tmkit.dsl, lambda: parse(small))
+    per_line = events / small.count("\n")
+    assert per_line <= 100, f"dsl.py ran {per_line:.0f} lines per source line"
+    ratio = line_events(tmkit.dsl, lambda: parse(large)) / events
+    assert ratio <= 2.5, f"dsl.py ran {ratio:.2f}x the lines from n=200 to n=400"

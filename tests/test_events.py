@@ -366,6 +366,30 @@ def test_topological_orders_are_accepted(n, data):
     assert is_linear_extension(chron, order)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_topological_order_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    nodes = [f"e{i}" for i in range(rng.randint(1, 7))]
+    rank = dict(zip(nodes, rng.sample(range(len(nodes)), len(nodes))))
+    # edges follow a hidden order, so the graph is a DAG, declared shuffled
+    edges = [(a, b) for a in nodes for b in nodes if rank[a] < rank[b] and rng.random() < 0.3]
+    rng.shuffle(edges)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    order = topological_order(Chronology(tuple(nodes), tuple(edges)))
+    assert order is not None and sorted(order) == sorted(graph)
+    assert tuple(order) in {tuple(o) for o in nx.all_topological_sorts(graph)}
+    # and on any digraph it finds no order exactly when networkx finds a cycle
+    nodes, adjacency = _random_digraph(seed)
+    edges = [(a, b) for a in nodes for b in adjacency[a]]
+    graph = nx.DiGraph(edges)
+    graph.add_nodes_from(nodes)
+    cyclic = topological_order(Chronology(nodes, tuple(edges))) is None
+    assert cyclic == (not nx.is_directed_acyclic_graph(graph))
+
+
 def test_topological_order_none_on_cycle():
     chron = Chronology(("a", "b"), (("a", "b"), ("b", "a")))
     assert topological_order(chron) is None

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,7 @@ from tmkit.sim import (
 from helpers import (
     SPIN_MODEL,
     SPIN_SCENARIO,
+    line_events,
     load_corpus_model,
     load_corpus_scenario,
     perpetual_relay,
@@ -321,6 +325,38 @@ def test_copied_states_step_like_fresh_engines(prepare):
     model, scenario = perpetual_relay(20, 30)
     start = init_state(model, scenario)
     assert _step_chain(model, start, 25, prepare) == _step_chain(model, start, 25)
+
+
+_PICKLE_IN_CHILD = """
+import pickle, sys
+from helpers import load_corpus_model, load_corpus_scenario
+from tmkit.sim import init_state, step
+model = load_corpus_model("reservoir")
+state = init_state(model, load_corpus_scenario("reservoir"))
+for _ in range(3):
+    state, _ = step(model, state)
+sys.stdout.buffer.write(pickle.dumps((list(model.stages), state)))
+"""
+
+
+def test_stage_refs_and_states_pickled_in_another_process_find_their_stages():
+    # str hashes differ between processes. A StageRef or SimState pickled
+    # under another hash seed must still find its Model.stages records here,
+    # so no hash may travel inside a pickle.
+    paths = (Path(tmkit.core.__file__).parents[1], Path(__file__).parent)
+    env = dict(os.environ, PYTHONHASHSEED="4242",
+               PYTHONPATH=os.pathsep.join(str(path) for path in paths))
+    done = subprocess.run([sys.executable, "-c", _PICKLE_IN_CHILD], env=env,
+                          capture_output=True, check=True, timeout=60)
+    refs, restored = pickle.loads(done.stdout)
+    model = load_corpus_model("reservoir")
+    assert [model.stages[ref].ref for ref in refs] == list(model.stages)
+    state = init_state(model, load_corpus_scenario("reservoir"))
+    for _ in range(3):
+        state, _ = step(model, state)
+    assert restored == state
+    assert all(token.at in model.stages for token in restored.tokens)
+    assert step(model, restored) == step(model, state)
 
 
 def test_an_equal_reparsed_model_steps_like_a_fresh_engine():
@@ -898,33 +934,9 @@ def test_simulate_scales_linearly_with_trace_length():
     assert ratio <= 3.0, f"simulate grew {ratio:.2f}x from 150 to 300 steps"
 
 
-def _sim_line_events(run) -> int:
-    # Line events executed in tmkit/sim.py frames while run() runs: the same
-    # count on every run.
-    sim_file = tmkit.sim.__file__
-    events = 0
-
-    def local(frame, event, arg):
-        nonlocal events
-        if event == "line":
-            events += 1
-        return local
-
-    def start(frame, event, arg):
-        return local if frame.f_code.co_filename == sim_file else None
-
-    previous = sys.gettrace()
-    sys.settrace(start)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
-    return events
-
-
 def _simulate_line_events(steps: int) -> int:
     model, scenario = perpetual_relay(20, steps)
-    return _sim_line_events(lambda: simulate(model, scenario))
+    return line_events(tmkit.sim, lambda: simulate(model, scenario))
 
 
 def test_simulate_executes_lines_linear_in_trace_length():
@@ -941,7 +953,7 @@ def _step_loop_line_events(steps: int) -> int:
         for _ in range(scenario.max_steps):
             state, _ = step(model, state)
 
-    return _sim_line_events(run)
+    return line_events(tmkit.sim, run)
 
 
 def test_step_loop_executes_lines_linear_in_trace_length():
