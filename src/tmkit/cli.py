@@ -9,21 +9,40 @@ message``.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import Diagnostic, Model
 from .dsl import SourceSpan, parse, serialize
-from .events import coverage
-from .render import render_chronology, render_events, render_static
-from .sim import ScenarioError, SimulationError, format_trace, load_scenario, simulate
 
 __all__ = ["main", "run", "corpus_list", "CorpusEntry", "corpus_dir"]
+
+# The library names ``run`` needs beyond parsing, by home module. Each is
+# imported on its first access as an attribute of this module (PEP 562) and
+# kept there, so a command loads only the modules it runs, and ``run`` calls
+# whatever is bound here at the time, as a tracer that rebinds it expects.
+_LAZY = {
+    "coverage": "events",
+    "render_static": "render",
+    "render_events": "render",
+    "render_chronology": "render",
+    "ScenarioError": "sim",
+    "SimulationError": "sim",
+    "format_trace": "sim",
+    "load_scenario": "sim",
+    "simulate": "sim",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{home}"), name)
+    return value
 
 OK = 0
 VALIDATION_ERRORS = 1
@@ -87,6 +106,8 @@ def _format_diagnostic(diag: Diagnostic, file: str) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tm-out-")
     try:
@@ -184,6 +205,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Dispatch a command line. Returns the exit status."""
+    lib = sys.modules[__name__]  # the lazy library names, as bound now
     parser = _build_arg_parser()
     try:
         args = parser.parse_args(argv)
@@ -216,38 +238,40 @@ def run(argv: list[str] | None = None) -> int:
         if scenario_text is None:
             return USAGE_OR_IO
         try:
-            scenario = load_scenario(scenario_text, args.scenario)
+            scenario = lib.load_scenario(scenario_text, args.scenario)
             if args.max_steps is not None:
                 scenario = replace(scenario, max_steps=args.max_steps)
-            trace = simulate(model, scenario, lax=args.lax)
-        except ScenarioError as exc:
+            trace = lib.simulate(model, scenario, lax=args.lax)
+        except lib.ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return SIMULATION_ERROR
-        except SimulationError as exc:
+        except lib.SimulationError as exc:
             print(f"error {exc.diagnostic.code} {exc.diagnostic.message}",
                   file=sys.stderr)
             return SIMULATION_ERROR
         for warning in trace.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        return _emit(format_trace(trace), args.output)
+        return _emit(lib.format_trace(trace), args.output)
 
     if args.command == "render":
         try:
             if args.view == "static":
-                doc = render_static(model, lax=args.lax)
+                doc = lib.render_static(model, lax=args.lax)
             elif args.view == "events":
-                doc = render_events(model, lax=args.lax)
+                doc = lib.render_events(model, lax=args.lax)
             else:
-                doc = render_chronology(model)
+                doc = lib.render_chronology(model)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_OR_IO
         return _emit(doc.text, args.output)
 
     if args.command == "coverage":
-        report = coverage(model)
+        report = lib.coverage(model)
         if args.output is None:
             return _emit(report.text(), None)
+        import json
+
         return _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.output)
 
     if args.command == "corpus":
@@ -261,6 +285,8 @@ def run(argv: list[str] | None = None) -> int:
         if not wanted:
             print(f"error: no corpus model named {args.name!r}", file=sys.stderr)
             return USAGE_OR_IO
+        import shutil
+
         dest = Path(args.dest)
         try:
             dest.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 __all__ = [
     "StageKind",
@@ -199,22 +199,51 @@ class TriggerEdge:
     dst: StageRef
 
 
-@dataclass(frozen=True)
-class RegionNode:
+# The region items below and the raw declarations further down are named
+# tuples rather than dataclasses, so importing this module generates no
+# ``__init__``, ``__eq__``, ``__hash__`` or ``__setattr__`` code for them.
+# ``_record`` makes one equal only to a value of its own type, as a dataclass
+# is (never to a plain tuple), and leaves it unordered.
+
+
+def _eq(self, other):
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _ne(self, other):
+    if type(other) is type(self):
+        return tuple.__ne__(self, other)
+    return True if isinstance(other, tuple) else NotImplemented
+
+
+def _unordered(self, other):
+    return NotImplemented
+
+
+def _record(cls):
+    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
+    return cls
+
+
+@_record
+class RegionNode(NamedTuple):
     """Region membership of a single stage node."""
 
     ref: StageRef
 
 
-@dataclass(frozen=True)
-class RegionFlow:
+@_record
+class RegionFlow(NamedTuple):
     """Region membership of a static flow edge, referenced by id."""
 
     edge_id: str
 
 
-@dataclass(frozen=True)
-class RegionTrigger:
+@_record
+class RegionTrigger(NamedTuple):
     """Region membership of a static trigger edge, referenced by id."""
 
     edge_id: str
@@ -314,36 +343,36 @@ class PathError(ValueError):
 # opaque source location used for diagnostics and is never interpreted here.
 
 
-@dataclass(frozen=True)
-class ThingDecl:
+@_record
+class ThingDecl(NamedTuple):
     name: str
     span: object | None = None
 
 
-@dataclass(frozen=True)
-class MachineDecl:
+@_record
+class MachineDecl(NamedTuple):
     name: str
     children: tuple["MachineDecl", ...] = ()
     span: object | None = None
 
 
-@dataclass(frozen=True)
-class FlowDecl:
+@_record
+class FlowDecl(NamedTuple):
     thing: str
     src: StageRef | str
     dst: StageRef | str
     span: object | None = None
 
 
-@dataclass(frozen=True)
-class TriggerDecl:
+@_record
+class TriggerDecl(NamedTuple):
     src: StageRef | str
     dst: StageRef | str
     span: object | None = None
 
 
-@dataclass(frozen=True)
-class NodeItemDecl:
+@_record
+class NodeItemDecl(NamedTuple):
     ref: StageRef | str
     span: object | None = None
 
@@ -352,16 +381,16 @@ class NodeItemDecl:
 EventItemDecl = Union[NodeItemDecl, FlowDecl, TriggerDecl]
 
 
-@dataclass(frozen=True)
-class EventDecl:
+@_record
+class EventDecl(NamedTuple):
     name: str
     perpetual: bool = False
     items: tuple[EventItemDecl, ...] = ()
     span: object | None = None
 
 
-@dataclass(frozen=True)
-class ChronologyDecl:
+@_record
+class ChronologyDecl(NamedTuple):
     edges: tuple[tuple[str, str], ...] = ()
     span: object | None = None
 

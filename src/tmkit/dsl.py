@@ -68,6 +68,8 @@ __all__ = ["SourceSpan", "ParseResult", "parse", "serialize"]
 
 _ITEM_KEYWORDS = {"thing", "machine", "flow", "trigger", "event", "chronology"}
 _RESYNC_KEYWORDS = _ITEM_KEYWORDS | {"model"}
+# Items that no block holds: a line starting with one ends a block left open.
+_TOP_LEVEL_ONLY = {"thing", "event", "chronology"}
 _FOLDED = frozenset({"edge", "thingdecl"})
 _KEYWORDS = RESERVED_WORDS
 
@@ -221,6 +223,7 @@ class _Parser:
         self.folded = folded  # the top level and event bodies take these whole
         self.file = file
         self.pos = 0
+        self.open = 0  # blocks the current item has opened and not closed
         self.diagnostics: list[Diagnostic] = []
         self.decls: list[Decl] = []
 
@@ -265,6 +268,18 @@ class _Parser:
                 or tok.kind == "}"
             ):
                 return
+            self.advance()
+
+    def close_blocks(self) -> None:
+        """Skip past the closing braces of the blocks a failed item left open,
+        stopping early at a line that can only start a top-level item."""
+        while self.open:
+            tok = self.peek()
+            if tok.kind == "eof" or (
+                tok.bol and tok.kind == "kw" and tok.text in _TOP_LEVEL_ONLY
+            ):
+                return
+            self.open += (tok.kind == "{") - (tok.kind == "}")
             self.advance()
 
     def expect_kw(self, word: str) -> _Token | None:
@@ -315,11 +330,15 @@ class _Parser:
                 self.resync()
                 continue
             before = len(self.diagnostics)
+            self.open = 0
             decl = self.ITEMS[tok.text](self)
             if decl is not None:
                 self.decls.append(decl)
             elif len(self.diagnostics) > before:
-                self.resync()
+                if self.open:
+                    self.close_blocks()
+                else:
+                    self.resync()
         return name, self.decls, self.diagnostics
 
     def parse_thing(self) -> ThingDecl | None:
@@ -340,6 +359,7 @@ class _Parser:
             if self.peek().kind == "{":
                 self.advance()
                 blocks.append((start, tok, []))
+                self.open += 1
             else:
                 leaf = MachineDecl(tok.text, (), self.span_of(start, tok))
                 if not blocks:
@@ -348,6 +368,7 @@ class _Parser:
             while (inner := self.peek()).kind == "}":
                 end = self.advance()
                 start, tok, children = blocks.pop()
+                self.open -= 1
                 decl = MachineDecl(tok.text, tuple(children), self.span_of(start, end))
                 if not blocks:
                     return decl
@@ -433,11 +454,13 @@ class _Parser:
             perpetual = True
         if self.expect("{") is None:
             return None
+        self.open = 1
         items: list[object] = []
         while True:
             tok = self.peek()
             if tok.kind == "}":
                 end = self.advance()
+                self.open = 0
                 break
             if tok.kind == "eof":
                 self.error_here("unterminated event block, expected '}'")
@@ -474,11 +497,13 @@ class _Parser:
         start = self.advance()
         if self.expect("{") is None:
             return None
+        self.open = 1
         edges: list[tuple[str, str]] = []
         while True:
             tok = self.peek()
             if tok.kind == "}":
                 end = self.advance()
+                self.open = 0
                 break
             if tok.kind == "eof":
                 self.error_here("unterminated chronology block, expected '}'")

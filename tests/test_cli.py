@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -364,3 +365,50 @@ def test_non_utf8_input_is_exit_two(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot read {bad}: ")
+
+
+# Each command loads only the modules it runs. The child records what a
+# fresh interpreter loads beyond its own start-up while running one command.
+
+_LOADS_IN_CHILD = """
+import sys
+bare = set(sys.modules)
+out, sys.argv = sys.argv[1], ["tm", *sys.argv[2:]]
+import tmkit.cli
+try:
+    tmkit.cli.main()
+except SystemExit as exc:
+    status = exc.code
+with open(out, "w") as handle:
+    handle.write(repr((status, sorted(set(sys.modules) - bare))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["validate", "reservoir.tm"], set()),
+        (["fmt", "reservoir.tm"], set()),
+        (["coverage", "reservoir.tm"], {"tmkit.events"}),
+        (["render", "reservoir.tm"], {"tmkit.render"}),
+        (["sim", "reservoir.tm", "--scenario", "reservoir.scn"], {"tmkit.sim"}),
+    ],
+    ids=["validate", "fmt", "coverage", "render", "sim"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, runs, tmp_path):
+    src = str(Path(tmkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "loaded"
+    argv = [str(corpus_path(a)) if a.endswith((".tm", ".scn")) else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_IN_CHILD, str(out), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = ast.literal_eval(out.read_text())
+    assert status == 0
+    own = {name for name in loaded if name.split(".")[0] == "tmkit"}
+    assert own == {"tmkit", "tmkit.cli", "tmkit.core", "tmkit.dsl"} | runs
+    # json is for coverage -o, tempfile for -o and shutil for corpus copy
+    assert not set(loaded) & {"json", "tempfile", "shutil"}

@@ -11,12 +11,18 @@ import pytest
 import tmkit.core
 
 from tmkit.core import (
+    ChronologyDecl,
     Diagnostic,
+    EventDecl,
     FlowDecl,
     MachineDecl,
     Machine,
     Model,
+    NodeItemDecl,
     PathError,
+    RegionFlow,
+    RegionNode,
+    RegionTrigger,
     StageKind,
     StageRef,
     ThingDecl,
@@ -474,3 +480,69 @@ def test_parsing_builds_each_model_table_once(name, monkeypatch):
             monkeypatch.setattr(table, "func", counting)
     load_corpus_model(name)
     assert built["machines"] and set(built.values()) == {1}, built
+
+
+# The raw declarations and region items: their fields in order, a value for
+# each, and the defaults.
+_RECORDS = [
+    (ThingDecl, ("name", "span"), ("x", "s"), {"span": None}),
+    (MachineDecl, ("name", "children", "span"), ("m", (MachineDecl("c"),), "s"),
+     {"children": (), "span": None}),
+    (FlowDecl, ("thing", "src", "dst", "span"), ("x", "a.create", "a.release", "s"),
+     {"span": None}),
+    (TriggerDecl, ("src", "dst", "span"), ("a.release", "a.process", "s"), {"span": None}),
+    (NodeItemDecl, ("ref", "span"), ("a.create", "s"), {"span": None}),
+    (EventDecl, ("name", "perpetual", "items", "span"),
+     ("e", True, (NodeItemDecl("a.create"),), "s"),
+     {"perpetual": False, "items": (), "span": None}),
+    (ChronologyDecl, ("edges", "span"), ((("e", "f"),), "s"), {"edges": (), "span": None}),
+    (RegionNode, ("ref",), (StageRef(("a",), StageKind.CREATE),), {}),
+    (RegionFlow, ("edge_id",), ("f1",), {}),
+    (RegionTrigger, ("edge_id",), ("t1",), {}),
+]
+_RECORD_IDS = [cls.__name__ for cls, *_ in _RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", _RECORDS, ids=_RECORD_IDS)
+def test_a_record_builds_by_position_and_keyword_with_its_defaults(cls, fields, values,
+                                                                    defaults):
+    by_position = cls(*values)
+    assert type(by_position) is cls and isinstance(cls(**dict(zip(fields, values))), cls)
+    assert by_position == cls(**dict(zip(fields, values)))
+    assert tuple(getattr(by_position, f) for f in fields) == values
+    required = [v for f, v in zip(fields, values) if f not in defaults]
+    assert {f: getattr(cls(*required), f) for f in defaults} == defaults
+    with pytest.raises(TypeError):
+        cls(*values, "one too many")
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", _RECORDS, ids=_RECORD_IDS)
+def test_a_record_is_immutable_unordered_and_hashes_by_value(cls, fields, values, defaults):
+    record, twin = cls(*values), cls(*values)
+    assert record is not twin and record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert record != cls(*(("other",) + values[1:]))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    with pytest.raises(TypeError):
+        record < twin
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (RegionFlow("f1"), RegionTrigger("f1")),
+        (ThingDecl("x"), NodeItemDecl("x")),
+        (RegionFlow("f1"), ("f1",)),
+        (ThingDecl("x"), ("x", None)),
+    ],
+    ids=["RegionFlow-RegionTrigger", "ThingDecl-NodeItemDecl", "RegionFlow-tuple",
+         "ThingDecl-tuple"],
+)
+def test_records_of_different_types_never_compare_equal(a, b):
+    assert a != b and b != a
+    assert not a == b and not b == a
+    assert len({a: 1, b: 2}) == 2

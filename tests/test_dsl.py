@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmkit.dsl
-from tmkit.dsl import SourceSpan, _lex, _scan, parse, serialize
+from tmkit.core import ThingDecl
+from tmkit.dsl import SourceSpan, _Parser, _lex, _scan, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
 from helpers import (
@@ -87,6 +88,36 @@ def test_parser_resynchronizes_at_line_starts():
     assert len(e001) >= 2
     lines = {d.location.start_line for d in e001}
     assert len(lines) >= 2
+
+
+
+@pytest.mark.parametrize(
+    "block, first",
+    [
+        ("machine a\nevent e {\n  flow x a.create\n}",
+         (6, "syntax error: expected '->', found '}'")),
+        ("machine a {\n  flow x a.create\n}",
+         (4, "syntax error: expected 'machine' or '}' inside machine block, found 'flow'")),
+        ("machine a {\n  machine b {\n    flow x a.create\n  }\n}",
+         (5, "syntax error: expected 'machine' or '}' inside machine block, found 'flow'")),
+        ("machine a\nevent e {\n  flow x a.create {\n  }\n}",
+         (5, "syntax error: expected '->', found '{'")),
+        ("chronology {\n  e ->\n}",
+         (5, "syntax error: expected event name, found '}'")),
+        # a block left open ends at a line only the top level takes
+        ("machine a\nevent e {\n  flow x a.create",
+         (6, "syntax error: expected '->', found 'thing'")),
+    ],
+    ids=["event", "machine", "nested-machine", "inner-brace", "chronology", "unclosed"],
+)
+def test_one_mistake_in_a_block_is_one_e001(block, first):
+    text = "model m\nthing x\n" + block + "\nthing y\n"
+    diagnostics, _, _ = _paths_agree(text)
+    e001 = [(span.start_line, message) for code, _, span, message in diagnostics
+            if code == "E001"]
+    assert e001 == [first]
+    _, decls, _ = _Parser(*_scan(text, "d.tm"), "d.tm").parse()
+    assert [d.name for d in decls if type(d) is ThingDecl] == ["x", "y"]
 
 
 def test_every_parse_diagnostic_has_a_span_in_bounds():

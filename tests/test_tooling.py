@@ -85,3 +85,41 @@ def test_parse_does_not_reparse_stage_references(monkeypatch):
     for name in CORPUS_NAMES:
         assert load_corpus_model(name).flows
     assert calls == []
+
+
+# The command each name that the traced benchmark rebinds on tmkit.cli serves.
+_TRACED_COMMANDS = {
+    "parse": ["validate", "reservoir.tm"],
+    "serialize": ["fmt", "reservoir.tm"],
+    "coverage": ["coverage", "reservoir.tm"],
+    "render_static": ["render", "murderer.tm", "--view", "static"],
+    "render_events": ["render", "murderer.tm", "--view", "events"],
+    "render_chronology": ["render", "murderer.tm", "--view", "chronology"],
+    "format_trace": ["sim", "reservoir.tm", "--scenario", "reservoir.scn"],
+    "load_scenario": ["sim", "reservoir.tm", "--scenario", "reservoir.scn"],
+    "simulate": ["sim", "reservoir.tm", "--scenario", "reservoir.scn"],
+}
+
+
+def test_the_traced_cli_names_are_the_ones_checked_below(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    names = {attr for _, attr, _ in tracing.cli_targets(tmkit.cli)}
+    assert names == {"run"} | set(_TRACED_COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(_TRACED_COMMANDS))
+def test_run_calls_a_rebound_cli_name(monkeypatch, capsys, name):
+    # run must call whatever is bound on tmkit.cli when it runs, even for a
+    # name whose module the command has not imported yet.
+    calls = []
+    original = getattr(tmkit.cli, name)
+    monkeypatch.setattr(
+        tmkit.cli, name, lambda *a, **k: calls.append(name) or original(*a, **k)
+    )
+    argv = [str(corpus_path(a)) if a.endswith((".tm", ".scn")) else a
+            for a in _TRACED_COMMANDS[name]]
+    assert tmkit.cli.run(argv) == 0
+    assert calls == [name]
