@@ -223,7 +223,7 @@ def _unordered(self, other):
 
 
 def _record(cls):
-    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
+    cls.__eq__, cls.__ne__ = _eq, _ne
     cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
     return cls
 

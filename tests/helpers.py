@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import os
 import random
 import string
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,6 +45,15 @@ def load_corpus_model(name: str) -> Model:
 
 def load_corpus_scenario(name: str) -> Scenario:
     return load_scenario(corpus_path(f"{name}.scn").read_text(), f"{name}.scn")
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this tmkit."""
+    env = dict(os.environ)
+    src = str(corpus_dir().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
 
 
 @functools.cache

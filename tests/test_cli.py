@@ -18,7 +18,13 @@ from tmkit.events import coverage
 from tmkit.render import render_static
 from tmkit.sim import format_trace, simulate
 
-from helpers import SPIN_MODEL, SPIN_SCENARIO, corpus_path, load_corpus_scenario
+from helpers import (
+    SPIN_MODEL,
+    SPIN_SCENARIO,
+    corpus_path,
+    fresh_python,
+    load_corpus_scenario,
+)
 
 
 @pytest.fixture()
@@ -396,15 +402,9 @@ with open(out, "w") as handle:
     ids=["validate", "fmt", "coverage", "render", "sim"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, runs, tmp_path):
-    src = str(Path(tmkit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / "loaded"
     argv = [str(corpus_path(a)) if a.endswith((".tm", ".scn")) else a for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADS_IN_CHILD, str(out), *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = fresh_python("-c", _LOADS_IN_CHILD, str(out), *argv)
     assert proc.returncode == 0, proc.stderr
     status, loaded = ast.literal_eval(out.read_text())
     assert status == 0

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import tmkit
+
+from helpers import fresh_python
 
 # Each public name by its home module.
 HOMES = {
@@ -24,14 +22,6 @@ HOMES = {
     "sim": ["Scenario", "Trace", "conforms", "load_scenario", "simulate", "step"],
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names) + ["__version__"]
-
-
-def _fresh(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(tmkit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
 
 
 def test_the_public_names_are_pinned():
@@ -57,13 +47,13 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 
 
 def test_import_tmkit_alone_loads_no_submodule():
-    done = _fresh("import sys, tmkit\n"
+    done = fresh_python("-c", "import sys, tmkit\n"
                   "print(sorted(m for m in sys.modules if m.startswith('tmkit.')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
 
 def test_a_submodule_is_an_attribute_of_a_fresh_package():
-    done = _fresh("import tmkit\nprint(tmkit.sim.step.__module__, tmkit.cli.run.__name__)")
+    done = fresh_python("-c", "import tmkit\nprint(tmkit.sim.step.__module__, tmkit.cli.run.__name__)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "tmkit.sim run\n"
