@@ -64,7 +64,7 @@ class StageKind(Enum):
     __hash__ = object.__hash__
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_  # the stored string, not Enum's ``value`` descriptor
 
 
 STAGE_KINDS: dict[str, StageKind] = {kind.value: kind for kind in StageKind}
@@ -123,15 +123,42 @@ def flow_legal(src_kind: StageKind, dst_kind: StageKind, same_machine: bool) -> 
     return (src_kind, dst_kind) in _CROSS_MACHINE_LEGAL
 
 
-@dataclass(frozen=True)
-class StageRef:
+# Stage refs, region items and raw declarations are named tuples: built by one
+# generated line and hashed in C. ``_record`` makes one equal only to a value of
+# its own type (never a plain tuple), as a dataclass is, and unordered.
+
+
+def _eq(self, other):
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _ne(self, other):
+    if type(other) is type(self):
+        return tuple.__ne__(self, other)
+    return True if isinstance(other, tuple) else NotImplemented
+
+
+def _unordered(self, other):
+    return NotImplemented
+
+
+def _record(cls):
+    cls.__eq__, cls.__ne__ = _eq, _ne
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
+    return cls
+
+
+@_record
+class StageRef(NamedTuple):
     """Addressable stage node: a machine path from root plus a stage kind."""
 
     path: tuple[str, ...]
     kind: StageKind
 
     def __str__(self) -> str:
-        return ".".join(self.path + (self.kind.value,))
+        return ".".join((*self.path, self.kind._value_))
 
     @property
     def is_env(self) -> bool:
@@ -197,35 +224,6 @@ class TriggerEdge:
     id: str
     src: StageRef
     dst: StageRef
-
-
-# The region items below and the raw declarations further down are named
-# tuples rather than dataclasses, so importing this module generates no
-# ``__init__``, ``__eq__``, ``__hash__`` or ``__setattr__`` code for them.
-# ``_record`` makes one equal only to a value of its own type, as a dataclass
-# is (never to a plain tuple), and leaves it unordered.
-
-
-def _eq(self, other):
-    if type(other) is type(self):
-        return tuple.__eq__(self, other)
-    return False if isinstance(other, tuple) else NotImplemented
-
-
-def _ne(self, other):
-    if type(other) is type(self):
-        return tuple.__ne__(self, other)
-    return True if isinstance(other, tuple) else NotImplemented
-
-
-def _unordered(self, other):
-    return NotImplemented
-
-
-def _record(cls):
-    cls.__eq__, cls.__ne__ = _eq, _ne
-    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
-    return cls
 
 
 @_record
@@ -402,20 +400,20 @@ class _Stage:
     """One stage, interned: its ``ref``, ``text`` (``str(ref)``), ``kind`` string,
     ``env`` flag and what the edges touching it say; fixed once built.
 
-    ``ins`` holds the things flowing in and ``outs`` the destination records
-    of the out-flows per thing, both in first-seen order; ``first_in`` is the
-    id of the first flow in and ``triggered`` whether some trigger ends here.
+    ``ins`` holds the things flowing in and ``outs`` the destination texts (not
+    records, which would form cycles) of the out-flows per thing, both in first-seen
+    order; ``first_in`` is the first flow in and ``triggered`` whether a trigger ends here.
     """
 
     __slots__ = ("ref", "text", "kind", "env", "ins", "outs", "first_in", "triggered")
 
     def __init__(self, ref: StageRef) -> None:
         self.ref = ref
-        self.kind = kind = ref.kind.value
+        self.kind = kind = ref.kind._value_
         self.text = ".".join((*ref.path, kind))
         self.env = ref.is_env
         self.ins: tuple[str, ...] = ()
-        self.outs: dict[str, list[_Stage]] = {}
+        self.outs: dict[str, list[str]] = {}
         self.first_in: str | None = None
         self.triggered = False
 
@@ -510,7 +508,7 @@ class Model:
         stages = _Interned()
         for e in self.flows:
             src, dst = stages[e.src], stages[e.dst]
-            src.outs.setdefault(e.thing, []).append(dst)
+            src.outs.setdefault(e.thing, []).append(dst.text)
             if e.thing not in dst.ins:
                 dst.ins += (e.thing,)
             if dst.first_in is None:

@@ -60,6 +60,7 @@ from .core import (
     StageRef,
     ThingDecl,
     TriggerDecl,
+    _record,
     build_model,
     validate,
 )
@@ -74,8 +75,8 @@ _FOLDED = frozenset({"edge", "thingdecl"})
 _KEYWORDS = RESERVED_WORDS
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+@_record
+class SourceSpan(NamedTuple):
     """1-based source location of a parsed construct or diagnostic."""
 
     file: str
@@ -250,7 +251,7 @@ class _Parser:
             decl = self.folded.get(self.pos - 1)
             if decl is not None:
                 # a folded line ends in the thing name or a stage kind
-                last = decl.name if type(decl) is ThingDecl else decl.dst.kind.value
+                last = decl.name if type(decl) is ThingDecl else decl.dst.kind._value_
                 end = decl.span.end_col
                 tok = tok._replace(col=end - len(last) + 1, end_col=end)
         self.diagnostics.append(

@@ -81,7 +81,7 @@ def _emit_machines(
         lines.append(f'{pad}subgraph "{cluster_id}" {{')
         lines.append(f'{pad}  label="{machine.name}";')
         for ref in grouped.get(machine.path, ()):
-            lines.append(f'{pad}  "{ref}" [label="{ref.kind.value}"];')
+            lines.append(f'{pad}  "{ref}" [label="{ref.kind._value_}"];')
         stack.append(f"{pad}}}")
         stack.extend((c, depth + 1) for c in reversed(machine.children))
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 from .core import (
     Chronology,
@@ -70,6 +71,7 @@ from .core import (
     _Interned,
     _Region,
     _Stage,
+    _record,
     parse_stage_ref,
     validate,
 )
@@ -107,8 +109,8 @@ class SimulationError(RuntimeError):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class Token:
+@_record
+class Token(NamedTuple):
     """One manifestation of a thing, located at a stage."""
 
     id: str
@@ -140,8 +142,8 @@ class Scenario:
     max_steps: int = 100
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+@_record
+class TraceEntry(NamedTuple):
     step: int
     kind: str
     subject: str
@@ -241,7 +243,7 @@ def _check_scenario(model: Model, scenario: Scenario) -> None:
     stages = {stage.text: stage for stage in model.stages.values()}
     for key, branch in scenario.choices:
         outs = stages[key].outs.values() if key in stages else ()
-        branches = [dst.text for dsts in outs if len(dsts) >= 2 for dst in dsts]
+        branches = [text for dsts in outs if len(dsts) >= 2 for text in dsts]
         if not branches:
             raise ScenarioError(
                 f"choice key '{key}' is not a decision point of the model"
@@ -386,8 +388,7 @@ class _Engine:
             del self.tokens[token.id]
             del self.rank[token.id]
         else:
-            moved = Token(token.id, token.thing, dst.ref)
-            self.tokens[token.id] = moved
+            moved = self.tokens[token.id] = Token(token.id, token.thing, dst.ref)
             self.at.setdefault(dst, {})[rank] = moved
 
     def take_choice(self, key: str) -> str:

@@ -71,7 +71,16 @@ def bench_workloads():
 def line_events(module, run) -> int:
     """Line events executed in ``module``'s frames while ``run()`` runs: the
     same count on every run, unlike a wall-clock time."""
-    filename = module.__file__
+    return _lines_in(module.__file__, run)
+
+
+def generated_line_events(run) -> int:
+    """Line events executed in generated code while ``run()`` runs: the
+    methods dataclasses and named tuples compile, whose file is "<string>"."""
+    return _lines_in("<string>", run)
+
+
+def _lines_in(filename: str, run) -> int:
     events = 0
 
     def local(frame, event, arg):

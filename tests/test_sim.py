@@ -36,6 +36,7 @@ from tmkit.sim import (
 from helpers import (
     SPIN_MODEL,
     SPIN_SCENARIO,
+    generated_line_events,
     line_events,
     load_corpus_model,
     load_corpus_scenario,
@@ -985,6 +986,18 @@ def test_simulate_neither_hashes_nor_formats_a_stage_ref_per_entry(monkeypatch):
     monkeypatch.setattr(StageRef, "__str__", counting_str)
     trace = simulate(model, scenario)
     assert calls < len(trace.entries) // 10, f"{calls} calls for {len(trace.entries)} entries"
+
+
+def test_simulate_runs_few_generated_lines_per_entry():
+    # A frozen dataclass sets each field through a generated __init__, one
+    # line per field; a named tuple is built by a one-line generated __new__.
+    # A run makes one TraceEntry per entry and one Token per mint and hop.
+    model, scenario = perpetual_relay(20, 300)
+    validate(model)
+    traces = []
+    events = generated_line_events(lambda: traces.append(simulate(model, scenario)))
+    per_entry = events / len(traces[0].entries)
+    assert per_entry <= 2, f"{per_entry:.2f} generated lines per trace entry"
 
 
 _UNTOUCHED_ENV_MODEL = """\
