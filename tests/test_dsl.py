@@ -506,8 +506,8 @@ def test_a_dropped_parse_result_needs_no_cyclic_collection(name):
 
 
 def test_parse_enters_no_python_level_hash():
-    # Stage refs are keys of every table build_model and validate make; a
-    # generated dataclass __hash__ ran once per lookup.
+    # Stage refs key every table build_model and validate make; a __hash__
+    # written in Python would run once per lookup.
     text = bench_workloads().relay(200).models["relay"]
     calls = 0
 
@@ -526,9 +526,8 @@ def test_parse_enters_no_python_level_hash():
 
 
 def test_parse_runs_few_generated_lines_per_source_line():
-    # A folded line builds a SourceSpan, a declaration and a token, and
-    # build_model an edge: 12.6 generated lines per relay line when the span
-    # and the stage refs were dataclasses, 5.4 as named tuples.
+    # A folded line builds a SourceSpan, a declaration and a token, one
+    # generated line each as named tuples, and build_model a dataclass edge.
     text = bench_workloads().relay(200).models["relay"]
     per_line = generated_line_events(lambda: parse(text)) / text.count("\n")
     assert per_line <= 8, f"{per_line:.2f} generated lines per source line"

@@ -84,7 +84,7 @@ def test_a_record_equals_only_values_of_its_own_type(a, b):
     assert not a == b and not b == a
 
 
-def test_str_and_is_env_of_a_stage_ref():
+def test_a_record_keeps_its_str_and_is_env():
     assert str(_REF) == "tank.pump.process"
     assert str(SourceSpan("m.tm", 3, 1, 3, 24)) == "m.tm:3:1"
     assert StageRef(("env",), StageKind.TRANSFER).is_env and not _REF.is_env
