@@ -888,8 +888,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     static = Model(name, tuple(things.values()), _build_machines(machine_decls, diags))
     machines_by_path = static.machines_by_path
-    flows: list[FlowEdge] = []
-    seen_flows: set[tuple[str, StageRef, StageRef]] = set()
+    flows_by_key: dict[tuple[str, StageRef, StageRef], FlowEdge] = {}
     for d in flow_decls:
         ok = True
         if d.thing not in things:
@@ -914,7 +913,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
             )
             continue
         key = (d.thing, src, dst)
-        if key in seen_flows:
+        if key in flows_by_key:
             diags.append(
                 _error(
                     "E106",
@@ -923,11 +922,9 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
                 )
             )
             continue
-        seen_flows.add(key)
-        flows.append(FlowEdge(f"f{len(flows) + 1}", d.thing, src, dst))
+        flows_by_key[key] = FlowEdge(f"f{len(flows_by_key) + 1}", d.thing, src, dst)
 
-    triggers: list[TriggerEdge] = []
-    seen_triggers: set[tuple[StageRef, StageRef]] = set()
+    triggers_by_key: dict[tuple[StageRef, StageRef], TriggerEdge] = {}
     for d in trigger_decls:
         src, msg = _resolve_ref(d.src, machines_by_path)
         if src is None:
@@ -938,7 +935,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
             diags.append(_error("E101", msg or str(d.dst), d.span or str(d.dst)))
             continue
         key = (src, dst)
-        if key in seen_triggers:
+        if key in triggers_by_key:
             diags.append(
                 _error(
                     "E106",
@@ -947,11 +944,12 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
                 )
             )
             continue
-        seen_triggers.add(key)
-        triggers.append(TriggerEdge(f"t{len(triggers) + 1}", src, dst))
+        triggers_by_key[key] = TriggerEdge(f"t{len(triggers_by_key) + 1}", src, dst)
 
-    model = replace(static, flows=tuple(flows), triggers=tuple(triggers))
-    vars(model).update(machines=static.machines, machines_by_path=machines_by_path)
+    flows, triggers = tuple(flows_by_key.values()), tuple(triggers_by_key.values())
+    model = replace(static, flows=flows, triggers=triggers)  # the event checks reuse the keys
+    vars(model).update(machines=static.machines, machines_by_path=machines_by_path,
+                       flows_by_key=flows_by_key, triggers_by_key=triggers_by_key)
 
     events: dict[str, Event] = {}
     for ed in event_decls:

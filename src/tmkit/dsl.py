@@ -166,14 +166,16 @@ def _scan_re() -> re.Pattern[str]:
 def _scan(text: str, file: str) -> tuple[list[_Token], dict[int, Decl]]:
     """``_lex(text)`` with each complete flow, trigger or thing line cut to
     its keyword token, and each such line's declaration by the position of
-    that token. Each distinct reference text makes one ``StageRef``."""
+    that token. One ``StageRef`` per distinct reference text, one tuple per path."""
     refs: dict[str, StageRef] = {}
+    paths: dict[str, tuple[str, ...]] = {}
 
-    def ref(path: str) -> StageRef:
-        stage = refs.get(path)
+    def ref(text: str) -> StageRef:
+        stage = refs.get(text)
         if stage is None:
-            *machines, kind = path.split(".")
-            stage = refs[path] = StageRef(tuple(machines), STAGE_KINDS[kind])
+            head, _, kind = text.rpartition(".")
+            path = paths.get(head) or paths.setdefault(head, tuple(head.split(".")))
+            stage = refs[text] = StageRef(path, STAGE_KINDS[kind])
         return stage
 
     tokens: list[_Token] = []

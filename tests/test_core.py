@@ -482,6 +482,18 @@ def test_parsing_builds_each_model_table_once(name, monkeypatch):
     assert built["machines"] and set(built.values()) == {1}, built
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_event_checks_reuse_the_edge_keys_build_model_made(name, monkeypatch):
+    # build_model keys every edge to find duplicates; the event checks look
+    # edges up by those keys, so a second table of them is waste.
+    def rebuilt(self):
+        raise AssertionError("an edge-key table was built again")
+
+    for attr in ("flows_by_key", "triggers_by_key"):
+        monkeypatch.setattr(vars(Model)[attr], "func", rebuilt)
+    assert load_corpus_model(name).events
+
+
 # The raw declarations and region items: their fields in order, a value for
 # each, and the defaults.
 _RECORDS = [

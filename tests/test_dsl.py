@@ -471,6 +471,14 @@ def test_parse_makes_one_stage_ref_per_reference_text():
     assert len({id(ref) for ref in refs}) == len(set(refs))
 
 
+def test_parse_makes_one_path_tuple_per_machine_path():
+    # Every object parse allocates counts toward the next collection; the
+    # stages of one machine share its path.
+    model = parse(corpus_path("reservoir.tm").read_text()).model
+    paths = [ref.path for flow in model.flows for ref in (flow.src, flow.dst)]
+    assert len({id(path) for path in paths}) == len(set(paths)) < len(paths)
+
+
 def test_parse_leaves_no_reference_cycles():
     # Garbage in a cycle waits for the cyclic collector: a parser holding a
     # cycle (a dict of its own bound methods, say) keeps its tokens alive.
