@@ -17,9 +17,10 @@ import pytest
 
 import tmkit.core
 import tmkit.sim
-from tmkit.core import Chronology, StageKind, StageRef, validate
+from tmkit.core import Chronology, Model, StageKind, StageRef, validate
 from tmkit.dsl import parse
 from tmkit.sim import (
+    EventTiming,
     Scenario,
     ScenarioError,
     SimulationError,
@@ -36,6 +37,7 @@ from tmkit.sim import (
 from helpers import (
     SPIN_MODEL,
     SPIN_SCENARIO,
+    bench_workloads,
     generated_line_events,
     line_events,
     load_corpus_model,
@@ -326,6 +328,58 @@ def test_copied_states_step_like_fresh_engines(prepare):
     model, scenario = perpetual_relay(20, 30)
     start = init_state(model, scenario)
     assert _step_chain(model, start, 25, prepare) == _step_chain(model, start, 25)
+
+
+def _chain_relay(n: int) -> tuple[Model, Scenario, list]:
+    """The benchmark's relay, a chain of n one-shot events with one fired per
+    step, and its step chain from the initial state to quiescence."""
+    inputs = bench_workloads().relay(n)
+    (case,) = inputs.sims
+    model, scenario = parse(inputs.models[case.model]).model, load_scenario(case.scenario)
+    chain = _step_chain(model, init_state(model, scenario), case.steps)
+    assert chain[-1][0].quiescent and not chain[-2][0].quiescent
+    return model, scenario, chain
+
+
+def _timings_of(entries) -> dict[str, EventTiming]:
+    """Each event's timing as the event_start and event_end entries give it."""
+    timings = {}
+    for e in entries:
+        if e.kind == "event_start":
+            timings[e.subject] = EventTiming(e.step)
+        elif e.kind == "event_end":
+            timings[e.subject] = EventTiming(timings[e.subject].received_at, e.step)
+    return timings
+
+
+def test_a_one_shot_relay_steps_through_simulates_timings():
+    # perpetual_relay's timings stop changing after its first steps; here one
+    # event fires and ends in every step, so the timings grow all run long.
+    model, scenario, chain = _chain_relay(50)
+    trace = simulate(model, scenario)
+    for state, _ in chain:
+        prefix = [e for e in trace.entries if e.step <= state.step_no]
+        timings = _timings_of(prefix)
+        assert dict(state.timings) == timings
+        assert state.fired == tuple(timings)
+        assert state.ended == {name for name, t in timings.items() if t.released_at}
+    assert dict(chain[-1][0].timings) == trace.timings
+    copies = (replace, copy.copy, lambda s: pickle.loads(pickle.dumps(s)))
+    for (state, _), later in zip(chain, chain[1:]):
+        for prepare in copies:
+            assert step(model, prepare(state)) == later
+
+
+def test_step_snapshots_share_their_timing_pairs():
+    # A snapshot that paired every fired event with its timing anew would
+    # make one pair per fired event per step: about n*n/2 over a chain of n
+    # events. Built when its event fires and again when it ends, each pair
+    # is shared by every later snapshot, so a run makes at most 2n.
+    model, _, chain = _chain_relay(200)
+    events = len(model.events)
+    assert len(chain[-1][0].timings) == events
+    pairs = len({id(pair) for state, _ in chain for pair in state.timings})
+    assert pairs <= 2 * events, f"{pairs} timing pairs for {events} events"
 
 
 _PICKLE_IN_CHILD = """
