@@ -46,9 +46,9 @@ s is swept from step s+1.
 ``step`` continues the engine that made its input state when that state is
 the engine's latest snapshot and the model is the same object. A snapshot
 copies, in C, the live tokens' pointers and the fired events' timing pairs,
-each built once: a relay step loop costs 1.3x ``simulate`` at 400 events
-and 2x at 3200. Any other state (an older one, a copy, a ``replace``d one)
-steps alike from an engine rebuilt at a cost of its tokens and events.
+each built once; a relay step loop costs 1.3x ``simulate`` at 400 events,
+2x at 3200 (CPython 3.11, 2 cores). Any other state (older, copied or
+``replace``d) rebuilds the engine, at a cost of its tokens and events.
 
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.

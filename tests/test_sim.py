@@ -352,7 +352,7 @@ def _timings_of(entries) -> dict[str, EventTiming]:
     return timings
 
 
-def test_a_one_shot_relay_steps_through_simulates_timings():
+def test_a_one_shot_relay_and_its_copies_step_through_simulates_timings():
     # perpetual_relay's timings stop changing after its first steps; here one
     # event fires and ends in every step, so the timings grow all run long.
     model, scenario, chain = _chain_relay(50)
@@ -362,7 +362,7 @@ def test_a_one_shot_relay_steps_through_simulates_timings():
         timings = _timings_of(prefix)
         assert dict(state.timings) == timings
         assert state.fired == tuple(timings)
-        assert state.ended == {name for name, t in timings.items() if t.released_at}
+        assert state.ended == {name for name, t in timings.items() if t.released_at is not None}
     assert dict(chain[-1][0].timings) == trace.timings
     copies = (replace, copy.copy, lambda s: pickle.loads(pickle.dumps(s)))
     for (state, _), later in zip(chain, chain[1:]):
