@@ -589,6 +589,8 @@ def serialize(model: Model) -> str:
     Canonical order: things, machines (depth-first), flows, triggers,
     events, chronology, each group in declaration order; one item per
     line; two-space indentation for nested content; byte-deterministic.
+    Each flow and trigger line is formatted once, from the stage texts of
+    ``Model.stages``; an event's flow and trigger items reuse it indented.
     """
     lines: list[str] = [f"model {model.name}"]
     for thing in model.things:
@@ -609,22 +611,23 @@ def serialize(model: Model) -> str:
             stack.extend((c, depth + 1) for c in reversed(machine.children))
         else:
             lines.append(f"{pad}machine {machine.name}")
-    for e in model.flows:
-        lines.append(f"flow {e.thing} {e.src} -> {e.dst}")
-    for t in model.triggers:
-        lines.append(f"trigger {t.src} ~> {t.dst}")
+    stages = model.stages
+    flows = [f"flow {e.thing} {stages[e.src].text} -> {stages[e.dst].text}" for e in model.flows]
+    triggers = [f"trigger {stages[t.src].text} ~> {stages[t.dst].text}" for t in model.triggers]
+    lines += flows + triggers
+    # By id, the last edge of an id winning, as in flows_by_id and triggers_by_id.
+    flow_line = dict(zip([e.id for e in model.flows], flows))
+    trigger_line = dict(zip([t.id for t in model.triggers], triggers))
     for event in model.events:
         head = f"event {event.name} perpetual {{" if event.perpetual else f"event {event.name} {{"
         lines.append(head)
         for item in event.items:
-            if isinstance(item, RegionNode):
-                lines.append(f"  node {item.ref}")
-            elif isinstance(item, RegionFlow):
-                edge = model.flows_by_id[item.edge_id]
-                lines.append(f"  flow {edge.thing} {edge.src} -> {edge.dst}")
+            if isinstance(item, RegionFlow):
+                lines.append("  " + flow_line[item.edge_id])
             elif isinstance(item, RegionTrigger):
-                edge = model.triggers_by_id[item.edge_id]
-                lines.append(f"  trigger {edge.src} ~> {edge.dst}")
+                lines.append("  " + trigger_line[item.edge_id])
+            elif isinstance(item, RegionNode):  # formats a ref no edge touches
+                lines.append(f"  node {stages[item.ref].text if item.ref in stages else item.ref}")
         lines.append("}")
     if model.chronology is not None:
         lines.append("chronology {")

@@ -89,10 +89,7 @@ def coverage(model: Model) -> CoverageReport:
     A model with no edges has ratio 1.
     """
     all_ids = [e.id for e in model.flows] + [t.id for t in model.triggers]
-    covered_set: set[str] = set()
-    for event in model.events:
-        covered_set.update(event.flow_ids)
-        covered_set.update(event.trigger_ids)
+    covered_set = {i for e in model.events for i in (*e.flow_ids, *e.trigger_ids)}
     covered = tuple(i for i in all_ids if i in covered_set)
     uncovered = tuple(i for i in all_ids if i not in covered_set)
     ratio = 1.0 if not all_ids else len(covered) / len(all_ids)
@@ -122,15 +119,13 @@ def topological_order(chronology: Chronology) -> list[str] | None:
     for a, b in chronology.edges:
         indegree[b] += 1
         successors[a].append(b)
-    ready = [n for n in chronology.nodes if indegree[n] == 0]
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
+    # First in, first out: the list grows at its end while it is walked.
+    order = [n for n in chronology.nodes if indegree[n] == 0]
+    for node in order:
         for succ in successors[node]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                ready.append(succ)
+                order.append(succ)
     if len(order) != len(chronology.nodes):
         return None
     return order

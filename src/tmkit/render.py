@@ -5,7 +5,9 @@ kind, flows are solid edges labeled with the thing, triggers dashed.
 Event regions are drawn as color-coded node outlines with a legend
 (clusters cannot cross machine boundaries or overlap, so outlines are the
 non-lossy encoding); each event's assignments sit between begin/end marker
-comments. Output is deterministic: same model, same bytes.
+comments. Output is deterministic: same model, same bytes. Every stage's
+text comes from ``Model.stages``, formatted once per model, so no view
+formats a ``StageRef`` per edge end.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import ENV_NAME, Machine, Model, StageRef, validate
+from .core import ENV_NAME, Machine, Model, _Stage, validate
 
 __all__ = [
     "DotDocument",
@@ -57,15 +59,15 @@ def _require_valid(model: Model, lax: bool) -> None:
         )
 
 
-def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[StageRef]]:
-    grouped: dict[tuple[str, ...], list[StageRef]] = {}
-    for ref in model.stages:
-        grouped.setdefault(ref.path, []).append(ref)
+def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[_Stage]]:
+    grouped: dict[tuple[str, ...], list[_Stage]] = {}
+    for stage in model.stages.values():
+        grouped.setdefault(stage.ref.path, []).append(stage)
     return grouped
 
 
 def _emit_machines(
-    model: Model, grouped: dict[tuple[str, ...], list[StageRef]], lines: list[str]
+    model: Model, grouped: dict[tuple[str, ...], list[_Stage]], lines: list[str]
 ) -> None:
     """Nested machine clusters, depth-first with an explicit stack; a str
     entry is a pending closing line."""
@@ -80,8 +82,8 @@ def _emit_machines(
         cluster_id = "cluster_" + "__".join(machine.path)
         lines.append(f'{pad}subgraph "{cluster_id}" {{')
         lines.append(f'{pad}  label="{machine.name}";')
-        for ref in grouped.get(machine.path, ()):
-            lines.append(f'{pad}  "{ref}" [label="{ref.kind._value_}"];')
+        for stage in grouped.get(machine.path, ()):
+            lines.append(f'{pad}  "{stage.text}" [label="{stage.kind}"];')
         stack.append(f"{pad}}}")
         stack.extend((c, depth + 1) for c in reversed(machine.children))
 
@@ -90,13 +92,15 @@ def _static_body(model: Model) -> list[str]:
     lines: list[str] = []
     grouped = _stages_by_machine(model)
     _emit_machines(model, grouped, lines)
-    env_refs = grouped.get((ENV_NAME,), ())
-    for ref in env_refs:
-        lines.append(f'  "{ref}" [label="{ref}", shape=plaintext];')
+    for stage in grouped.get((ENV_NAME,), ()):
+        lines.append(f'  "{stage.text}" [label="{stage.text}", shape=plaintext];')
+    stages = model.stages
     for e in model.flows:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [id="{e.id}", label="{e.thing}"];')
+        src, dst = stages[e.src].text, stages[e.dst].text
+        lines.append(f'  "{src}" -> "{dst}" [id="{e.id}", label="{e.thing}"];')
     for t in model.triggers:
-        lines.append(f'  "{t.src}" -> "{t.dst}" [id="{t.id}", style=dashed];')
+        src, dst = stages[t.src].text, stages[t.dst].text
+        lines.append(f'  "{src}" -> "{dst}" [id="{t.id}", style=dashed];')
     return lines
 
 
@@ -116,32 +120,29 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
         raise ValueError("model has no events to render")
     lines = [f'digraph "{model.name}" {{', "  compound=true;"]
     lines.extend(_static_body(model))
+    stages = model.stages
+    legend = ['  subgraph "cluster_legend" {', '    label="events";']
     for index, event in enumerate(model.events):
         color = _PALETTE[index % len(_PALETTE)]
-        members: dict[StageRef, None] = {}
-        for ref in event.node_refs:
-            members.setdefault(ref)
-        for fid in event.flow_ids:
-            edge = model.flows_by_id[fid]
-            members.setdefault(edge.src)
-            members.setdefault(edge.dst)
-        for tid in event.trigger_ids:
-            edge = model.triggers_by_id[tid]
-            members.setdefault(edge.src)
-            members.setdefault(edge.dst)
+        # Stage texts in first-seen order; only a hand-built model has a
+        # node ref that no edge touches, and it is formatted here.
+        members = dict.fromkeys(
+            stages[ref].text if ref in stages else str(ref) for ref in event.node_refs
+        )
+        edges = [model.flows_by_id[i] for i in event.flow_ids]
+        edges += [model.triggers_by_id[i] for i in event.trigger_ids]
+        for edge in edges:
+            members.setdefault(stages[edge.src].text)
+            members.setdefault(stages[edge.dst].text)
         lines.append(f"  /* event {event.name} begin */")
-        for ref in members:
-            lines.append(f'  "{ref}" [color="{color}", penwidth=2.0];')
+        lines.extend(f'  "{text}" [color="{color}", penwidth=2.0];' for text in members)
         lines.append(f"  /* event {event.name} end */")
-    lines.append('  subgraph "cluster_legend" {')
-    lines.append('    label="events";')
-    for index, event in enumerate(model.events):
-        color = _PALETTE[index % len(_PALETTE)]
         tag = " (perpetual)" if event.perpetual else ""
-        lines.append(
+        legend.append(
             f'    "legend_{event.name}" [label="{event.name}{tag}", '
             f'color="{color}", penwidth=2.0, shape=box];'
         )
+    lines += legend
     lines.append("  }")
     lines.append("}")
     return DotDocument("\n".join(lines) + "\n")

@@ -390,6 +390,14 @@ def test_topological_order_matches_networkx(seed):
     assert cyclic == (not nx.is_directed_acyclic_graph(graph))
 
 
+def test_topological_order_is_first_in_first_out():
+    # Kahn's walk takes ready events in the order they became ready.
+    chron = Chronology(
+        ("s", "x", "y", "t", "z"), (("s", "x"), ("s", "y"), ("x", "t"), ("y", "t"))
+    )
+    assert topological_order(chron) == ["s", "z", "x", "y", "t"]
+
+
 def test_topological_order_none_on_cycle():
     chron = Chronology(("a", "b"), (("a", "b"), ("b", "a")))
     assert topological_order(chron) is None

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
-from tmkit.dsl import parse
+from tmkit.core import Event, RegionFlow, RegionNode, StageKind, StageRef
+from tmkit.dsl import parse, serialize
+from tmkit.events import coverage
 from tmkit.render import (
     dot_well_formed,
     render_chronology,
@@ -14,7 +17,7 @@ from tmkit.render import (
     render_static,
 )
 
-from helpers import CORPUS_NAMES, load_corpus_model
+from helpers import CORPUS_NAMES, bench_workloads, load_corpus_model
 
 
 def stage_oracle(model):
@@ -205,3 +208,75 @@ def test_dot_well_formed_rejects_broken_documents():
     assert dot_well_formed("digraph g {\n  // } hidden\n  a;\n}")
     assert not dot_well_formed("digraph g } a; {")
     assert not dot_well_formed('digraph g { a [label="x"; }')
+
+
+def test_emit_formats_no_stage_ref_per_edge(monkeypatch):
+    # Each stage's text is formatted once per model, in Model.stages; an
+    # emitter that formatted a StageRef would do so at every edge end.
+    model = parse(bench_workloads().relay(200).models["relay"]).model
+    calls = 0
+    plain_str = StageRef.__str__
+
+    def counting_str(self):
+        nonlocal calls
+        calls += 1
+        return plain_str(self)
+
+    monkeypatch.setattr(StageRef, "__str__", counting_str)
+    serialize(model)
+    render_static(model)
+    render_events(model)
+    render_chronology(model)
+    coverage(model).text()
+    assert calls == 0, f"{calls} StageRef.__str__ calls"
+
+
+_UNTOUCHED_NODE_FMT = """\
+model murderer
+thing presence
+machine victim
+flow presence victim.create -> victim.release
+flow presence victim.release -> victim.transfer
+event hidden {
+  node victim.process
+  flow presence victim.release -> victim.transfer
+}
+"""
+
+_UNTOUCHED_NODE_DOT = """\
+digraph "murderer" {
+  compound=true;
+  subgraph "cluster_victim" {
+    label="victim";
+    "victim.create" [label="create"];
+    "victim.release" [label="release"];
+    "victim.transfer" [label="transfer"];
+  }
+  "victim.create" -> "victim.release" [id="f1", label="presence"];
+  "victim.release" -> "victim.transfer" [id="f2", label="presence"];
+  /* event hidden begin */
+  "victim.process" [color="#1b9e77", penwidth=2.0];
+  "victim.release" [color="#1b9e77", penwidth=2.0];
+  "victim.transfer" [color="#1b9e77", penwidth=2.0];
+  /* event hidden end */
+  subgraph "cluster_legend" {
+    label="events";
+    "legend_hidden" [label="hidden", color="#1b9e77", penwidth=2.0, shape=box];
+  }
+}
+"""
+
+
+def test_a_region_node_no_edge_touches_is_emitted():
+    # attach_event rejects such a node (E301), so only a hand-built model
+    # reaches the emitters with a stage that Model.stages lacks.
+    model = load_corpus_model("murderer")
+    victim = model.root_machines[0]
+    flows = model.flows[:2]
+    untouched = StageRef(victim.path, StageKind.PROCESS)
+    event = Event("hidden", items=(RegionNode(untouched), RegionFlow(flows[1].id)))
+    hand = replace(model, things=model.things[:1], root_machines=(victim,), flows=flows,
+                   triggers=(), events=(event,), chronology=None)
+    assert untouched not in hand.stages
+    assert serialize(hand) == _UNTOUCHED_NODE_FMT
+    assert render_events(hand, lax=True).text == _UNTOUCHED_NODE_DOT
