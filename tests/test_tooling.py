@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import tmkit.sim
 from helpers import CORPUS_NAMES, corpus_path, load_corpus_model, load_corpus_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+GC_SCHEDULE = Path(__file__).resolve().parents[1] / "scripts" / "gc_schedule.py"
 
 
 def test_every_traced_name_exists(monkeypatch):
@@ -123,3 +126,16 @@ def test_run_calls_a_rebound_cli_name(monkeypatch, capsys, name):
             for a in _TRACED_COMMANDS[name]]
     assert tmkit.cli.run(argv) == 0
     assert calls == [name]
+
+
+def test_gc_schedule_finds_every_timed_phase():
+    # The script reads perfbench's timed phases from run.py's source lines;
+    # it must still find them, and force a repetition onto both schedules.
+    proc = subprocess.run([sys.executable, str(GC_SCHEDULE), "--seeds", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocks = re.findall(r"(short|long) schedule, repetition 1: (\d+) collections", proc.stdout)
+    assert [name for name, _ in blocks] == ["short", "long"]
+    assert int(blocks[0][1]) < int(blocks[1][1])
+    for phase in ("check_s", "reject_s", "emit_s", "sim_s", "step_s", "untimed"):
+        assert proc.stdout.count(f"  {phase} ") == 2, phase
