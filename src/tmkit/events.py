@@ -17,6 +17,7 @@ from .core import (
     Event,
     EventDecl,
     Model,
+    RegionNode,
     _check_event_decl,
     _chronology_diagnostics,
 )
@@ -86,10 +87,14 @@ def validate_chronology(model: Model) -> list[Diagnostic]:
 def coverage(model: Model) -> CoverageReport:
     """Fraction of flow/trigger edges covered by the union of event regions.
 
-    A model with no edges has ratio 1.
+    An edge is covered when some event's items hold a flow or trigger item
+    with its id; each event's items are walked once. A model with no edges
+    has ratio 1.
     """
     all_ids = [e.id for e in model.flows] + [t.id for t in model.triggers]
-    covered_set = {i for e in model.events for i in (*e.flow_ids, *e.trigger_ids)}
+    covered_set = {
+        i.edge_id for e in model.events for i in e.items if type(i) is not RegionNode
+    }
     covered = tuple(i for i in all_ids if i in covered_set)
     uncovered = tuple(i for i in all_ids if i not in covered_set)
     ratio = 1.0 if not all_ids else len(covered) / len(all_ids)

@@ -7,7 +7,10 @@ Event regions are drawn as color-coded node outlines with a legend
 non-lossy encoding); each event's assignments sit between begin/end marker
 comments. Output is deterministic: same model, same bytes. Every stage's
 text comes from ``Model.stages``, formatted once per model, so no view
-formats a ``StageRef`` per edge end.
+formats a ``StageRef`` per edge end. The static body records each edge's
+end texts by id as it writes the edge; an event's members come from one
+walk of its items through that table: node stages first, then flow ends,
+then trigger ends, each in item order and first-seen.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import ENV_NAME, Machine, Model, _Stage, validate
+from .core import ENV_NAME, Machine, Model, RegionFlow, RegionTrigger, _Stage, validate
 
 __all__ = [
     "DotDocument",
@@ -88,27 +91,30 @@ def _emit_machines(
         stack.extend((c, depth + 1) for c in reversed(machine.children))
 
 
-def _static_body(model: Model) -> list[str]:
-    lines: list[str] = []
+def _static_body(model: Model, lines: list[str]) -> tuple[dict, dict]:
+    """Append the static diagram's body to ``lines``; return each flow's and
+    each trigger's end texts by edge id, the last edge of an id winning."""
     grouped = _stages_by_machine(model)
     _emit_machines(model, grouped, lines)
     for stage in grouped.get((ENV_NAME,), ()):
         lines.append(f'  "{stage.text}" [label="{stage.text}", shape=plaintext];')
     stages = model.stages
+    flow_ends: dict[str, tuple[str, str]] = {}
     for e in model.flows:
-        src, dst = stages[e.src].text, stages[e.dst].text
+        src, dst = flow_ends[e.id] = stages[e.src].text, stages[e.dst].text
         lines.append(f'  "{src}" -> "{dst}" [id="{e.id}", label="{e.thing}"];')
+    trigger_ends: dict[str, tuple[str, str]] = {}
     for t in model.triggers:
-        src, dst = stages[t.src].text, stages[t.dst].text
+        src, dst = trigger_ends[t.id] = stages[t.src].text, stages[t.dst].text
         lines.append(f'  "{src}" -> "{dst}" [id="{t.id}", style=dashed];')
-    return lines
+    return flow_ends, trigger_ends
 
 
 def render_static(model: Model, *, lax: bool = False) -> DotDocument:
     """Static diagram: machine clusters, stage nodes, flow and trigger edges."""
     _require_valid(model, lax)
     lines = [f'digraph "{model.name}" {{', "  compound=true;"]
-    lines.extend(_static_body(model))
+    _static_body(model, lines)
     lines.append("}")
     return DotDocument("\n".join(lines) + "\n")
 
@@ -119,23 +125,24 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
     if not model.events:
         raise ValueError("model has no events to render")
     lines = [f'digraph "{model.name}" {{', "  compound=true;"]
-    lines.extend(_static_body(model))
+    flow_ends, trigger_ends = _static_body(model, lines)
     stages = model.stages
     legend = ['  subgraph "cluster_legend" {', '    label="events";']
     for index, event in enumerate(model.events):
         color = _PALETTE[index % len(_PALETTE)]
-        # Stage texts in first-seen order; only a hand-built model has a
-        # node ref that no edge touches, and it is formatted here.
-        members = dict.fromkeys(
-            stages[ref].text if ref in stages else str(ref) for ref in event.node_refs
-        )
-        edges = [model.flows_by_id[i] for i in event.flow_ids]
-        edges += [model.triggers_by_id[i] for i in event.trigger_ids]
-        for edge in edges:
-            members.setdefault(stages[edge.src].text)
-            members.setdefault(stages[edge.dst].text)
+        nodes, flow_texts, trigger_texts = [], [], []
+        for item in event.items:
+            kind = type(item)
+            if kind is RegionFlow:
+                flow_texts += flow_ends[item.edge_id]
+            elif kind is RegionTrigger:
+                trigger_texts += trigger_ends[item.edge_id]
+            else:  # only a hand-built model has a node no edge touches
+                ref = item.ref
+                nodes.append(stages[ref].text if ref in stages else str(ref))
+        members = dict.fromkeys(nodes + flow_texts + trigger_texts)
         lines.append(f"  /* event {event.name} begin */")
-        lines.extend(f'  "{text}" [color="{color}", penwidth=2.0];' for text in members)
+        lines += [f'  "{text}" [color="{color}", penwidth=2.0];' for text in members]
         lines.append(f"  /* event {event.name} end */")
         tag = " (perpetual)" if event.perpetual else ""
         legend.append(

@@ -174,6 +174,21 @@ def test_stage_kind_names_are_reserved():
     assert [d.code for d in result.diagnostics] == ["E001"]
 
 
+def test_a_stage_reference_without_a_machine_path_is_e001():
+    # A bare stage kind names no machine; read as a path, it would give an
+    # E101 for an empty segment instead.
+    result = parse("model m\nthing x\nmachine a\nflow x transfer -> a.transfer\n")
+    assert result.model is None
+    pinned = [
+        (d.code, d.location.start_line, d.location.start_col, d.message)
+        for d in result.diagnostics
+        if d.is_error
+    ]
+    assert pinned == [(
+        "E001", 4, 8, "syntax error: stage reference needs a machine path"
+    )]
+
+
 def test_duplicate_chronology_edge_is_e106():
     result = parse(
         "model m\nthing x\nmachine a\n"

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import replace
 
 import pytest
 
-from tmkit.core import Event, RegionFlow, RegionNode, StageKind, StageRef
+from tmkit.core import Event, RegionFlow, RegionNode, RegionTrigger, StageKind, StageRef
 from tmkit.dsl import parse, serialize
-from tmkit.events import coverage
+from tmkit.events import CoverageReport, coverage
 from tmkit.render import (
+    _PALETTE,
     dot_well_formed,
     render_chronology,
     render_events,
     render_static,
 )
 
-from helpers import CORPUS_NAMES, bench_workloads, load_corpus_model
+from helpers import CORPUS_NAMES, bench_workloads, load_corpus_model, random_valid_model
 
 
 def stage_oracle(model):
@@ -229,6 +231,98 @@ def test_emit_formats_no_stage_ref_per_edge(monkeypatch):
     render_chronology(model)
     coverage(model).text()
     assert calls == 0, f"{calls} StageRef.__str__ calls"
+
+
+def test_emit_reads_no_event_item_property(monkeypatch):
+    # The overlay and coverage walk each event's items once; the three
+    # properties each walk all of them again.
+    model = parse(bench_workloads().relay(200).models["relay"]).model
+    calls = dict.fromkeys(("flow_ids", "trigger_ids", "node_refs"), 0)
+
+    def counting(name):
+        plain = getattr(Event, name)
+
+        def get(self):
+            calls[name] += 1
+            return plain.fget(self)
+
+        return property(get)
+
+    for name in calls:
+        monkeypatch.setattr(Event, name, counting(name))
+    serialize(model)
+    render_static(model)
+    render_events(model)
+    render_chronology(model)
+    coverage(model).text()
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def reference_overlay(model) -> str:
+    """``render_events`` text with each event's members taken from
+    ``Event.node_refs``, ``flow_ids`` and ``trigger_ids``, every edge looked
+    up by id and every stage formatted from its ``StageRef``."""
+    flows = {e.id: e for e in model.flows}
+    triggers = {t.id: t for t in model.triggers}
+    lines, legend = [], ['  subgraph "cluster_legend" {', '    label="events";']
+    for index, event in enumerate(model.events):
+        color = _PALETTE[index % len(_PALETTE)]
+        members = dict.fromkeys(str(ref) for ref in event.node_refs)
+        edges = [flows[i] for i in event.flow_ids] + [triggers[i] for i in event.trigger_ids]
+        for edge in edges:
+            members.setdefault(str(edge.src))
+            members.setdefault(str(edge.dst))
+        lines.append(f"  /* event {event.name} begin */")
+        lines += [f'  "{text}" [color="{color}", penwidth=2.0];' for text in members]
+        lines.append(f"  /* event {event.name} end */")
+        tag = " (perpetual)" if event.perpetual else ""
+        legend.append(
+            f'    "legend_{event.name}" [label="{event.name}{tag}", '
+            f'color="{color}", penwidth=2.0, shape=box];'
+        )
+    static = render_static(model).text
+    assert static.endswith("\n}\n")
+    return static[: -len("}\n")] + "\n".join(lines + legend + ["  }", "}"]) + "\n"
+
+
+def reference_coverage(model) -> CoverageReport:
+    ids = [e.id for e in model.flows] + [t.id for t in model.triggers]
+    inside = set()
+    for event in model.events:
+        inside.update(event.flow_ids)
+        inside.update(event.trigger_ids)
+    covered = tuple(i for i in ids if i in inside)
+    uncovered = tuple(i for i in ids if i not in inside)
+    return CoverageReport(covered, uncovered, len(covered) / len(ids) if ids else 1.0)
+
+
+def _shuffled_items(model, seed: int):
+    rng = random.Random(seed)
+    events = []
+    for event in model.events:
+        items = list(event.items)
+        rng.shuffle(items)
+        events.append(replace(event, items=tuple(items)))
+    return replace(model, events=tuple(events))
+
+
+_ITEM_ORDER = (RegionNode, RegionFlow, RegionTrigger)
+
+
+def test_overlay_and_coverage_match_the_item_property_reference():
+    # Generated models put node items first and trigger items last; the
+    # shuffled copy interleaves the three kinds.
+    interleaved = 0
+    for seed in range(320):
+        generated = random_valid_model(seed)
+        for model in (generated, _shuffled_items(generated, seed)):
+            assert coverage(model) == reference_coverage(model), seed
+            if model.events:
+                assert render_events(model).text == reference_overlay(model), seed
+            for event in model.events:
+                kinds = [type(i) for i in event.items]
+                interleaved += kinds != sorted(kinds, key=_ITEM_ORDER.index)
+    assert interleaved >= 100, interleaved
 
 
 _UNTOUCHED_NODE_FMT = """\
