@@ -9,7 +9,7 @@ comments. Output is deterministic: same model, same bytes. Every stage's
 text comes from ``Model.stages``, formatted once per model, so no view
 formats a ``StageRef`` per edge end. The static body records each edge's
 end texts by id as it writes the edge; an event's members come from one
-walk of its items through that table: node stages first, then flow ends,
+walk of its items through those tables: node stages first, then flow ends,
 then trigger ends, each in item order and first-seen.
 """
 
@@ -137,7 +137,7 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
                 flow_texts += flow_ends[item.edge_id]
             elif kind is RegionTrigger:
                 trigger_texts += trigger_ends[item.edge_id]
-            else:  # only a hand-built model has a node no edge touches
+            else:  # a node that no edge touches occurs only in a hand-built model
                 ref = item.ref
                 nodes.append(stages[ref].text if ref in stages else str(ref))
         members = dict.fromkeys(nodes + flow_texts + trigger_texts)
