@@ -18,7 +18,9 @@ A ``gc.callbacks`` hook counts the collections per generation in each timed
 phase (``check_s``, ``reject_s``, ``emit_s``, ``sim_s``, ``step_s``) and
 outside them (``untimed``), and prints the index of each full collection.
 A full collection takes milliseconds on relay, so one that moves into
-``sim_s`` or ``step_s`` shows in those metrics. Timing uses perfbench's
+``sim_s`` or ``step_s`` shows in those metrics. Each schedule's margin is the
+number of collections a repetition could still make before the next full
+collection could come. Timing uses perfbench's
 ``Meter`` without sampling, whose timer would allocate at random moments.
 
 perfbench/run.py and perfbench/workloads.py are imported, not edited. A timed
@@ -102,6 +104,31 @@ def forced(plain, schedule_long: bool):
     return front_end
 
 
+def margin(generations: list[int]) -> int:
+    """Collections from the end of ``generations`` to the next full one, at
+    the earliest. After ``gc.collect()`` CPython collects generation 1 once
+    generation 0 has been collected more than its threshold times since, and
+    generation 2 likewise counting generation-1 collections; the full
+    collection can wait longer (for its long-lived ratio), never less."""
+    _, young, old = gc.get_threshold()
+    gen0 = gen1 = 0  # collections since the last of an older generation
+    for generation in generations:
+        if generation == 0:
+            gen0 += 1
+        elif generation == 1:
+            gen0, gen1 = 0, gen1 + 1
+        else:
+            gen0 = gen1 = 0
+    left = 1
+    while gen1 <= old:
+        if gen0 > young:
+            gen0, gen1 = 0, gen1 + 1
+        else:
+            gen0 += 1
+        left += 1
+    return left
+
+
 def report(label: str, generations: list[int], marks: list[int]) -> None:
     table = {phase: [0, 0, 0] for phase in PHASES}
     phase_of = ["untimed"] * len(generations)
@@ -115,6 +142,7 @@ def report(label: str, generations: list[int], marks: list[int]) -> None:
         print(f"  {phase:8} gen0/1/2 {table[phase]}")
     full = [f"#{i + 1} ({phase_of[i]})" for i, g in enumerate(generations) if g == 2]
     print(f"  full collections: {', '.join(full) or 'none'}")
+    print(f"  margin: {margin(generations)} collections")
 
 
 def main(argv: list[str] | None = None) -> int:

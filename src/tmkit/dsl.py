@@ -22,11 +22,14 @@ machine name ``env`` is reserved and implicitly declared.
 ``->`` mirrors solid flow arrows, ``~>`` dashed triggers.
 
 Line breaks are not significant to the grammar; the parser only uses line
-starts to resynchronize after an error. ``parse`` still reads most input a
-line at a time: ``_scan`` gives ``_lex``'s tokens, except that a line holding
-one complete ``flow``, ``trigger`` or ``thing`` item (indented or not, with
-or without a trailing comment) is cut to its keyword token, and the line's
-finished declaration is kept beside that token. The line pattern admits
+starts to resynchronize after an error. ``_scan`` makes one regex match per
+token: the match takes the spaces before the token and the spaces, comment
+and line end after it, and a blank or comment-only line is one match. Its
+unfolded mode gives the token stream. ``parse`` uses the folded mode, which
+reads most input a line at a time: a line holding one complete ``flow``,
+``trigger`` or ``thing`` item (indented or not, with or without a trailing
+comment) is one match, cut to its keyword token, and the line's finished
+declaration is kept beside that token. The line pattern admits
 only lines the token parser would accept as they stand: a reserved word as
 a name, a stage kind inside a reference, or a next token ``.`` (which would
 continue the last reference) leaves the line whole. The parser takes the
@@ -106,46 +109,21 @@ class _Token(NamedTuple):
     bol: bool  # first token on its line
 
 
-# One alternative per token class, tried in order at each position; any
-# other single character is an error token.
-_TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>->|~>|[{}.])|(?P<error>.)"
-)
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start, bol = 1, 0, True
-    # The eof token sits where the last non-comment match ended, so a
-    # trailing comment without a newline does not move it.
-    end = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        end = m.end()
-        if kind == "newline":
-            line, line_start, bol = line + 1, end, True
-            continue
-        if kind == "space":
-            continue
-        lexeme = m.group()
-        if kind == "word":
-            kind = "kw" if lexeme in _KEYWORDS else "ident"
-        elif kind == "symbol":
-            kind = lexeme
-        col = m.start() - line_start + 1
-        tokens.append(_Token(kind, lexeme, line, col, end - line_start, bol))
-        bol = False
-    col = end - line_start + 1
-    tokens.append(_Token("eof", "", line, col, col, bol))
-    return tokens
-
-
 @cache
-def _scan_re() -> re.Pattern[str]:
-    """``_TOKEN_RE`` behind one alternative per foldable line shape."""
+def _scan_re(fold: bool) -> re.Pattern[str]:
+    """One match per token, folded line, or blank or comment-only line.
+
+    A token takes the spaces before it and the spaces, comment and newline
+    after it; any single character that starts no other token is an error
+    token. With ``fold``, one alternative per foldable line shape comes first.
+    """
+    tail = r"[ \t\r]*(?:#[^\n]*)?\n?"
+    token = (
+        r"[ \t\r]*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>->|~>|[{}.])"
+        rf"|(?P<error>[^ \t\r\n#])){tail}|(?!\Z){tail}"
+    )
+    if not fold:
+        return re.compile(token)
     name = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})\b)[A-Za-z_][A-Za-z0-9_]*"
     ref = rf"(?:{name}\.)+(?:{'|'.join(STAGE_KINDS)})\b"
     # The line ends at a comment or newline, and the next token is not a "."
@@ -159,64 +137,65 @@ def _scan_re() -> re.Pattern[str]:
         rf"(?P<edge>(?:flow[ \t\r]+(?P<thing>{name})|trigger)[ \t\r]+(?P<src>{ref})"
         rf"[ \t\r]*(?(thing)->|~>)[ \t\r]*(?P<dst>{ref}))"
         rf"|(?P<thingdecl>thing[ \t\r]+(?P<name>{name})))"
-        rf"{end}|{_TOKEN_RE.pattern}"
+        rf"{end}{tail}|{token}"
     )
 
 
-def _scan(text: str, file: str) -> tuple[list[_Token], dict[int, Decl]]:
-    """``_lex(text)`` with each complete flow, trigger or thing line cut to
-    its keyword token, and each such line's declaration by the position of
-    that token. One ``StageRef`` per distinct reference text, one tuple per path."""
+def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[int, Decl]]:
+    """The tokens of ``text``, ending with the eof token. With ``fold``, each
+    complete flow, trigger or thing line is cut to its keyword token, and the
+    line's declaration is kept by the position of that token. One
+    ``StageRef`` per distinct reference text, one tuple per path."""
     refs: dict[str, StageRef] = {}
     paths: dict[str, tuple[str, ...]] = {}
+    new = tuple.__new__  # the records' generated __new__ would add a frame each
 
     def ref(text: str) -> StageRef:
         stage = refs.get(text)
         if stage is None:
             head, _, kind = text.rpartition(".")
             path = paths.get(head) or paths.setdefault(head, tuple(head.split(".")))
-            stage = refs[text] = StageRef(path, STAGE_KINDS[kind])
+            stage = refs[text] = new(StageRef, (path, STAGE_KINDS[kind]))
         return stage
 
     tokens: list[_Token] = []
     folded: dict[int, Decl] = {}
     line, line_start, bol = 1, 0, True
-    end = 0
-    for m in _scan_re().finditer(text):
+    for m in _scan_re(fold).finditer(text):
         kind = m.lastgroup
-        if kind == "comment":
-            continue
-        end = m.end()
-        if kind == "newline":
-            line, line_start, bol = line + 1, end, True
-            continue
-        if kind == "space":
-            continue
         if kind in _FOLDED:
             first = m.start(kind) - line_start + 1
-            span = SourceSpan(file, line, first, line, m.end(kind) - line_start)
+            span = new(SourceSpan, (file, line, first, line, m.end(kind) - line_start))
             if kind == "thingdecl":
-                word, decl = "thing", ThingDecl(m.group("name"), span)
+                word, decl = "thing", new(ThingDecl, (m.group("name"), span))
             else:
                 thing, src, dst = m.group("thing", "src", "dst")
                 src, dst = ref(src), ref(dst)
                 if thing is None:
-                    word, decl = "trigger", TriggerDecl(src, dst, span)
+                    word, decl = "trigger", new(TriggerDecl, (src, dst, span))
                 else:
-                    word, decl = "flow", FlowDecl(thing, src, dst, span)
+                    word, decl = "flow", new(FlowDecl, (thing, src, dst, span))
             folded[len(tokens)] = decl
-            tokens.append(_Token("kw", word, line, first, first + len(word) - 1, True))
-        else:
-            lexeme = m.group()
+            tokens.append(new(_Token, ("kw", word, line, first, first + len(word) - 1, True)))
+            bol = False
+        elif kind is not None:  # None: a blank or comment-only line
+            start, stop = m.span(kind)
+            lexeme = text[start:stop]
             if kind == "word":
                 kind = "kw" if lexeme in _KEYWORDS else "ident"
             elif kind == "symbol":
                 kind = lexeme
-            col = m.start() - line_start + 1
-            tokens.append(_Token(kind, lexeme, line, col, end - line_start, bol))
-        bol = False
-    col = end - line_start + 1
-    tokens.append(_Token("eof", "", line, col, col, bol))
+            col = start - line_start + 1
+            tokens.append(new(_Token, (kind, lexeme, line, col, stop - line_start, bol)))
+            bol = False
+        end = m.end()
+        if text[end - 1] == "\n":
+            line, line_start, bol = line + 1, end, True
+    # The eof token sits where the last line's text ends before its comment,
+    # if any: no token holds a "#".
+    end = text.find("#", line_start)
+    col = (len(text) if end < 0 else end) - line_start + 1
+    tokens.append(new(_Token, ("eof", "", line, col, col, bol)))
     return tokens, folded
 
 
@@ -549,11 +528,13 @@ def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseR
     built = build_model(name, decls)
     if isinstance(built, list):
         return ParseResult(None, diagnostics + built)
-    span_map = _element_spans(built, decls)
-    vdiags = [
-        Diagnostic(d.code, d.severity, span_map.get(d.location, d.location), d.message)
-        for d in validate(built, lax=lax)
-    ]
+    vdiags = validate(built, lax=lax)
+    if vdiags:
+        span_map = _element_spans(built, decls)
+        vdiags = [
+            Diagnostic(d.code, d.severity, span_map.get(d.location, d.location), d.message)
+            for d in vdiags
+        ]
     all_diags = diagnostics + vdiags
     model = built if not any(d.is_error for d in all_diags) else None
     return ParseResult(model, all_diags)

@@ -110,7 +110,7 @@ _IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 
 def reference_lex(text: str) -> list[tuple[str, str, int, int, int, bool]]:
     """One ``(kind, text, line, col, end_col, bol)`` per token of ``text``,
-    ending with the eof token, as ``tmkit.dsl._lex`` must give them."""
+    ending with the eof token, as ``tmkit.dsl._scan`` must give them unfolded."""
     tokens: list[tuple[str, str, int, int, int, bool]] = []
     line, col = 1, 1
     i = 0

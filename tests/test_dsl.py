@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tmkit.dsl
 from tmkit.core import ThingDecl
-from tmkit.dsl import SourceSpan, _Parser, _lex, _scan, parse, serialize
+from tmkit.dsl import SourceSpan, _Parser, _scan, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
 from helpers import (
@@ -27,6 +27,11 @@ from helpers import (
     random_valid_model,
     reference_lex,
 )
+
+
+def _lex(text: str) -> list:
+    """The token stream before folding: ``_scan``'s unfolded mode."""
+    return _scan(text, "d.tm", fold=False)[0]
 
 
 def test_parse_empty_model():
@@ -298,6 +303,91 @@ def test_lexer_matches_reference_on_tm_alphabet(text, tail):
     assert _lex(text + tail) == reference_lex(text + tail)
 
 
+# Each token takes the spaces, comment and line end after it; these pin the
+# positions and line starts that absorbing them must keep.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a token, spaces and a comment at the end of the text, no newline
+        ("model m  # c",
+         [("kw", "model", 1, 1, 5, True), ("ident", "m", 1, 7, 7, False),
+          ("eof", "", 1, 10, 10, False)]),
+        ("model m\r\nthing x\r\n",
+         [("kw", "model", 1, 1, 5, True), ("ident", "m", 1, 7, 7, False),
+          ("kw", "thing", 2, 1, 5, True), ("ident", "x", 2, 7, 7, False),
+          ("eof", "", 3, 1, 1, True)]),
+        # a blank line holding only spaces, inside the text and at its end
+        ("model m\n \t \nthing x\n   ",
+         [("kw", "model", 1, 1, 5, True), ("ident", "m", 1, 7, 7, False),
+          ("kw", "thing", 3, 1, 5, True), ("ident", "x", 3, 7, 7, False),
+          ("eof", "", 4, 4, 4, True)]),
+        # a comment-only last line, with and without its newline
+        ("model m\n  # last",
+         [("kw", "model", 1, 1, 5, True), ("ident", "m", 1, 7, 7, False),
+          ("eof", "", 2, 3, 3, True)]),
+        ("model m\n# last\n",
+         [("kw", "model", 1, 1, 5, True), ("ident", "m", 1, 7, 7, False),
+          ("eof", "", 3, 1, 1, True)]),
+        # a "." that continues a reference on the line after a line end
+        ("flow x a.create -> a # c\n  .release\n",
+         [("kw", "flow", 1, 1, 4, True), ("ident", "x", 1, 6, 6, False),
+          ("ident", "a", 1, 8, 8, False), (".", ".", 1, 9, 9, False),
+          ("kw", "create", 1, 10, 15, False), ("->", "->", 1, 17, 18, False),
+          ("ident", "a", 1, 20, 20, False), (".", ".", 2, 3, 3, True),
+          ("kw", "release", 2, 4, 10, False), ("eof", "", 3, 1, 1, True)]),
+    ],
+    ids=["comment-at-eof", "crlf", "blank-spaces", "comment-last-line",
+         "comment-last-line-newline", "continuation"],
+)
+def test_line_ends_spaces_and_comments_keep_token_positions(text, expected):
+    assert _lex(text) == reference_lex(text) == expected
+    _paths_agree(text)
+
+
+def test_a_folded_line_takes_its_comment_without_moving_the_eof_token():
+    tokens, folded = _scan("model m\nthing x  # c", "d.tm")
+    assert tokens == [("kw", "model", 1, 1, 5, True), ("ident", "m", 1, 7, 7, False),
+                      ("kw", "thing", 2, 1, 5, True), ("eof", "", 2, 10, 10, False)]
+    assert folded == {2: ThingDecl("x", SourceSpan("d.tm", 2, 1, 2, 7))}
+    # a "." after the line end continues the last reference: no fold
+    assert _scan("flow x a.create -> a.release # c\n\n  .process", "d.tm")[1] == {}
+
+
+def _scan_matches(text: str) -> tuple[int, int]:
+    """The regex matches ``_scan`` makes on ``text``, and the tokens it returns."""
+    real = tmkit.dsl._scan_re
+    matches = 0
+
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def finditer(self, text):
+            nonlocal matches
+            for match in self.pattern.finditer(text):
+                matches += 1
+                yield match
+
+    with mock.patch.object(tmkit.dsl, "_scan_re", lambda *args: Counting(real(*args))):
+        tokens, _ = _scan(text, "d.tm")
+    return matches, len(tokens)
+
+
+def test_scan_makes_one_regex_match_per_token_on_a_relay():
+    # Spaces, line ends and comments go into the match of the token before
+    # them; a match per space run and line end doubled the scan's matches.
+    matches, tokens = _scan_matches(bench_workloads().relay(400).models["relay"])
+    assert matches <= tokens, (matches, tokens)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_scan_matches_only_tokens_and_blank_or_comment_lines_on_the_corpus(name):
+    text = corpus_path(f"{name}.tm").read_text()
+    blank = sum(not line.split("#", 1)[0].strip(" \t\r") for line in text.splitlines())
+    matches, tokens = _scan_matches(text)
+    assert matches <= tokens + blank, (matches, tokens, blank)
+
+
 def test_trailing_comment_does_not_move_the_eof_span():
     result = parse("# only a comment", "c.tm")
     assert [d.code for d in result.diagnostics] == ["E001"]
@@ -335,7 +425,8 @@ def test_deep_machine_nesting_has_no_recursion_limit():
 
 # -- folded lines ------------------------------------------------------------
 # parse folds each complete flow, trigger and thing line into one token. The
-# token path (_lex and the token parser alone) is the reference it must match.
+# token path (unfolded _scan and the token parser alone) is the reference it
+# must match.
 
 
 def _outcome(text: str) -> tuple[list, str | None]:
@@ -353,7 +444,7 @@ def _paths_agree(text: str) -> tuple[list, str | None, int]:
     assert tokens == [tok for tok in _lex(text)
                       if tok.line not in lines or tok.bol or tok.kind == "eof"]
     outcome = _outcome(text)
-    with mock.patch.object(tmkit.dsl, "_scan", lambda text, file: (_lex(text), {})):
+    with mock.patch.object(tmkit.dsl, "_scan", lambda text, file: _scan(text, file, False)):
         assert _outcome(text) == outcome
     return (*outcome, len(folded))
 

@@ -139,3 +139,7 @@ def test_gc_schedule_finds_every_timed_phase():
     assert int(blocks[0][1]) < int(blocks[1][1])
     for phase in ("check_s", "reject_s", "emit_s", "sim_s", "step_s", "untimed"):
         assert proc.stdout.count(f"  {phase} ") == 2, phase
+    # Each schedule reports how many collections it has left before a
+    # second full collection could land inside the repetition.
+    margins = [int(n) for n in re.findall(r"  margin: (\d+) collections", proc.stdout)]
+    assert len(margins) == 2 and min(margins) > 0, margins
