@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Time each front-end stage of two tmkit sources on relay, call by call.
+
+    python3 scripts/stage_pairs.py PARENT_SRC CHANGE_SRC [--n 400] [--calls 41]
+
+Each SRC is a directory holding the ``tmkit`` package, such as a checkout's
+``src``. Both are imported into this one process, under the names
+``tmkit_parent`` and ``tmkit_change``, and given the same text: perfbench's
+relay model of ``--n`` machines, seed 0 (perfbench/workloads.py, imported,
+not edited). The stages are ``_scan``, the token parser, ``build_model``,
+``validate`` and the whole ``parse``. Each stage's input is made outside its
+timed call, so ``validate`` runs on a fresh model each time.
+
+For each of ``--calls`` rounds, every stage is called once per side; the
+parent goes first on even rounds and the change first on odd ones, and the
+collector runs before each timed call. The process is pinned to one CPU where
+the platform allows it. The script prints each stage's median in milliseconds
+per side and the change's median over the parent's. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import os
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+STAGES = ("_scan", "parser", "build_model", "validate", "parse")
+FILE = "<relay>"
+
+
+def load(src: Path, name: str):
+    """The ``tmkit`` package under ``src``, imported as ``name``."""
+    package = src.resolve() / "tmkit"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def relay_text(n: int) -> str:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.relay(n).models["relay"]
+
+
+def stage_calls(tmkit, text: str) -> dict:
+    """Per stage, a function that makes its input and returns the timed call."""
+    dsl, core = tmkit.dsl, tmkit.core
+
+    def decls():
+        return dsl._Parser(*dsl._scan(text, FILE), FILE).parse()
+
+    def built():
+        name, elements, _ = decls()
+        return core.build_model(name, elements)
+
+    def parser():
+        tokens, folded = dsl._scan(text, FILE)
+        return lambda: dsl._Parser(tokens, folded, FILE).parse()
+
+    def build():
+        name, elements, _ = decls()
+        return lambda: core.build_model(name, elements)
+
+    def validate():
+        model = built()
+        return lambda: core.validate(model)
+
+    return {
+        "_scan": lambda: lambda: dsl._scan(text, FILE),
+        "parser": parser,
+        "build_model": build,
+        "validate": validate,
+        "parse": lambda: lambda: dsl.parse(text, FILE),
+    }
+
+
+def timed(make) -> float:
+    call = make()
+    gc.collect()
+    t0 = perf_counter()
+    call()
+    return perf_counter() - t0
+
+
+def measure(sides: dict[str, dict], calls: int) -> dict[str, dict[str, float]]:
+    """Median seconds per stage and side, the sides alternating call by call."""
+    samples = {stage: {label: [] for label in sides} for stage in STAGES}
+    labels = list(sides)
+    for i in range(calls):
+        order = labels if i % 2 == 0 else labels[::-1]
+        for stage in STAGES:
+            for label in order:
+                samples[stage][label].append(timed(sides[label][stage]))
+    return {stage: {label: statistics.median(s) for label, s in by_side.items()}
+            for stage, by_side in samples.items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="directory holding the parent's tmkit")
+    parser.add_argument("change", type=Path, help="directory holding the change's tmkit")
+    parser.add_argument("--n", type=int, default=400, help="relay machines")
+    parser.add_argument("--calls", type=int, default=41, help="timed calls per stage and side")
+    args = parser.parse_args(argv)
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    text = relay_text(args.n)
+    sides = {}
+    for label, src in (("parent", args.parent), ("change", args.change)):
+        tmkit = load(src, f"tmkit_{label}")
+        sides[label] = stage_calls(tmkit, text)
+        if not tmkit.dsl.parse(text, FILE).model:
+            sys.exit(f"{src}: relay n={args.n} does not parse to a model")
+    medians = measure(sides, args.calls)
+    print(f"relay n={args.n}, {args.calls} alternating calls per stage and side, median ms")
+    print(f"{'stage':<12} {'parent':>9} {'change':>9} {'change/parent':>14}")
+    for stage, m in medians.items():
+        print(f"{stage:<12} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
+              f"{m['change'] / m['parent']:>14.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

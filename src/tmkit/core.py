@@ -681,11 +681,16 @@ def _check_event_decl(
             )
         )
     # The region is a set; repeated declarations collapse in first-seen order.
+    # The edge and stage tables hold only resolved refs, so a parsed ref is
+    # looked up as it is: one that would not resolve misses. Text is resolved.
+    machines, new = model.machines_by_path, tuple.__new__
     items: dict[RegionItem, None] = {}
     for item in decl.items:
         if isinstance(item, NodeItemDecl):
-            ref, msg = _resolve_ref(item.ref, model.machines_by_path)
-            if ref is None or ref not in model.stages:
+            ref = item.ref
+            if isinstance(ref, str):
+                ref = _resolve_ref(ref, machines)[0]
+            if ref not in model.stages:
                 diags.append(
                     _error(
                         "E301",
@@ -694,11 +699,13 @@ def _check_event_decl(
                     )
                 )
                 continue
-            items[RegionNode(ref)] = None
-        elif isinstance(item, FlowDecl):
-            src, _ = _resolve_ref(item.src, model.machines_by_path)
-            dst, _ = _resolve_ref(item.dst, model.machines_by_path)
-            edge = model.flows_by_key.get((item.thing, src, dst)) if src and dst else None
+            items[new(RegionNode, (ref,))] = None
+            continue
+        src, dst = item.src, item.dst
+        if isinstance(src, str) or isinstance(dst, str):
+            src, dst = _resolve_ref(src, machines)[0], _resolve_ref(dst, machines)[0]
+        if isinstance(item, FlowDecl):
+            edge = model.flows_by_key.get((item.thing, src, dst))
             if edge is None:
                 diags.append(
                     _error(
@@ -709,11 +716,9 @@ def _check_event_decl(
                     )
                 )
                 continue
-            items[RegionFlow(edge.id)] = None
+            items[new(RegionFlow, (edge.id,))] = None
         else:
-            src, _ = _resolve_ref(item.src, model.machines_by_path)
-            dst, _ = _resolve_ref(item.dst, model.machines_by_path)
-            edge = model.triggers_by_key.get((src, dst)) if src and dst else None
+            edge = model.triggers_by_key.get((src, dst))
             if edge is None:
                 diags.append(
                     _error(
@@ -724,7 +729,7 @@ def _check_event_decl(
                     )
                 )
                 continue
-            items[RegionTrigger(edge.id)] = None
+            items[new(RegionTrigger, (edge.id,))] = None
     if diags:
         return diags
     return Event(decl.name, decl.perpetual, tuple(items))
@@ -760,11 +765,13 @@ def _chronology_diagnostics(
         seen.add((a, b))
         edges.append((a, b))
     nodes = tuple(events)
-    # One E302 per strongly connected component with a cycle.
+    # One E302 per strongly connected component with a cycle. A chronology
+    # that peels to nothing by in-degree has none, and skips the search.
     adjacency: dict[str, list[str]] = {n: [] for n in nodes}
     for a, b in edges:
         adjacency[a].append(b)
-    for component in _tarjan_sccs(nodes, adjacency):
+    acyclic = len(_peel(nodes, adjacency)) == len(nodes)
+    for component in () if acyclic else _tarjan_sccs(nodes, adjacency):
         cyclic = len(component) > 1 or any(
             n in adjacency[n] for n in component
         )
@@ -780,6 +787,22 @@ def _chronology_diagnostics(
     if any(d.is_error for d in diags):
         return None, diags
     return Chronology(nodes, tuple(edges)), diags
+
+
+def _peel(nodes: tuple[str, ...], successors: dict[str, list[str]]) -> list[str]:
+    """Kahn's walk: the nodes that peel off by in-degree, in the order they
+    became ready (first in, first out). All of them exactly when acyclic."""
+    indegree = dict.fromkeys(nodes, 0)
+    for targets in successors.values():
+        for b in targets:
+            indegree[b] += 1
+    order = [n for n in nodes if not indegree[n]]
+    for node in order:  # the list grows at its end while it is walked
+        for succ in successors[node]:
+            indegree[succ] -= 1
+            if not indegree[succ]:
+                order.append(succ)
+    return order
 
 
 def _tarjan_sccs(
@@ -851,6 +874,9 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     Returns the model if no error-severity diagnostics were found,
     otherwise the full list of diagnostics (never just the first).
+    Each distinct stage reference is resolved once; event items are looked
+    up by their parsed refs, and the chronology's cycle search runs only when
+    peeling its events by in-degree leaves some.
     Malformed identifiers (which the language cannot even express) raise
     ValueError rather than producing diagnostics.
     """
@@ -888,25 +914,29 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     static = Model(name, tuple(things.values()), _build_machines(machine_decls, diags))
     machines_by_path = static.machines_by_path
+    resolved: set[StageRef] = set()  # an equal ref resolves alike; only failures repeat
+
+    def end(ref: StageRef | str, span: object | None) -> StageRef | None:
+        """``ref`` resolved, or None after reporting its E101."""
+        if ref in resolved:  # never text: the set holds refs
+            return ref
+        out, msg = _resolve_ref(ref, machines_by_path)
+        if out is None:
+            diags.append(_error("E101", msg or str(ref), span or str(ref)))
+        else:
+            resolved.add(out)
+        return out
+
     flows_by_key: dict[tuple[str, StageRef, StageRef], FlowEdge] = {}
     for d in flow_decls:
-        ok = True
-        if d.thing not in things:
+        known = d.thing in things
+        if not known:
             diags.append(
                 _error("E101", f"unresolved path: unknown thing '{d.thing}'", d.span or d.thing)
             )
-            ok = False
-        src, msg = _resolve_ref(d.src, machines_by_path)
-        if src is None:
-            diags.append(_error("E101", msg or str(d.src), d.span or str(d.src)))
-            ok = False
-        dst, msg = _resolve_ref(d.dst, machines_by_path)
-        if dst is None:
-            diags.append(_error("E101", msg or str(d.dst), d.span or str(d.dst)))
-            ok = False
-        if not ok:
+        src, dst = end(d.src, d.span), end(d.dst, d.span)
+        if not known or src is None or dst is None:
             continue
-        assert src is not None and dst is not None
         if dst.kind is StageKind.CREATE:
             diags.append(
                 _error("E104", f"flow into create stage '{dst}'", d.span or str(dst))
@@ -926,13 +956,8 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     triggers_by_key: dict[tuple[StageRef, StageRef], TriggerEdge] = {}
     for d in trigger_decls:
-        src, msg = _resolve_ref(d.src, machines_by_path)
-        if src is None:
-            diags.append(_error("E101", msg or str(d.src), d.span or str(d.src)))
-            continue
-        dst, msg = _resolve_ref(d.dst, machines_by_path)
-        if dst is None:
-            diags.append(_error("E101", msg or str(d.dst), d.span or str(d.dst)))
+        src, dst = end(d.src, d.span), end(d.dst, d.span)
+        if src is None or dst is None:
             continue
         key = (src, dst)
         if key in triggers_by_key:

@@ -228,6 +228,14 @@ def models_equal(a: Model, b: Model) -> bool:
 
 
 def random_valid_model(seed: int) -> Model:
+    model = build_model(*random_valid_decls(seed))
+    assert isinstance(model, Model), [str(d) for d in model]
+    return model
+
+
+def random_valid_decls(seed: int) -> tuple[str, list]:
+    """The model name and declarations of ``random_valid_model(seed)``; every
+    stage reference is dotted text."""
     rng = random.Random(seed)
     n_things = rng.randint(1, 4)
     things = [f"thing{i}" for i in range(1, n_things + 1)]
@@ -333,9 +341,7 @@ def random_valid_model(seed: int) -> Model:
                     chron_edges.append((event_names[i], event_names[j]))
         decls.append(ChronologyDecl(tuple(chron_edges)))
 
-    model = build_model(f"gen{seed}", decls)
-    assert isinstance(model, Model), [str(d) for d in model]
-    return model
+    return f"gen{seed}", decls
 
 
 # ---------------------------------------------------------------------------

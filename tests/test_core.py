@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import cached_property
@@ -28,11 +29,19 @@ from tmkit.core import (
     ThingDecl,
     TriggerDecl,
     build_model,
+    parse_stage_ref,
     resolve,
     validate,
 )
+from tmkit.dsl import parse
 
-from helpers import CORPUS_NAMES, load_corpus_model
+from helpers import (
+    CORPUS_NAMES,
+    bench_workloads,
+    load_corpus_model,
+    models_equal,
+    random_valid_decls,
+)
 
 
 def codes(diags):
@@ -82,6 +91,128 @@ def test_unresolved_path_is_e101():
     )
     assert isinstance(result, list)
     assert set(codes(result)) == {"E101"}
+
+
+def test_a_trigger_reports_each_unresolved_end_as_a_flow_does():
+    head = "model bad\nthing x\nmachine m\nflow x m.create -> m.release\n"
+    unresolved = [
+        ("E101", "unresolved path 'nowhere.release': unknown segment 'nowhere'", 5),
+        ("E101", "unresolved path 'gone.process': unknown segment 'gone'", 5),
+    ]
+    for line in ("trigger nowhere.release ~> gone.process", "flow x nowhere.release -> gone.process"):
+        result = parse(head + line + "\n")
+        assert result.model is None
+        assert [(d.code, d.message, d.location.start_line) for d in result.diagnostics] == unresolved
+
+
+def test_build_model_resolves_each_stage_reference_once(monkeypatch):
+    # The event items name edges the static declarations already resolved;
+    # resolving every item's ends again made four calls per reference here.
+    calls = 0
+    resolve_ref = tmkit.core._resolve_ref
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return resolve_ref(*args)
+
+    monkeypatch.setattr(tmkit.core, "_resolve_ref", counting)
+    model = parse(bench_workloads().relay(400).models["relay"]).model
+    assert model is not None
+    distinct = len(model.stages)  # every relay stage reference names a stage in use
+    assert distinct == 1602
+    assert calls <= distinct
+
+
+def _as_refs(decls: list) -> list:
+    """The declarations with each reference text that parses as a StageRef,
+    one per text as the parser gives them; other text stays text."""
+    refs: dict[str, object] = {}
+
+    def ref(text):
+        if text not in refs:
+            try:
+                refs[text] = parse_stage_ref(text)
+            except ValueError:
+                refs[text] = text
+        return refs[text]
+
+    def convert(d):
+        if isinstance(d, (FlowDecl, TriggerDecl)):
+            return d._replace(src=ref(d.src), dst=ref(d.dst))
+        if isinstance(d, NodeItemDecl):
+            return d._replace(ref=ref(d.ref))
+        if isinstance(d, EventDecl):
+            return d._replace(items=tuple(map(convert, d.items)))
+        return d
+
+    return [convert(d) for d in decls]
+
+
+_MISTAKES = ("unknown machine", "env.create end", "not a stage reference", "missing edge",
+             "untouched stage")
+
+
+def _mistake(rng: random.Random, model: Model, mistake: str):
+    """(expected code, declaration, whether it is an event item) for one
+    mistake, its shape and place chosen at random."""
+    used = [str(ref) for ref in model.stages]
+    thing = rng.choice(model.things).name
+    if mistake == "untouched stage":
+        untouched = [f"{m.id}.{kind}" for m in model.machines for kind in StageKind
+                     if StageRef(m.path, kind) not in model.stages]
+        return "E301", NodeItemDecl(rng.choice(untouched)), True
+    if mistake == "missing edge":
+        while True:
+            src, dst = rng.choice(used), rng.choice(used)
+            if rng.random() < 0.3:
+                if (parse_stage_ref(src), parse_stage_ref(dst)) not in model.triggers_by_key:
+                    return "E301", TriggerDecl(src, dst), True
+            elif (thing, parse_stage_ref(src), parse_stage_ref(dst)) not in model.flows_by_key:
+                return "E301", FlowDecl(thing, src, dst), True
+    bad = {"unknown machine": "ghost.transfer", "env.create end": "env.create",
+           "not a stage reference": rng.choice(["m1", "m1.bogus", ".create", ""])}[mistake]
+    good = rng.choice(used)
+    src, dst = (bad, good) if rng.random() < 0.5 else (good, bad)
+    item = (FlowDecl(thing, src, dst), TriggerDecl(src, dst), NodeItemDecl(bad))[rng.randrange(3)]
+    in_event = isinstance(item, NodeItemDecl) or rng.random() < 0.6
+    return "E301" if in_event else "E101", item, in_event
+
+
+def _place(rng: random.Random, decls: list, item, in_event: bool) -> list:
+    """``decls`` with ``item`` at a random place: among the declarations, or
+    in a random or new event."""
+    decls = list(decls)
+    events = [i for i, d in enumerate(decls) if isinstance(d, EventDecl)]
+    if not in_event or not events or rng.random() < 0.2:
+        item = item if not in_event else EventDecl("mistake", items=(item,))
+        decls.insert(rng.randrange(len(decls) + 1), item)
+        return decls
+    i = rng.choice(events)
+    items = list(decls[i].items)
+    items.insert(rng.randrange(len(items) + 1), item)
+    decls[i] = decls[i]._replace(items=tuple(items))
+    return decls
+
+
+def test_reference_text_and_parsed_references_build_alike():
+    # The parser hands build_model parsed StageRefs; programmatic callers may
+    # write dotted text. Either shape must give the same model, and the same
+    # diagnostics for the same mistake, wherever it sits.
+    for seed in range(300):
+        name, decls = random_valid_decls(seed)
+        refs = _as_refs(decls)
+        model = build_model(name, decls)
+        assert models_equal(model, build_model(name, refs))
+        rng = random.Random(seed)
+        mistake = _MISTAKES[seed % len(_MISTAKES)]
+        code, item, in_event = _mistake(rng, model, mistake)
+        state = rng.getstate()
+        as_text = build_model(name, _place(rng, decls, item, in_event))
+        rng.setstate(state)
+        as_refs = build_model(name, _place(rng, refs, _as_refs([item])[0], in_event))
+        assert isinstance(as_text, list) and code in codes(as_text), (seed, mistake)
+        assert as_refs == as_text, (seed, mistake)
 
 
 def test_duplicate_ids_are_e106_and_all_are_reported():

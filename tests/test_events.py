@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit.core import Chronology, Event, EventDecl, FlowDecl, NodeItemDecl, _tarjan_sccs
-from tmkit.core import MachineDecl, RegionFlow, ThingDecl, build_model
+from tmkit.core import ChronologyDecl, MachineDecl, Model, RegionFlow, ThingDecl, build_model
 from tmkit.events import (
     attach_event,
     coverage,
@@ -214,6 +214,43 @@ def test_sccs_match_networkx(seed):
     graph.add_edges_from((a, b) for a in nodes for b in adjacency[a])
     expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
     assert {frozenset(c) for c in _tarjan_sccs(nodes, adjacency)} == expected
+
+
+def test_build_model_reports_one_e302_per_cyclic_component():
+    # build_model skips the cycle search when the chronology peels by
+    # in-degree; networkx is the oracle on digraphs with and without cycles.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(302)
+    flow = FlowDecl("x", "m.create", "m.release")
+    static = [ThingDecl("x"), MachineDecl("m"), flow]
+    acyclic_seen = 0
+    for _ in range(3000):
+        names = [f"e{i}" for i in range(rng.randint(1, 9))]
+        density, loops = rng.choice((0.05, 0.15, 0.3, 0.5)), rng.choice((0.0, 0.1))
+        edges = [(a, b) for a in names for b in names
+                 if rng.random() < (loops if a == b else density)]
+        rng.shuffle(edges)
+        events = [EventDecl(n, items=(flow,)) for n in names]
+        built = build_model("chron", [*static, *events, ChronologyDecl(tuple(edges))])
+        graph = nx.DiGraph()
+        graph.add_nodes_from(names)
+        graph.add_edges_from(edges)
+        cyclic = [c for c in map(frozenset, nx.strongly_connected_components(graph))
+                  if len(c) > 1 or graph.has_edge(*[*c] * 2)]
+        if nx.is_directed_acyclic_graph(graph):
+            acyclic_seen += 1
+            assert isinstance(built, Model) and not cyclic
+            continue
+        assert isinstance(built, list) and codes(built) == ["E302"] * len(cyclic)
+        # each names a cycle of the graph, one per cyclic component
+        found = set()
+        for d in built:
+            path = d.message.removeprefix("chronology cycle: ").split(" -> ")
+            assert d.location == path[0] == path[-1]
+            assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))
+            found.add(next(c for c in cyclic if path[0] in c))
+        assert len(found) == len(cyclic)
+    assert 500 < acyclic_seen < 2500
 
 
 def test_unknown_event_reference_is_e303():

@@ -21,6 +21,7 @@ from helpers import CORPUS_NAMES, corpus_path, load_corpus_model, load_corpus_sc
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 GC_SCHEDULE = Path(__file__).resolve().parents[1] / "scripts" / "gc_schedule.py"
+STAGE_PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "stage_pairs.py"
 
 
 def test_every_traced_name_exists(monkeypatch):
@@ -143,3 +144,14 @@ def test_gc_schedule_finds_every_timed_phase():
     # second full collection could land inside the repetition.
     margins = [int(n) for n in re.findall(r"  margin: (\d+) collections", proc.stdout)]
     assert len(margins) == 2 and min(margins) > 0, margins
+
+
+def test_stage_pairs_times_every_front_end_stage():
+    # Both sides load the same source, under two package names in one process.
+    src = str(Path(tmkit.core.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(STAGE_PAIRS), src, src, "--n", "20",
+                           "--calls", "5"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
+    assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse"]
+    assert all(float(x) > 0 for row in rows for x in row[1:])
