@@ -765,13 +765,11 @@ def _chronology_diagnostics(
         seen.add((a, b))
         edges.append((a, b))
     nodes = tuple(events)
-    # One E302 per strongly connected component with a cycle. A chronology
-    # that peels to nothing by in-degree has none, and skips the search.
+    # One E302 per strongly connected component with a cycle.
     adjacency: dict[str, list[str]] = {n: [] for n in nodes}
     for a, b in edges:
         adjacency[a].append(b)
-    acyclic = len(_peel(nodes, adjacency)) == len(nodes)
-    for component in () if acyclic else _tarjan_sccs(nodes, adjacency):
+    for component in _tarjan_sccs(nodes, adjacency):
         cyclic = len(component) > 1 or any(
             n in adjacency[n] for n in component
         )
@@ -787,22 +785,6 @@ def _chronology_diagnostics(
     if any(d.is_error for d in diags):
         return None, diags
     return Chronology(nodes, tuple(edges)), diags
-
-
-def _peel(nodes: tuple[str, ...], successors: dict[str, list[str]]) -> list[str]:
-    """Kahn's walk: the nodes that peel off by in-degree, in the order they
-    became ready (first in, first out). All of them exactly when acyclic."""
-    indegree = dict.fromkeys(nodes, 0)
-    for targets in successors.values():
-        for b in targets:
-            indegree[b] += 1
-    order = [n for n in nodes if not indegree[n]]
-    for node in order:  # the list grows at its end while it is walked
-        for succ in successors[node]:
-            indegree[succ] -= 1
-            if not indegree[succ]:
-                order.append(succ)
-    return order
 
 
 def _tarjan_sccs(
@@ -874,9 +856,8 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     Returns the model if no error-severity diagnostics were found,
     otherwise the full list of diagnostics (never just the first).
-    Each distinct stage reference is resolved once; event items are looked
-    up by their parsed refs, and the chronology's cycle search runs only when
-    peeling its events by in-degree leaves some.
+    Each distinct stage reference is resolved once, and event items are
+    looked up by their parsed refs in the edge and stage tables.
     Malformed identifiers (which the language cannot even express) raise
     ValueError rather than producing diagnostics.
     """

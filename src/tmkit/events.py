@@ -20,7 +20,6 @@ from .core import (
     RegionNode,
     _check_event_decl,
     _chronology_diagnostics,
-    _peel,
 )
 
 __all__ = [
@@ -120,8 +119,18 @@ def is_linear_extension(chronology: Chronology, sequence) -> bool:
 
 def topological_order(chronology: Chronology) -> list[str] | None:
     """One topological order of the chronology, or None if it is cyclic."""
+    indegree = {n: 0 for n in chronology.nodes}
     successors: dict[str, list[str]] = {n: [] for n in chronology.nodes}
     for a, b in chronology.edges:
+        indegree[b] += 1
         successors[a].append(b)
-    order = _peel(chronology.nodes, successors)
-    return order if len(order) == len(chronology.nodes) else None
+    # First in, first out: the list grows at its end while it is walked.
+    order = [n for n in chronology.nodes if indegree[n] == 0]
+    for node in order:
+        for succ in successors[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                order.append(succ)
+    if len(order) != len(chronology.nodes):
+        return None
+    return order
