@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Time each corpus ``tm`` command of two tmkit sources, alternating run by run.
+
+    python3 scripts/cli_pairs.py PARENT_SRC CHANGE_SRC [--rounds 11] [--models NAME ...]
+
+Each SRC is a directory holding the ``tmkit`` package, such as a checkout's
+``src``. The commands are those perfbench times as corpus ``cli_s``, on the
+bundled corpus of CHANGE_SRC: per model ``validate``, ``fmt``, ``render`` with
+each view and ``coverage``, and ``sim`` per scenario. The models, scenarios
+and views come from perfbench/workloads.py (imported, not edited); ``--models``
+keeps some of the models. Each command runs in a fresh interpreter through
+perfbench/cli_child.py (run, not edited), as in perfbench.
+
+For each of ``--rounds`` rounds, every command runs once per side; the parent
+goes first on even rounds and the change first on odd ones. The process, and
+so every child, is pinned to one CPU where the platform allows it. The two
+sides of a command must give the same exit code and output. The script prints
+each command's median wall time in milliseconds per side, the change's median
+over the parent's and the rounds the change won (ties win for neither side);
+the last row pools every command's runs. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_commands(bench, corpus: Path, models: list[str]) -> list[list[str]]:
+    """The ``tm`` arguments of each corpus command, in perfbench's order."""
+    commands = []
+    for name in models:
+        model = str(corpus / f"{name}.tm")
+        commands += [["validate", model], ["fmt", model]]
+        commands += [["render", model, "--view", view] for view in bench.VIEWS]
+        commands.append(["coverage", model])
+    for name in models:
+        for scenario in bench.CORPUS_SCENARIOS[name]:
+            commands.append(["sim", str(corpus / f"{name}.tm"), "--scenario",
+                             str(corpus / f"{scenario}.scn")])
+    return commands
+
+
+def run_tm(src: Path, argv: list[str]) -> tuple[float, tuple[int, bytes]]:
+    """Wall seconds of one ``tm`` command in a fresh interpreter, and its result."""
+    child = [sys.executable, str(PERFBENCH / "cli_child.py"), str(src), "-", *argv]
+    t0 = perf_counter()
+    proc = subprocess.run(child, capture_output=True, timeout=60)
+    return perf_counter() - t0, (proc.returncode, proc.stdout)
+
+
+def measure(sides: dict[str, Path], commands: list[list[str]], rounds: int):
+    """Per command and side, the wall time of each round."""
+    samples = [{label: [] for label in sides} for _ in commands]
+    labels = list(sides)
+    for i in range(rounds):
+        order = labels if i % 2 == 0 else labels[::-1]
+        for argv, by_side in zip(commands, samples):
+            results = {}
+            for label in order:
+                seconds, results[label] = run_tm(sides[label], argv)
+                by_side[label].append(seconds)
+            if len(set(results.values())) > 1:
+                sys.exit(f"tm {' '.join(argv)}: the sides differ in exit code or output")
+    return samples
+
+
+def row(name: str, parent: list[float], change: list[float]) -> str:
+    wins = sum(c < p for p, c in zip(parent, change))
+    p, c = statistics.median(parent), statistics.median(change)
+    return f"{name:<48} {p * 1e3:>9.1f} {c * 1e3:>9.1f} {c / p:>14.3f} {wins:>4}/{len(parent)}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    bench = workloads()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="directory holding the parent's tmkit")
+    parser.add_argument("change", type=Path, help="directory holding the change's tmkit")
+    parser.add_argument("--rounds", type=int, default=11, help="runs per command and side")
+    parser.add_argument("--models", nargs="+", choices=list(bench.CORPUS_SCENARIOS),
+                        default=list(bench.CORPUS_SCENARIOS), help="corpus models to run")
+    args = parser.parse_args(argv)
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commands = corpus_commands(bench, sides["change"] / "tmkit" / "corpus", args.models)
+    samples = measure(sides, commands, args.rounds)
+    print(f"{len(commands)} corpus tm commands, {args.rounds} alternating runs per command "
+          f"and side, median wall ms")
+    print(f"{'command':<48} {'parent':>9} {'change':>9} {'change/parent':>14} {'won':>6}")
+    for command, by_side in zip(commands, samples):
+        name = " ".join(Path(a).name for a in command)
+        print(row(name, by_side["parent"], by_side["change"]))
+    print(row("all", [s for b in samples for s in b["parent"]],
+              [s for b in samples for s in b["change"]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,9 +12,9 @@ import argparse
 import importlib
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ._frozen import frozen, replace
 from .core import Diagnostic, Model
 from .dsl import SourceSpan, parse, serialize
 
@@ -50,7 +50,7 @@ USAGE_OR_IO = 2
 SIMULATION_ERROR = 3
 
 
-@dataclass(frozen=True)
+@frozen
 class CorpusEntry:
     """One bundled worked model with its scenarios and golden outputs."""
 

@@ -13,10 +13,11 @@ codes; checks are exhaustive, never fail-fast.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Union
+
+from ._frozen import frozen, replace
 
 __all__ = [
     "StageKind",
@@ -125,7 +126,7 @@ def flow_legal(src_kind: StageKind, dst_kind: StageKind, same_machine: bool) -> 
 
 # Stage refs, region items and raw declarations are named tuples: built by one
 # generated line and hashed in C. ``_record`` makes one equal only to a value of
-# its own type (never a plain tuple), as a dataclass is, and unordered.
+# its own type (never a plain tuple), as a ``@frozen`` record is, and unordered.
 
 
 def _eq(self, other):
@@ -183,7 +184,7 @@ def parse_stage_ref(text: str) -> StageRef:
     return StageRef(tuple(segments[:-1]), kind)
 
 
-@dataclass(frozen=True)
+@frozen
 class Thing:
     """A thing that manifests in stages of machines. Its id is its name."""
 
@@ -194,7 +195,7 @@ class Thing:
         return self.name
 
 
-@dataclass(frozen=True)
+@frozen
 class Machine:
     """A machine node in the containment tree. Its id is its dotted path."""
 
@@ -207,7 +208,7 @@ class Machine:
         return ".".join(self.path)
 
 
-@dataclass(frozen=True)
+@frozen
 class FlowEdge:
     """Solid arrow carrying one thing between two stages."""
 
@@ -217,7 +218,7 @@ class FlowEdge:
     dst: StageRef
 
 
-@dataclass(frozen=True)
+@frozen
 class TriggerEdge:
     """Dashed arrow linking activity on one flow to another flow."""
 
@@ -250,7 +251,7 @@ class RegionTrigger(NamedTuple):
 RegionItem = Union[RegionNode, RegionFlow, RegionTrigger]
 
 
-@dataclass(frozen=True)
+@frozen
 class Event:
     """A named region (subgraph of the static model) with a perpetual flag.
 
@@ -282,7 +283,7 @@ class Event:
         return tuple(i.ref for i in self.items if isinstance(i, RegionNode))
 
 
-@dataclass(frozen=True)
+@frozen
 class Chronology:
     """Precedence DAG over events. Unrelated events may occur in any order."""
 
@@ -297,7 +298,7 @@ class Chronology:
         return {k: tuple(v) for k, v in out.items()}
 
 
-@dataclass(frozen=True)
+@frozen
 class Diagnostic:
     """A validation finding with a stable code.
 
@@ -447,7 +448,7 @@ class _Region:
         self.watch = watch
 
 
-@dataclass(frozen=True)
+@frozen
 class Model:
     """The static TM graph plus attached events and chronology.
 

@@ -41,10 +41,10 @@ from the token path.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
+from ._frozen import frozen
 from .core import (
     ChronologyDecl,
     Decl,
@@ -92,7 +92,7 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
+@frozen
 class ParseResult:
     """Outcome of a parse: a model iff no error-severity diagnostics."""
 

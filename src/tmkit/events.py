@@ -8,7 +8,7 @@ occur in any order or simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._frozen import frozen
 
 from .core import (
     Chronology,
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverageReport:
     """Which flow/trigger edges are inside some event region."""
 

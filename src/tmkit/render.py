@@ -16,8 +16,8 @@ then trigger ends, each in item order and first-seen.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._frozen import frozen
 from .core import ENV_NAME, Machine, Model, RegionFlow, RegionTrigger, _Stage, validate
 
 __all__ = [
@@ -44,7 +44,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class DotDocument:
     """A rendered diagram in the DOT graph language."""
 

@@ -57,10 +57,10 @@ and may be shared freely.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from itertools import count
 from typing import NamedTuple
 
+from ._frozen import factory, frozen
 from .core import (
     Chronology,
     Diagnostic,
@@ -118,14 +118,17 @@ class Token(NamedTuple):
     at: StageRef
 
 
-@dataclass(frozen=True)
+@frozen
 class Injection:
+    """A scheduled input: one token of ``thing`` minted at stage ``ref`` (the
+    environment's transfer stage) at the start of macro-step ``step``."""
+
     thing: str
     ref: StageRef
     step: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Scenario:
     """External inputs that resolve all nondeterminism before a run.
 
@@ -150,7 +153,7 @@ class TraceEntry(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class EventTiming:
     """Logical time sub-machine of one event for one run."""
 
@@ -158,7 +161,7 @@ class EventTiming:
     released_at: int | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class Trace:
     """Ordered record of one run."""
 
@@ -166,11 +169,11 @@ class Trace:
     fired_events: tuple[str, ...]
     terminated: str  # "quiescent" or "step_limit"
     warnings: tuple[str, ...] = ()
-    timings: dict[str, EventTiming] = field(default_factory=dict)
+    timings: dict[str, EventTiming] = factory(dict)
     perpetual_events: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@frozen
 class SimState:
     """Complete simulation state between macro-steps."""
 

@@ -76,7 +76,7 @@ def line_events(module, run) -> int:
 
 def generated_line_events(run) -> int:
     """Line events executed in generated code while ``run()`` runs: the
-    methods dataclasses and named tuples compile, whose file is "<string>"."""
+    methods frozen records and named tuples compile, whose file is "<string>"."""
     return _lines_in("<string>", run)
 
 
@@ -176,7 +176,7 @@ def reference_lex(text: str) -> list[tuple[str, str, int, int, int, bool]]:
 
 # ---------------------------------------------------------------------------
 # Structural equality oracle: field-walking comparison written independently
-# of the dataclass __eq__ it is used to check.
+# of the generated __eq__ it is used to check.
 
 
 def models_equal(a: Model, b: Model) -> bool:

@@ -398,8 +398,10 @@ with open(out, "w") as handle:
         (["coverage", "reservoir.tm"], {"tmkit.events"}),
         (["render", "reservoir.tm"], {"tmkit.render"}),
         (["sim", "reservoir.tm", "--scenario", "reservoir.scn"], {"tmkit.sim"}),
+        (["sim", "reservoir.tm", "--scenario", "reservoir.scn", "--max-steps", "3"],
+         {"tmkit.sim"}),
     ],
-    ids=["validate", "fmt", "coverage", "render", "sim"],
+    ids=["validate", "fmt", "coverage", "render", "sim", "sim-max-steps"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, runs, tmp_path):
     out = tmp_path / "loaded"
@@ -409,6 +411,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, runs, tmp_path):
     status, loaded = ast.literal_eval(out.read_text())
     assert status == 0
     own = {name for name in loaded if name.split(".")[0] == "tmkit"}
-    assert own == {"tmkit", "tmkit.cli", "tmkit.core", "tmkit.dsl"} | runs
-    # json is for coverage -o, tempfile for -o and shutil for corpus copy
-    assert not set(loaded) & {"json", "tempfile", "shutil"}
+    assert own == {"tmkit", "tmkit._frozen", "tmkit.cli", "tmkit.core", "tmkit.dsl"} | runs
+    # json is for coverage -o, tempfile for -o and shutil for corpus copy;
+    # dataclasses (which imports inspect) only for dataclasses.fields and replace
+    assert not set(loaded) & {"json", "tempfile", "shutil", "dataclasses", "inspect"}

@@ -642,7 +642,7 @@ def test_parse_enters_no_python_level_hash():
 def test_parse_runs_few_generated_lines_per_source_line():
     # _scan builds a folded line's SourceSpan, declaration and token with
     # tuple.__new__, which runs no generated line; build_model still builds
-    # a dataclass edge per flow and trigger.
+    # a frozen-record edge per flow and trigger.
     text = bench_workloads().relay(200).models["relay"]
     per_line = generated_line_events(lambda: parse(text)) / text.count("\n")
     assert per_line <= 4, f"{per_line:.2f} generated lines per source line"

@@ -1043,7 +1043,7 @@ def test_simulate_neither_hashes_nor_formats_a_stage_ref_per_entry(monkeypatch):
 
 
 def test_simulate_runs_few_generated_lines_per_entry():
-    # A frozen dataclass sets each field through a generated __init__, one
+    # A frozen record sets each field through a generated __init__, one
     # line per field; a named tuple is built by a one-line generated __new__.
     # A run makes one TraceEntry per entry and one Token per mint and hop.
     model, scenario = perpetual_relay(20, 300)

@@ -22,6 +22,7 @@ from helpers import CORPUS_NAMES, corpus_path, load_corpus_model, load_corpus_sc
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 GC_SCHEDULE = Path(__file__).resolve().parents[1] / "scripts" / "gc_schedule.py"
 STAGE_PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "stage_pairs.py"
+CLI_PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "cli_pairs.py"
 
 
 def test_every_traced_name_exists(monkeypatch):
@@ -155,3 +156,20 @@ def test_stage_pairs_times_every_front_end_stage():
     rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
     assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse"]
     assert all(float(x) > 0 for row in rows for x in row[1:])
+
+
+def test_cli_pairs_times_every_corpus_command():
+    # Both sides run the same source, each command in a fresh interpreter.
+    src = str(Path(tmkit.core.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(CLI_PAIRS), src, src, "--rounds", "1",
+                           "--models", "murderer"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = re.findall(r"^(.+?) +([\d.]+) +([\d.]+) +([\d.]+) +(\d+)/(\d+)$", proc.stdout, re.M)
+    assert [row[0] for row in rows] == [
+        "validate murderer.tm", "fmt murderer.tm", "render murderer.tm --view static",
+        "render murderer.tm --view events", "render murderer.tm --view chronology",
+        "coverage murderer.tm", "sim murderer.tm --scenario murderer_truth.scn",
+        "sim murderer.tm --scenario murderer_lie.scn", "all",
+    ]
+    assert all(float(x) > 0 for row in rows for x in row[1:4])
+    assert [int(row[5]) for row in rows] == [1] * 8 + [8]
