@@ -1,17 +1,12 @@
-"""Frozen records without importing ``dataclasses``.
+"""Frozen records as ``dataclasses.dataclass(frozen=True)`` makes them, built
+without importing ``dataclasses``: with ``inspect``, ``ast``, ``dis`` and
+``tokenize`` that import took about 10 ms of every ``tm`` command.
 
-``@frozen`` gives a class what ``dataclasses.dataclass(frozen=True)`` gives
-it: an ``__init__`` by position or keyword with the declared defaults, ``==``
-and ``hash`` over the fields in order, no ordering, the same ``repr`` and
-``__match_args__``, and ``FrozenInstanceError`` on assignment and deletion.
-Every ``tm`` command builds such records, and importing ``dataclasses`` (with
-``inspect``, ``ast``, ``dis`` and ``tokenize``) took about 10 ms of its start,
-so ``dataclasses`` is imported only when a record is mutated or its
-``__dataclass_fields__`` is read. Those fields are made on first read from a
-frozen dataclass with the same annotations and defaults, so
-``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass`` see what
-they would see on a dataclass. This module is kept apart from the large ones
-because, with no bytecode cache, compiling the largest module sets the
+``dataclasses`` is imported only to raise ``FrozenInstanceError``, or to make a
+record type's ``__dataclass_fields__`` on its first read, from a frozen
+dataclass with the same annotations and defaults; ``dataclasses.fields``,
+``replace``, ``asdict`` and ``is_dataclass`` read it. This is a module of its
+own because, with no bytecode cache, compiling the largest module sets the
 memory high-water mark of the import.
 """
 
@@ -35,7 +30,13 @@ class factory:
 
 
 def frozen(cls):
-    """Make ``cls`` a frozen record of its annotated fields, in order."""
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    It gets an ``__init__`` by position or keyword with the declared defaults,
+    ``==`` and ``hash`` over the tuple of its fields, no ordering, a dataclass's
+    ``repr`` and ``__match_args__``, and ``FrozenInstanceError`` on assignment
+    and deletion.
+    """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     params = ", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names)
@@ -46,7 +47,8 @@ def frozen(cls):
     )
     own, other = "".join(f"self.{n}," for n in names), "".join(f"other.{n}," for n in names)
     # Stored through object.__setattr__, as dataclasses does, so instances keep
-    # their attribute values inline; compiled as "<string>", as dataclasses is.
+    # their attribute values inline; exec names the code "<string>", as
+    # dataclasses' is named, which the generated-line count gates watch.
     namespace = {"_set": object.__setattr__, **{f"_d_{n}": v for n, v in defaults.items()}}
     exec(
         f"def __init__(self, {params}):{sets}\n"
@@ -68,11 +70,9 @@ def frozen(cls):
             _refuse(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    methods = [namespace["__init__"], namespace["__eq__"], namespace["__hash__"],
-               __setattr__, __delattr__]
-    for method in methods:
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
+    cls.__init__, cls.__eq__ = namespace["__init__"], namespace["__eq__"]
+    cls.__hash__ = namespace["__hash__"]
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     for name, value in defaults.items():
         if isinstance(value, factory):
             delattr(cls, name)  # as dataclasses leaves no class attribute for it
