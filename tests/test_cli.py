@@ -16,7 +16,7 @@ from tmkit.cli import run, corpus_list
 from tmkit.dsl import parse, serialize
 from tmkit.events import coverage
 from tmkit.render import render_static
-from tmkit.sim import format_trace, simulate
+from tmkit.sim import format_trace, load_scenario, simulate
 
 from helpers import (
     SPIN_MODEL,
@@ -195,6 +195,29 @@ def test_sim_region_that_never_settles_is_exit_three(tmp_path, capsys):
     assert err == "error E402 event 'spin' did not run to completion\n"
 
 
+def test_sim_unknown_injected_thing_is_exit_three(tmp_path, capsys):
+    scenario = tmp_path / "stranger.scn"
+    scenario.write_text("inject y env.transfer @1\n")
+    status = run(["sim", str(corpus_path("reservoir.tm")), "--scenario", str(scenario)])
+    assert status == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: injection of unknown thing 'y'\n"
+
+
+def test_sim_unconsumed_choice_is_a_warning_on_stderr(tmp_path, capsys):
+    scenario = tmp_path / "padded.scn"
+    scenario.write_text(corpus_path("kant_agree.scn").read_text()
+                        + "choose person.will.transfer env.transfer\n")
+    model_file = corpus_path("kant_ci.tm")
+    status = run(["sim", str(model_file), "--scenario", str(scenario)])
+    assert status == 0
+    out, err = capsys.readouterr()
+    model = parse(model_file.read_text(), str(model_file)).model
+    assert out == format_trace(simulate(model, load_scenario(scenario.read_text())))
+    assert err == "warning: unconsumed choices for 'person.will.transfer': 1 of 2 left\n"
+
+
 def test_sim_max_steps_override(tmp_path):
     out = tmp_path / "short.trace"
     status = run(
@@ -233,6 +256,15 @@ def test_render_views(tmp_path):
         )
         assert status == 0
         assert out.read_text().startswith("digraph ")
+
+
+def test_render_events_of_a_model_without_events_is_exit_two(tmp_path, capsys):
+    model = tmp_path / "still.tm"
+    model.write_text("model still\nthing x\nmachine a\nflow x a.create -> a.release\n")
+    assert run(["render", str(model), "--view", "events"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: model has no events to render\n"
 
 
 def test_coverage_text_block(capsys):

@@ -33,7 +33,7 @@ from tmkit.core import (
     resolve,
     validate,
 )
-from tmkit.dsl import parse
+from tmkit.dsl import SourceSpan, parse
 
 from helpers import (
     CORPUS_NAMES,
@@ -103,6 +103,28 @@ def test_a_trigger_reports_each_unresolved_end_as_a_flow_does():
         result = parse(head + line + "\n")
         assert result.model is None
         assert [(d.code, d.message, d.location.start_line) for d in result.diagnostics] == unresolved
+
+
+def test_a_trigger_into_a_release_stage_is_e102_at_its_span():
+    text = "model m\nthing x\nthing y\nmachine a\nmachine b\nflow x a.release -> a.transfer\n" \
+        "flow y b.create -> b.release\ntrigger a.transfer ~> b.release\n"
+    result = parse(text)
+    assert [(d.code, d.location, d.message) for d in result.diagnostics] == [
+        ("E102", SourceSpan("<string>", 8, 1, 8, 31),
+         "trigger destination must be a create or process stage, got 'b.release'"),
+    ]
+
+
+def test_a_path_below_env_is_e101():
+    result = parse("model m\nthing x\nmachine a\nflow x env.sub.transfer -> a.transfer\n")
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E101", "unresolved path 'env.sub.transfer': 'env' has no sub-machines"),
+    ]
+
+
+def test_build_model_rejects_what_is_not_a_declaration():
+    with pytest.raises(TypeError, match=r"^not an element declaration: <object object at "):
+        build_model("m", [object()])
 
 
 def test_build_model_resolves_each_stage_reference_once(monkeypatch):

@@ -18,6 +18,7 @@ from tmkit.render import (
     render_events,
     render_static,
 )
+from tmkit.sim import Scenario, simulate
 
 from helpers import CORPUS_NAMES, bench_workloads, load_corpus_model, random_valid_model
 
@@ -111,6 +112,24 @@ def test_events_view_requires_events():
     model = parse("model empty").model
     with pytest.raises(ValueError):
         render_events(model)
+
+
+_CROSSING = "model m\nthing x\nmachine a\nmachine b\nflow x a.process -> b.receive\n"
+
+
+def test_renderers_and_simulate_refuse_a_model_that_does_not_validate():
+    # A lax parse admits the shortcut flow; a strict render or run refuses
+    # it with one message, before render_events looks for events.
+    model = parse(_CROSSING, lax=True).model
+    refusal = (
+        "model does not validate: error E103 [f1] flow crosses machine boundary "
+        "without transfer: a.process -> b.receive"
+    )
+    for call in (render_static, render_events, lambda m: simulate(m, Scenario())):
+        with pytest.raises(ValueError) as excinfo:
+            call(model)
+        assert str(excinfo.value) == refusal
+    assert dot_well_formed(render_static(model, lax=True).text)
 
 
 def test_single_event_boundary_contains_all_nodes():

@@ -21,6 +21,7 @@ from tmkit.core import Chronology, Model, StageKind, StageRef, validate
 from tmkit.dsl import parse
 from tmkit.sim import (
     EventTiming,
+    Injection,
     Scenario,
     ScenarioError,
     SimulationError,
@@ -75,6 +76,14 @@ def test_load_scenario_rejects_garbage():
         load_scenario("max_steps zero\n")
     with pytest.raises(ScenarioError):
         load_scenario("inject water env.transfer @0\n")
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario("max_steps 0\n")
+    assert str(excinfo.value) == "<scenario>:1: max_steps must be >= 1"
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario("inject x nowhere @1\n")
+    assert str(excinfo.value) == (
+        "<scenario>:1: stage reference needs machine path and stage kind: 'nowhere'"
+    )
 
 
 def test_invalid_scenario_keys_are_hard_errors():
@@ -95,6 +104,19 @@ def test_invalid_scenario_keys_are_hard_errors():
             Scenario(gates=(("nowhere.create", True),)),
             "gate 'nowhere.create' does not name a trigger destination",
         ),
+        (
+            "reservoir",
+            Scenario(injections=(Injection("y", StageRef(("env",), StageKind.TRANSFER), 1),)),
+            "injection of unknown thing 'y'",
+        ),
+        (
+            "reservoir",
+            Scenario(injections=(
+                Injection("water", StageRef(("a",), StageKind.TRANSFER), 1),
+            )),
+            "injections enter at 'env.transfer', got 'a.transfer'",
+        ),
+        ("reservoir", Scenario(max_steps=0), "max_steps must be >= 1"),
     ]
     for model_name, scenario, message in cases:
         with pytest.raises(ScenarioError) as excinfo:
