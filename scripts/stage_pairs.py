@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time each front-end stage of two tmkit sources on relay, call by call.
+"""Time each front-end stage and emitter of two tmkit sources on relay, call by call.
 
     python3 scripts/stage_pairs.py PARENT_SRC CHANGE_SRC [--n 400] [--calls 41]
 
@@ -8,8 +8,11 @@ Each SRC is a directory holding the ``tmkit`` package, such as a checkout's
 ``tmkit_parent`` and ``tmkit_change``, and given the same text: perfbench's
 relay model of ``--n`` machines, seed 0 (perfbench/workloads.py, imported,
 not edited). The stages are ``_scan``, the token parser, ``build_model``,
-``validate`` and the whole ``parse``. Each stage's input is made outside its
-timed call, so ``validate`` runs on a fresh model each time.
+``validate``, the whole ``parse``, and the emitters ``serialize``,
+``render_static`` and ``render_events``. Each stage's input is made outside
+its timed call, so ``validate`` runs on a fresh model each time, and each
+emitter on a freshly parsed model whose ``Model.stages`` is already built.
+The script exits non-zero if the two sides' emitters give different bytes.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -30,7 +33,9 @@ from pathlib import Path
 from time import perf_counter
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-STAGES = ("_scan", "parser", "build_model", "validate", "parse")
+STAGES = ("_scan", "parser", "build_model", "validate", "parse",
+          "serialize", "render_static", "render_events")
+EMITTERS = STAGES[-3:]
 FILE = "<relay>"
 
 
@@ -52,6 +57,16 @@ def relay_text(n: int) -> str:
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module.relay(n).models["relay"]
+
+
+def emitters(tmkit) -> dict:
+    """Per emitter, a function from a model to its output text."""
+    render = tmkit.render
+    return {
+        "serialize": tmkit.dsl.serialize,
+        "render_static": lambda model: render.render_static(model).text,
+        "render_events": lambda model: render.render_events(model).text,
+    }
 
 
 def stage_calls(tmkit, text: str) -> dict:
@@ -77,13 +92,22 @@ def stage_calls(tmkit, text: str) -> dict:
         model = built()
         return lambda: core.validate(model)
 
-    return {
+    def emitter(emit):
+        def make():
+            model = dsl.parse(text, FILE).model
+            model.stages
+            return lambda: emit(model)
+        return make
+
+    calls = {
         "_scan": lambda: lambda: dsl._scan(text, FILE),
         "parser": parser,
         "build_model": build,
         "validate": validate,
         "parse": lambda: lambda: dsl.parse(text, FILE),
     }
+    calls.update((name, emitter(emit)) for name, emit in emitters(tmkit).items())
+    return calls
 
 
 def timed(make) -> float:
@@ -117,17 +141,22 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     text = relay_text(args.n)
-    sides = {}
+    sides, outputs = {}, {}
     for label, src in (("parent", args.parent), ("change", args.change)):
         tmkit = load(src, f"tmkit_{label}")
         sides[label] = stage_calls(tmkit, text)
-        if not tmkit.dsl.parse(text, FILE).model:
+        model = tmkit.dsl.parse(text, FILE).model
+        if not model:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
+        outputs[label] = {name: emit(model) for name, emit in emitters(tmkit).items()}
+    for name in EMITTERS:
+        if outputs["parent"][name] != outputs["change"][name]:
+            sys.exit(f"{name}: the two sides' output bytes differ on relay n={args.n}")
     medians = measure(sides, args.calls)
     print(f"relay n={args.n}, {args.calls} alternating calls per stage and side, median ms")
-    print(f"{'stage':<12} {'parent':>9} {'change':>9} {'change/parent':>14}")
+    print(f"{'stage':<13} {'parent':>9} {'change':>9} {'change/parent':>14}")
     for stage, m in medians.items():
-        print(f"{stage:<12} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
+        print(f"{stage:<13} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
               f"{m['change'] / m['parent']:>14.3f}")
     return 0
 

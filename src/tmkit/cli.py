@@ -97,7 +97,7 @@ def corpus_list() -> list[CorpusEntry]:
 
 def _format_diagnostic(diag: Diagnostic, file: str) -> str:
     if isinstance(diag.location, SourceSpan):
-        where = f"{diag.location.file}:{diag.location.start_line}:{diag.location.start_col}"
+        where = str(diag.location)
     else:
         where = f"{file}:-:-"
         if diag.location is not None:

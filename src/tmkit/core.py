@@ -197,7 +197,8 @@ class Thing:
 
 @frozen
 class Machine:
-    """A machine node in the containment tree. Its id is its dotted path."""
+    """A machine node in the containment tree. ``path`` runs from the root
+    machine to this one; its id is its dotted path."""
 
     name: str
     path: tuple[str, ...]
@@ -995,6 +996,12 @@ def validate(model: Model, *, lax: bool = False) -> list[Diagnostic]:
     if lax not in cache:
         cache[lax] = tuple(_diagnose(model, lax))
     return list(cache[lax])
+
+
+def _require_no_errors(diags: list[Diagnostic]) -> None:
+    errors = [d for d in diags if d.is_error]
+    if errors:
+        raise ValueError("model does not validate: " + "; ".join(str(d) for d in errors))
 
 
 def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:

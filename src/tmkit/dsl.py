@@ -51,7 +51,6 @@ from .core import (
     Diagnostic,
     EventDecl,
     FlowDecl,
-    Machine,
     MachineDecl,
     Model,
     NodeItemDecl,
@@ -271,20 +270,12 @@ class _Parser:
         self.error_here(f"expected '{word}', found {tok.text!r}" if tok.text else f"expected '{word}'")
         return None
 
-    def expect_ident(self, what: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.advance()
-        found = repr(tok.text) if tok.text else "end of input"
-        self.error_here(f"expected {what}, found {found}")
-        return None
-
-    def expect(self, kind: str) -> _Token | None:
+    def expect(self, kind: str, what: str | None = None) -> _Token | None:
         tok = self.peek()
         if tok.kind == kind:
             return self.advance()
         found = repr(tok.text) if tok.text else "end of input"
-        self.error_here(f"expected '{kind}', found {found}")
+        self.error_here(f"expected {what or repr(kind)}, found {found}")
         return None
 
     # -- grammar -----------------------------------------------------------
@@ -292,7 +283,7 @@ class _Parser:
     def parse(self) -> tuple[str | None, list[Decl], list[Diagnostic]]:
         name: str | None = None
         if self.expect_kw("model") is not None:
-            tok = self.expect_ident("model name")
+            tok = self.expect("ident", "model name")
             if tok is not None:
                 name = tok.text
         if name is None:
@@ -325,7 +316,7 @@ class _Parser:
 
     def parse_thing(self) -> ThingDecl | None:
         start = self.advance()
-        tok = self.expect_ident("thing name")
+        tok = self.expect("ident", "thing name")
         if tok is None:
             return None
         return ThingDecl(tok.text, self.span_of(start, tok))
@@ -335,7 +326,7 @@ class _Parser:
         blocks: list[tuple[_Token, _Token, list[MachineDecl]]] = []
         while True:
             start = self.advance()
-            tok = self.expect_ident("machine name")
+            tok = self.expect("ident", "machine name")
             if tok is None:
                 return None
             if self.peek().kind == "{":
@@ -398,36 +389,26 @@ class _Parser:
         )
         return None
 
-    def parse_flow(self) -> FlowDecl | None:
+    def parse_edge(self) -> FlowDecl | TriggerDecl | None:
+        """``flow THING stageref -> stageref`` or ``trigger stageref ~> stageref``."""
         start = self.advance()
-        thing = self.expect_ident("thing name")
+        thing = None
+        if start.text == "flow" and (thing := self.expect("ident", "thing name")) is None:
+            return None
+        src = self.parse_stage_ref()
+        if src is None or self.expect("~>" if thing is None else "->") is None:
+            return None
+        dst = self.parse_stage_ref()
+        if dst is None:
+            return None
+        span = self.span_of(start, dst[2])
         if thing is None:
-            return None
-        src = self.parse_stage_ref()
-        if src is None:
-            return None
-        if self.expect("->") is None:
-            return None
-        dst = self.parse_stage_ref()
-        if dst is None:
-            return None
-        return FlowDecl(thing.text, src[0], dst[0], self.span_of(start, dst[2]))
-
-    def parse_trigger(self) -> TriggerDecl | None:
-        start = self.advance()
-        src = self.parse_stage_ref()
-        if src is None:
-            return None
-        if self.expect("~>") is None:
-            return None
-        dst = self.parse_stage_ref()
-        if dst is None:
-            return None
-        return TriggerDecl(src[0], dst[0], self.span_of(start, dst[2]))
+            return TriggerDecl(src[0], dst[0], span)
+        return FlowDecl(thing.text, src[0], dst[0], span)
 
     def parse_event(self) -> EventDecl | None:
         start = self.advance()
-        name = self.expect_ident("event name")
+        name = self.expect("ident", "event name")
         if name is None:
             return None
         perpetual = False
@@ -457,16 +438,11 @@ class _Parser:
                 if ref is None:
                     return None
                 items.append(NodeItemDecl(ref[0], self.span_of(item_start, ref[2])))
-            elif tok.kind == "kw" and tok.text == "flow":
-                flow = self.parse_flow()
-                if flow is None:
+            elif tok.kind == "kw" and tok.text in ("flow", "trigger"):
+                edge = self.parse_edge()
+                if edge is None:
                     return None
-                items.append(flow)
-            elif tok.kind == "kw" and tok.text == "trigger":
-                trig = self.parse_trigger()
-                if trig is None:
-                    return None
-                items.append(trig)
+                items.append(edge)
             else:
                 self.error_here(
                     f"expected 'node', 'flow', 'trigger' or '}}' inside event, "
@@ -490,12 +466,12 @@ class _Parser:
             if tok.kind == "eof":
                 self.error_here("unterminated chronology block, expected '}'")
                 return None
-            before = self.expect_ident("event name")
+            before = self.expect("ident", "event name")
             if before is None:
                 return None
             if self.expect("->") is None:
                 return None
-            after = self.expect_ident("event name")
+            after = self.expect("ident", "event name")
             if after is None:
                 return None
             edges.append((before.text, after.text))
@@ -505,8 +481,8 @@ class _Parser:
     ITEMS = {
         "thing": parse_thing,
         "machine": parse_machine,
-        "flow": parse_flow,
-        "trigger": parse_trigger,
+        "flow": parse_edge,
+        "trigger": parse_edge,
         "event": parse_event,
         "chronology": parse_chronology,
     }
@@ -577,21 +553,17 @@ def serialize(model: Model) -> str:
     for thing in model.things:
         lines.append(f"thing {thing.name}")
 
-    # Depth-first with an explicit stack; a str entry is a pending "}" line.
-    stack: list[tuple[Machine, int] | str] = [(m, 0) for m in reversed(model.root_machines)]
-    while stack:
-        top = stack.pop()
-        if isinstance(top, str):
-            lines.append(top)
-            continue
-        machine, depth = top
-        pad = "  " * depth
+    closers: list[str] = []  # one pending "}" line per open machine block
+    for machine in model.machines:
+        while len(closers) >= len(machine.path):
+            lines.append(closers.pop())
+        pad = "  " * (len(machine.path) - 1)
         if machine.children:
             lines.append(f"{pad}machine {machine.name} {{")
-            stack.append(f"{pad}}}")
-            stack.extend((c, depth + 1) for c in reversed(machine.children))
+            closers.append(f"{pad}}}")
         else:
             lines.append(f"{pad}machine {machine.name}")
+    lines += reversed(closers)
     stages = model.stages
     flows = [f"flow {e.thing} {stages[e.src].text} -> {stages[e.dst].text}" for e in model.flows]
     triggers = [f"trigger {stages[t.src].text} ~> {stages[t.dst].text}" for t in model.triggers]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from ._frozen import frozen
-from .core import ENV_NAME, Machine, Model, RegionFlow, RegionTrigger, _Stage, validate
+from .core import ENV_NAME, Model, RegionFlow, RegionTrigger, _require_no_errors, _Stage, validate
 
 __all__ = [
     "DotDocument",
@@ -54,14 +54,6 @@ class DotDocument:
         return self.text
 
 
-def _require_valid(model: Model, lax: bool) -> None:
-    errors = [d for d in validate(model, lax=lax) if d.is_error]
-    if errors:
-        raise ValueError(
-            "model does not validate: " + "; ".join(str(d) for d in errors)
-        )
-
-
 def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[_Stage]]:
     grouped: dict[tuple[str, ...], list[_Stage]] = {}
     for stage in model.stages.values():
@@ -69,33 +61,21 @@ def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[_Stage]]:
     return grouped
 
 
-def _emit_machines(
-    model: Model, grouped: dict[tuple[str, ...], list[_Stage]], lines: list[str]
-) -> None:
-    """Nested machine clusters, depth-first with an explicit stack; a str
-    entry is a pending closing line."""
-    stack: list[tuple[Machine, int] | str] = [(m, 1) for m in reversed(model.root_machines)]
-    while stack:
-        top = stack.pop()
-        if isinstance(top, str):
-            lines.append(top)
-            continue
-        machine, depth = top
-        pad = "  " * depth
-        cluster_id = "cluster_" + "__".join(machine.path)
-        lines.append(f'{pad}subgraph "{cluster_id}" {{')
-        lines.append(f'{pad}  label="{machine.name}";')
-        for stage in grouped.get(machine.path, ()):
-            lines.append(f'{pad}  "{stage.text}" [label="{stage.kind}"];')
-        stack.append(f"{pad}}}")
-        stack.extend((c, depth + 1) for c in reversed(machine.children))
-
-
 def _static_body(model: Model, lines: list[str]) -> tuple[dict, dict]:
     """Append the static diagram's body to ``lines``; return each flow's and
     each trigger's end texts by edge id, the last edge of an id winning."""
     grouped = _stages_by_machine(model)
-    _emit_machines(model, grouped, lines)
+    closers: list[str] = []  # one pending "}" line per open cluster
+    for machine in model.machines:
+        while len(closers) >= len(machine.path):
+            lines.append(closers.pop())
+        pad = "  " * len(machine.path)
+        lines.append(f'{pad}subgraph "cluster_{"__".join(machine.path)}" {{')
+        lines.append(f'{pad}  label="{machine.name}";')
+        for stage in grouped.get(machine.path, ()):
+            lines.append(f'{pad}  "{stage.text}" [label="{stage.kind}"];')
+        closers.append(f"{pad}}}")
+    lines += reversed(closers)
     for stage in grouped.get((ENV_NAME,), ()):
         lines.append(f'  "{stage.text}" [label="{stage.text}", shape=plaintext];')
     stages = model.stages
@@ -112,7 +92,7 @@ def _static_body(model: Model, lines: list[str]) -> tuple[dict, dict]:
 
 def render_static(model: Model, *, lax: bool = False) -> DotDocument:
     """Static diagram: machine clusters, stage nodes, flow and trigger edges."""
-    _require_valid(model, lax)
+    _require_no_errors(validate(model, lax=lax))
     lines = [f'digraph "{model.name}" {{', "  compound=true;"]
     _static_body(model, lines)
     lines.append("}")
@@ -121,7 +101,7 @@ def render_static(model: Model, *, lax: bool = False) -> DotDocument:
 
 def render_events(model: Model, *, lax: bool = False) -> DotDocument:
     """Static diagram plus one color-coded boundary block per event."""
-    _require_valid(model, lax)
+    _require_no_errors(validate(model, lax=lax))
     if not model.events:
         raise ValueError("model has no events to render")
     lines = [f'digraph "{model.name}" {{', "  compound=true;"]

@@ -46,8 +46,10 @@ s is swept from step s+1.
 ``step`` continues the engine that made its input state when that state is
 the engine's latest snapshot and the model is the same object. A snapshot
 copies, in C, the live tokens' pointers and the fired events' timing pairs,
-each built once; a relay step loop costs 1.3x ``simulate`` at 400 events,
-2x at 3200 (CPython 3.11, 2 cores). Any other state (older, copied or
+each built once. A relay step loop costs more than ``simulate`` as the run
+grows: 1.3x at 400 events (median of five runs, each the best of 5), and
+1.65x to 3.08x at 3200 across 18 single runs of the same code (best of 5
+each; CPython 3.11, 2 cores). Any other state (older, copied or
 ``replace``d) rebuilds the engine, at a cost of its tokens and events.
 
 The engine is single-threaded by contract; traces and models are immutable
@@ -72,6 +74,7 @@ from .core import (
     _Region,
     _Stage,
     _record,
+    _require_no_errors,
     parse_stage_ref,
     validate,
 )
@@ -506,11 +509,7 @@ class _Engine:
 
 def init_state(model: Model, scenario: Scenario, *, lax: bool = False) -> SimState:
     """Validate inputs and produce the initial simulation state."""
-    errors = [d for d in validate(model, lax=lax) if d.is_error]
-    if errors:
-        raise ValueError(
-            "model does not validate: " + "; ".join(str(d) for d in errors)
-        )
+    _require_no_errors(validate(model, lax=lax))
     _check_scenario(model, scenario)
     return SimState(scenario=scenario)
 

@@ -154,7 +154,8 @@ def test_stage_pairs_times_every_front_end_stage():
                            "--calls", "5"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
-    assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse"]
+    assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse",
+                                        "serialize", "render_static", "render_events"]
     assert all(float(x) > 0 for row in rows for x in row[1:])
 
 
