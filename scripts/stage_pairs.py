@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Time each front-end stage and emitter of two tmkit sources on relay, call by call.
+"""Time each stage of two tmkit sources on relay and flood, call by call.
 
     python3 scripts/stage_pairs.py PARENT_SRC CHANGE_SRC [--n 400] [--calls 41]
 
 Each SRC is a directory holding the ``tmkit`` package, such as a checkout's
 ``src``. Both are imported into this one process, under the names
-``tmkit_parent`` and ``tmkit_change``, and given the same text: perfbench's
-relay model of ``--n`` machines, seed 0 (perfbench/workloads.py, imported,
-not edited). The stages are ``_scan``, the token parser, ``build_model``,
-``validate``, the whole ``parse``, and the emitters ``serialize``,
-``render_static`` and ``render_events``. Each stage's input is made outside
-its timed call, so ``validate`` runs on a fresh model each time, and each
-emitter on a freshly parsed model whose ``Model.stages`` is already built.
-The script exits non-zero if the two sides' emitters give different bytes.
+``tmkit_parent`` and ``tmkit_change``, and given the same inputs from
+perfbench/workloads.py (imported, not edited), seed 0. On the relay model of
+``--n`` machines the stages are ``_scan``, the token parser,
+``build_model``, ``validate``, the whole ``parse``, and the emitters
+``serialize``, ``render_static`` and ``render_events``. On the flood model
+and scenario, at perfbench's size, they are ``simulate``, ``format_trace``
+and ``step_loop`` (``init_state`` and a ``step`` per macro-step). Each
+stage's input is made outside its timed call, so ``validate`` runs on a
+fresh model each time, each emitter on a freshly parsed model whose
+``Model.stages`` is already built, and ``simulate`` and the step loop on a
+freshly parsed model, so that building ``Model.regions`` is timed with them.
+The script exits non-zero if the two sides' emitters or flood trace bytes
+differ.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -33,9 +38,8 @@ from pathlib import Path
 from time import perf_counter
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-STAGES = ("_scan", "parser", "build_model", "validate", "parse",
-          "serialize", "render_static", "render_events")
 FILE = "<relay>"
+FLOOD = "<flood>"
 
 
 def load(src: Path, name: str):
@@ -50,12 +54,12 @@ def load(src: Path, name: str):
     return module
 
 
-def relay_text(n: int) -> str:
+def workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.relay(n).models["relay"]
+    return module
 
 
 def emitters(tmkit) -> dict:
@@ -109,6 +113,40 @@ def stage_calls(tmkit, text: str) -> dict:
     return calls
 
 
+def flood_trace(tmkit, text: str, scenario: str) -> str:
+    sim = tmkit.sim
+    return sim.format_trace(sim.simulate(tmkit.dsl.parse(text, FLOOD).model,
+                                         sim.load_scenario(scenario)))
+
+
+def sim_calls(tmkit, text: str, scenario_text: str) -> dict:
+    """Per simulator stage on flood, a function that makes its input and
+    returns the timed call."""
+    dsl, sim = tmkit.dsl, tmkit.sim
+    scenario = sim.load_scenario(scenario_text)
+
+    def simulate():
+        model = dsl.parse(text, FLOOD).model
+        return lambda: sim.simulate(model, scenario)
+
+    def format_trace():
+        trace = sim.simulate(dsl.parse(text, FLOOD).model, scenario)
+        return lambda: sim.format_trace(trace)
+
+    def step_loop():
+        model = dsl.parse(text, FLOOD).model
+
+        def run():
+            state = sim.init_state(model, scenario)
+            for _ in range(scenario.max_steps):
+                state, _ = sim.step(model, state)
+                if state.quiescent:
+                    break
+        return run
+
+    return {"simulate": simulate, "format_trace": format_trace, "step_loop": step_loop}
+
+
 def timed(make) -> float:
     call = make()
     gc.collect()
@@ -119,11 +157,11 @@ def timed(make) -> float:
 
 def measure(sides: dict[str, dict], calls: int) -> dict[str, dict[str, float]]:
     """Median seconds per stage and side, the sides alternating call by call."""
-    samples = {stage: {label: [] for label in sides} for stage in STAGES}
     labels = list(sides)
+    samples = {stage: {label: [] for label in sides} for stage in sides[labels[0]]}
     for i in range(calls):
         order = labels if i % 2 == 0 else labels[::-1]
-        for stage in STAGES:
+        for stage in samples:
             for label in order:
                 samples[stage][label].append(timed(sides[label][stage]))
     return {stage: {label: statistics.median(s) for label, s in by_side.items()}
@@ -139,22 +177,30 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    text = relay_text(args.n)
+    bench = workloads()
+    text = bench.relay(args.n).models["relay"]
+    flood = bench.flood()
+    flood_text, flood_scenario = flood.models["flood"], flood.sims[0].scenario
     sides, outputs = {}, {}
     for label, src in (("parent", args.parent), ("change", args.change)):
         tmkit = load(src, f"tmkit_{label}")
-        sides[label] = stage_calls(tmkit, text)
+        sides[label] = stage_calls(tmkit, text) | sim_calls(tmkit, flood_text, flood_scenario)
         model = tmkit.dsl.parse(text, FILE).model
         if not model:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
         outputs[label] = {name: emit(model) for name, emit in emitters(tmkit).items()}
+        outputs[label]["flood trace"] = flood_trace(tmkit, flood_text, flood_scenario)
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
-            sys.exit(f"{name}: the two sides' output bytes differ on relay n={args.n}")
+            sys.exit(f"{name}: the two sides' output bytes differ")
     medians = measure(sides, args.calls)
-    print(f"relay n={args.n}, {args.calls} alternating calls per stage and side, median ms")
-    print(f"{'stage':<13} {'parent':>9} {'change':>9} {'change/parent':>14}")
+    titles = {"_scan": f"relay n={args.n}", "simulate": f"flood {bench.FLOOD_MACHINES} "
+              f"machines, {bench.FLOOD_STEPS} steps"}
     for stage, m in medians.items():
+        if stage in titles:
+            print(f"{titles[stage]}, {args.calls} alternating calls per stage and side, "
+                  "median ms")
+            print(f"{'stage':<13} {'parent':>9} {'change':>9} {'change/parent':>14}")
         print(f"{stage:<13} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
               f"{m['change'] / m['parent']:>14.3f}")
     return 0

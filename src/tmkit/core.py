@@ -434,11 +434,13 @@ class _Region:
     All stages are ``_Stage`` records of the model. ``mints`` holds the
     (thing, create stage) pairs minted when the event (re-)enters, leaving
     create stages that are trigger destinations to their trigger. ``walk``
-    is the region in declaration order: (source, trigger id, destination)
-    for a trigger, and (source, thing, destinations) for the flows that
-    leave one stage with one thing, each group at the position of its first
-    flow; two or more destinations make a decision point. ``watch`` holds
-    the (stage, thing or None) pairs whose occupation gives the event work.
+    is the region in declaration order: (source, trigger id, destination,
+    ``"src ~> dst"``) for a trigger, and (source, thing, destinations, a
+    ``"thing: src -> dst"`` per destination) for the flows that leave one
+    stage with one thing, each group at the position of its first flow; two
+    or more destinations make a decision point. Each text is the detail of
+    every entry its item makes for that edge. ``watch`` holds the (stage,
+    thing or None) pairs whose occupation gives the event work.
     """
 
     __slots__ = ("mints", "walk", "watch")
@@ -540,11 +542,15 @@ class Model:
                     trigger = self.triggers_by_id[item.edge_id]
                     src = stages[trigger.src]
                     watch[src, None] = None
-                    walk[src, trigger.id, stages[trigger.dst]] = None
+                    dst = stages[trigger.dst]
+                    walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
                 else:
                     watch[stages[item.ref], None] = None
             parts = tuple(
-                key if dsts is None else (*key, tuple(dsts)) for key, dsts in walk.items()
+                key if dsts is None  # a trigger: the key is the item
+                else (*key, tuple(dsts), tuple(f"{key[1]}: {key[0].text} -> {d.text}"
+                                               for d in dsts))
+                for key, dsts in walk.items()
             )
             regions.append(_Region(tuple(mints), parts, tuple(watch)))
         return tuple(regions)

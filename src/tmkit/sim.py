@@ -34,10 +34,12 @@ Operational semantics (fixed here so that runs are reproducible):
   stops at ``max_steps`` (reported as ``step_limit``, a normal outcome for
   models with perpetual events).
 
-Cost follows the work done, not the size of the run. Stages are interned
-once per model, with their string forms, so a hop neither hashes nor
-formats a ``StageRef``. Live tokens are indexed by stage, so a hop reads
-only its source stage's tokens (still in mint order, not arrival order). A
+Cost follows the work done, not the size of the run. Each region item's
+entry text is formatted once per model (``Model.regions``), and every entry
+the item makes shares that string. Live tokens are indexed by stage, so a
+region pass reads only a flow group's source bucket (still in mint order,
+not arrival order), and a hop, inline in that pass, formats nothing and
+calls no Python function: it appends its entry and re-files its token. A
 ready frontier counts each unfired event's unfired predecessors, so a step
 sweeps, in declaration order, only the fired perpetual events and the
 unfired events whose predecessors have all fired; an event unlocked in step
@@ -290,7 +292,6 @@ class _Engine:
         self.scenario = state.scenario
         self.latest: weakref.ref[SimState] | None = None  # the snapshot to resume from
         self.tokens: dict[str, Token] = {}
-        self.rank: dict[str, int] = {}
         self.at: dict[_Stage, dict[int, Token]] = {}
         self.untouched = _Interned()
         self.ranks = count()
@@ -361,23 +362,14 @@ class _Engine:
 
     def place(self, token: Token, stage: _Stage) -> None:
         """Add a live token at its stage's record under the next mint rank."""
-        rank = next(self.ranks)
         self.tokens[token.id] = token
-        self.rank[token.id] = rank
-        self.at.setdefault(stage, {})[rank] = token
+        self.at.setdefault(stage, {})[next(self.ranks)] = token
 
     def mint(self, thing: str, stage: _Stage, via: str) -> None:
         token = Token(f"tok{self.next_token}", thing, stage.ref)
         self.next_token += 1
         self.place(token, stage)
         self.emit("create", token.id, f"{thing} @ {stage.text} via {via}")
-
-    def tokens_at(self, stage: _Stage, thing: str) -> list[Token]:
-        """The thing's tokens at a stage in mint order, whatever their arrival."""
-        bucket = self.at.get(stage)
-        if not bucket:
-            return []
-        return [t for rank in sorted(bucket) if (t := bucket[rank]).thing == thing]
 
     def occupied(self, stage: _Stage, thing: str | None = None) -> bool:
         """Whether a token (of the thing, if one is given) sits at a stage."""
@@ -386,18 +378,9 @@ class _Engine:
             return False
         return thing is None or any(t.thing == thing for t in bucket.values())
 
-    def move(self, token: Token, src: _Stage, dst: _Stage) -> None:
-        self.emit(dst.kind, token.id, f"{token.thing}: {src.text} -> {dst.text}")
-        rank = self.rank[token.id]
-        del self.at[src][rank]
-        if dst.env:
-            del self.tokens[token.id]
-            del self.rank[token.id]
-        else:
-            moved = self.tokens[token.id] = Token(token.id, token.thing, dst.ref)
-            self.at.setdefault(dst, {})[rank] = moved
-
-    def take_choice(self, key: str) -> str:
+    def choose(self, src: _Stage, dsts: tuple, details: tuple) -> tuple[_Stage, str]:
+        """The next scenario choice at a decision point: its destination and text."""
+        key = src.text
         queue = self.choices.get(key, ())
         index = self.taken.get(key, 0)
         if index >= len(queue):
@@ -412,14 +395,26 @@ class _Engine:
         self.taken[key] = index + 1
         branch = queue[index]
         self.emit("choice", key, f"-> {branch}")
-        return branch
+        for dst, text in zip(dsts, details):
+            if dst.text == branch:
+                return dst, text
+        raise SimulationError(
+            Diagnostic(
+                "E401",
+                "error",
+                key,
+                f"choice branch '{branch}' does not match a region flow at '{key}'",
+            )
+        )
 
     # -- region mechanics ------------------------------------------------------
 
     def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
         """One declaration-order pass over the region. True if it emitted."""
-        before = len(self.entries)
-        for src, label, dsts in region.walk:
+        entries, tokens, at, step_no = self.entries, self.tokens, self.at, self.step_no
+        new = tuple.__new__  # the records' generated __new__ would add a frame each
+        before = len(entries)
+        for src, label, dsts, detail in region.walk:
             if isinstance(dsts, _Stage):  # a trigger: label is its id
                 if label in spent_triggers or not self.occupied(src):
                     continue
@@ -429,30 +424,28 @@ class _Engine:
                     self.emit("gate", dsts.text, "true" if gate else "false")
                     if not gate:
                         continue
-                self.emit("trigger", label, f"{src.text} ~> {dsts.text}")
+                entries.append(new(TraceEntry, (step_no, "trigger", label, detail)))
                 if dsts.kind == "create":
                     for thing in dsts.outs:
                         self.mint(thing, dsts, label)
                 continue
-            if len(dsts) == 1:  # a flow group: label is its thing
-                for token in self.tokens_at(src, label):
-                    self.move(token, src, dsts[0])
+            # a flow group: label is its thing and detail has a text per dst;
+            # its tokens move in mint order, whatever their arrival
+            bucket = at.get(src)
+            if not bucket:
                 continue
-            for token in self.tokens_at(src, label):
-                branch = self.take_choice(src.text)
-                chosen = next((dst for dst in dsts if dst.text == branch), None)
-                if chosen is None:
-                    raise SimulationError(
-                        Diagnostic(
-                            "E401",
-                            "error",
-                            src.text,
-                            f"choice branch '{branch}' does not match a "
-                            f"region flow at '{src.text}'",
-                        )
-                    )
-                self.move(token, src, chosen)
-        return len(self.entries) > before
+            dst, text, fan = dsts[0], detail[0], len(dsts) > 1
+            for rank in [r for r in sorted(bucket) if bucket[r].thing == label]:
+                if fan:
+                    dst, text = self.choose(src, dsts, detail)
+                token = bucket.pop(rank)
+                entries.append(new(TraceEntry, (step_no, dst.kind, token.id, text)))
+                if dst.env:
+                    del tokens[token.id]
+                else:
+                    moved = tokens[token.id] = new(Token, (token.id, label, dst.ref))
+                    at.setdefault(dst, {})[rank] = moved
+        return len(entries) > before
 
     # -- one macro-step ----------------------------------------------------------
 

@@ -1064,6 +1064,22 @@ def test_simulate_neither_hashes_nor_formats_a_stage_ref_per_entry(monkeypatch):
     assert calls < len(trace.entries) // 10, f"{calls} calls for {len(trace.entries)} entries"
 
 
+def _distinct_hop_and_trigger_details(steps: int) -> tuple[int, int]:
+    model, scenario = perpetual_relay(20, steps)
+    trace = simulate(model, scenario)  # alive while the ids are taken
+    kinds = {"trigger", "process", "release", "transfer", "receive"}
+    details = {id(e.detail) for e in trace.entries if e.kind in kinds}
+    return len(details), sum(len(region.walk) for region in model.regions)
+
+
+def test_hop_and_trigger_entries_share_their_region_items_detail():
+    # Each region item's entry text is formatted once per model; a hop or a
+    # trigger that formatted its own would make one string per entry.
+    (short, items), (long, _) = map(_distinct_hop_and_trigger_details, (150, 300))
+    assert long <= short, f"{short} distinct details at 150 steps, {long} at 300"
+    assert long <= items, f"{long} distinct details for {items} region items"
+
+
 def test_simulate_runs_few_generated_lines_per_entry():
     # A frozen record sets each field through a generated __init__, one
     # line per field; a named tuple is built by a one-line generated __new__.
