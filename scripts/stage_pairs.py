@@ -113,12 +113,6 @@ def stage_calls(tmkit, text: str) -> dict:
     return calls
 
 
-def flood_trace(tmkit, text: str, scenario: str) -> str:
-    sim = tmkit.sim
-    return sim.format_trace(sim.simulate(tmkit.dsl.parse(text, FLOOD).model,
-                                         sim.load_scenario(scenario)))
-
-
 def sim_calls(tmkit, text: str, scenario_text: str) -> dict:
     """Per simulator stage on flood, a function that makes its input and
     returns the timed call."""
@@ -189,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         if not model:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
         outputs[label] = {name: emit(model) for name, emit in emitters(tmkit).items()}
-        outputs[label]["flood trace"] = flood_trace(tmkit, flood_text, flood_scenario)
+        outputs[label]["flood trace"] = sides[label]["format_trace"]()()
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")
