@@ -23,7 +23,6 @@ the last row pools every command's runs. Standard library only.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import statistics
 import subprocess
@@ -32,27 +31,21 @@ from pathlib import Path
 from time import perf_counter
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
 
 
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def corpus_commands(bench, corpus: Path, models: list[str]) -> list[list[str]]:
+def corpus_commands(corpus: Path, models: list[str]) -> list[list[str]]:
     """The ``tm`` arguments of each corpus command, in perfbench's order."""
     commands = []
     for name in models:
         model = str(corpus / f"{name}.tm")
         commands += [["validate", model], ["fmt", model]]
-        commands += [["render", model, "--view", view] for view in bench.VIEWS]
+        commands += [["render", model, "--view", view] for view in workloads.VIEWS]
         commands.append(["coverage", model])
     for name in models:
-        for scenario in bench.CORPUS_SCENARIOS[name]:
+        for scenario in workloads.CORPUS_SCENARIOS[name]:
             commands.append(["sim", str(corpus / f"{name}.tm"), "--scenario",
                              str(corpus / f"{scenario}.scn")])
     return commands
@@ -89,18 +82,17 @@ def row(name: str, parent: list[float], change: list[float]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    bench = workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="directory holding the parent's tmkit")
     parser.add_argument("change", type=Path, help="directory holding the change's tmkit")
     parser.add_argument("--rounds", type=int, default=11, help="runs per command and side")
-    parser.add_argument("--models", nargs="+", choices=list(bench.CORPUS_SCENARIOS),
-                        default=list(bench.CORPUS_SCENARIOS), help="corpus models to run")
+    parser.add_argument("--models", nargs="+", choices=list(workloads.CORPUS_SCENARIOS),
+                        default=list(workloads.CORPUS_SCENARIOS), help="corpus models to run")
     args = parser.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    commands = corpus_commands(bench, sides["change"] / "tmkit" / "corpus", args.models)
+    commands = corpus_commands(sides["change"] / "tmkit" / "corpus", args.models)
     samples = measure(sides, commands, args.rounds)
     print(f"{len(commands)} corpus tm commands, {args.rounds} alternating runs per command "
           f"and side, median wall ms")

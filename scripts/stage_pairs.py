@@ -37,7 +37,10 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
+
 FILE = "<relay>"
 FLOOD = "<flood>"
 
@@ -50,14 +53,6 @@ def load(src: Path, name: str):
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -171,9 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    bench = workloads()
-    text = bench.relay(args.n).models["relay"]
-    flood = bench.flood()
+    text = workloads.relay(args.n).models["relay"]
+    flood = workloads.flood()
     flood_text, flood_scenario = flood.models["flood"], flood.sims[0].scenario
     sides, outputs = {}, {}
     for label, src in (("parent", args.parent), ("change", args.change)):
@@ -188,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")
     medians = measure(sides, args.calls)
-    titles = {"_scan": f"relay n={args.n}", "simulate": f"flood {bench.FLOOD_MACHINES} "
-              f"machines, {bench.FLOOD_STEPS} steps"}
+    titles = {"_scan": f"relay n={args.n}", "simulate": f"flood {workloads.FLOOD_MACHINES} "
+              f"machines, {workloads.FLOOD_STEPS} steps"}
     for stage, m in medians.items():
         if stage in titles:
             print(f"{titles[stage]}, {args.calls} alternating calls per stage and side, "

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from ._frozen import frozen, replace
-from .core import Diagnostic, Model
-from .dsl import SourceSpan, parse, serialize
+from .core import Model
+from .dsl import parse, serialize
 
 __all__ = ["main", "run", "corpus_list", "CorpusEntry", "corpus_dir"]
 
@@ -95,16 +95,6 @@ def corpus_list() -> list[CorpusEntry]:
     return entries
 
 
-def _format_diagnostic(diag: Diagnostic, file: str) -> str:
-    if isinstance(diag.location, SourceSpan):
-        where = str(diag.location)
-    else:
-        where = f"{file}:-:-"
-        if diag.location is not None:
-            where += f" ({diag.location})"
-    return f"{diag.severity} {diag.code} {where} {diag.message}"
-
-
 def _atomic_write(path: str, data: str) -> None:
     import tempfile
 
@@ -131,17 +121,18 @@ def _read_file(path: str) -> str | None:
     return None
 
 
-def _load_or_report(path: str, lax: bool) -> Model | int:
-    """The validated model, or the exit status after reporting why not."""
+def _load_or_report(path: str, lax: bool, quiet: bool = True) -> Model | int:
+    """The validated model, or the exit status after reporting why not. The
+    diagnostics, each located by its source span, print if there is an error
+    or if not ``quiet``."""
     text = _read_file(path)
     if text is None:
         return USAGE_OR_IO
     result = parse(text, path, lax=lax)
-    if result.model is not None:
-        return result.model
-    for diag in result.diagnostics:
-        print(_format_diagnostic(diag, path))
-    return VALIDATION_ERRORS if result.diagnostics else USAGE_OR_IO
+    if result.model is None or not quiet:
+        for diag in result.diagnostics:
+            print(f"{diag.severity} {diag.code} {diag.location} {diag.message}")
+    return VALIDATION_ERRORS if result.model is None else result.model
 
 
 def _emit(text: str, output: str | None) -> int:
@@ -215,14 +206,11 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         worst = OK
         for path in args.files:
-            text = _read_file(path)
-            if text is None:
-                return USAGE_OR_IO
-            result = parse(text, path, lax=args.lax)
-            for diag in result.diagnostics:
-                print(_format_diagnostic(diag, path))
-            if any(d.is_error for d in result.diagnostics):
-                worst = max(worst, VALIDATION_ERRORS)
+            model = _load_or_report(path, args.lax, quiet=False)
+            if isinstance(model, int):
+                if model == USAGE_OR_IO:
+                    return model
+                worst = VALIDATION_ERRORS
         return worst
 
     if args.command in ("fmt", "sim", "render", "coverage"):

@@ -271,18 +271,6 @@ class Event:
     def id(self) -> str:
         return self.name
 
-    @property
-    def flow_ids(self) -> tuple[str, ...]:
-        return tuple(i.edge_id for i in self.items if isinstance(i, RegionFlow))
-
-    @property
-    def trigger_ids(self) -> tuple[str, ...]:
-        return tuple(i.edge_id for i in self.items if isinstance(i, RegionTrigger))
-
-    @property
-    def node_refs(self) -> tuple[StageRef, ...]:
-        return tuple(i.ref for i in self.items if isinstance(i, RegionNode))
-
 
 @frozen
 class Chronology:
@@ -469,13 +457,16 @@ class Model:
 
     @cached_property
     def machines(self) -> tuple[Machine, ...]:
-        """All machines in depth-first declaration order."""
+        """All machines in depth-first declaration order. Raises ValueError if
+        a machine's path is not its parent's path plus its own name."""
         out: list[Machine] = []
-        stack = list(reversed(self.root_machines))
+        stack = [((), m) for m in reversed(self.root_machines)]
         while stack:
-            m = stack.pop()
+            parent, m = stack.pop()
+            if m.path != (*parent, m.name):
+                raise ValueError(f"machine path {m.path!r} is not {parent!r} plus {m.name!r}")
             out.append(m)
-            stack.extend(reversed(m.children))
+            stack += [(m.path, c) for c in reversed(m.children)]
         return tuple(out)
 
     @cached_property

@@ -7,10 +7,9 @@ Event regions are drawn as color-coded node outlines with a legend
 non-lossy encoding); each event's assignments sit between begin/end marker
 comments. Output is deterministic: same model, same bytes. Every stage's
 text comes from ``Model.stages``, formatted once per model, so no view
-formats a ``StageRef`` per edge end. The static body records each edge's
-end texts by id as it writes the edge; an event's members come from one
-walk of its items through those tables: node stages first, then flow ends,
-then trigger ends, each in item order and first-seen.
+formats a ``StageRef`` per edge end. An event's members come from one
+walk of its items: node stages first, then flow ends, then trigger ends,
+each in item order and first-seen.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[_Stage]]:
     return grouped
 
 
-def _static_body(model: Model, lines: list[str]) -> tuple[dict, dict]:
-    """Append the static diagram's body to ``lines``; return each flow's and
-    each trigger's end texts by edge id, the last edge of an id winning."""
+def _static_body(model: Model, lines: list[str]) -> None:
+    """Append the static diagram's body to ``lines``."""
     grouped = _stages_by_machine(model)
     closers: list[str] = []  # one pending "}" line per open cluster
     for machine in model.machines:
@@ -79,15 +77,12 @@ def _static_body(model: Model, lines: list[str]) -> tuple[dict, dict]:
     for stage in grouped.get((ENV_NAME,), ()):
         lines.append(f'  "{stage.text}" [label="{stage.text}", shape=plaintext];')
     stages = model.stages
-    flow_ends: dict[str, tuple[str, str]] = {}
     for e in model.flows:
-        src, dst = flow_ends[e.id] = stages[e.src].text, stages[e.dst].text
+        src, dst = stages[e.src].text, stages[e.dst].text
         lines.append(f'  "{src}" -> "{dst}" [id="{e.id}", label="{e.thing}"];')
-    trigger_ends: dict[str, tuple[str, str]] = {}
     for t in model.triggers:
-        src, dst = trigger_ends[t.id] = stages[t.src].text, stages[t.dst].text
+        src, dst = stages[t.src].text, stages[t.dst].text
         lines.append(f'  "{src}" -> "{dst}" [id="{t.id}", style=dashed];')
-    return flow_ends, trigger_ends
 
 
 def render_static(model: Model, *, lax: bool = False) -> DotDocument:
@@ -105,8 +100,8 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
     if not model.events:
         raise ValueError("model has no events to render")
     lines = [f'digraph "{model.name}" {{', "  compound=true;"]
-    flow_ends, trigger_ends = _static_body(model, lines)
-    stages = model.stages
+    _static_body(model, lines)
+    stages, flows, triggers = model.stages, model.flows_by_id, model.triggers_by_id
     legend = ['  subgraph "cluster_legend" {', '    label="events";']
     for index, event in enumerate(model.events):
         color = _PALETTE[index % len(_PALETTE)]
@@ -114,9 +109,11 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
         for item in event.items:
             kind = type(item)
             if kind is RegionFlow:
-                flow_texts += flow_ends[item.edge_id]
+                edge = flows[item.edge_id]
+                flow_texts += stages[edge.src].text, stages[edge.dst].text
             elif kind is RegionTrigger:
-                trigger_texts += trigger_ends[item.edge_id]
+                edge = triggers[item.edge_id]
+                trigger_texts += stages[edge.src].text, stages[edge.dst].text
             else:  # a node that no edge touches occurs only in a hand-built model
                 ref = item.ref
                 nodes.append(stages[ref].text if ref in stages else str(ref))

@@ -199,11 +199,6 @@ class SimState:
         """Fired events in firing order."""
         return tuple(name for name, _ in self.timings)
 
-    @property
-    def ended(self) -> frozenset[str]:
-        """Fired events that have released their time."""
-        return frozenset(name for name, t in self.timings if t.released_at is not None)
-
 
 def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
     """Parse the flat key-value scenario format.
@@ -416,12 +411,13 @@ class _Engine:
         before = len(entries)
         for src, label, dsts, detail in region.walk:
             if isinstance(dsts, _Stage):  # a trigger: label is its id
-                if label in spent_triggers or not self.occupied(src):
+                if label in spent_triggers or not at.get(src):
                     continue
                 spent_triggers.add(label)
                 gate = self.gates.get(dsts.text)
                 if gate is not None:
-                    self.emit("gate", dsts.text, "true" if gate else "false")
+                    entries.append(new(TraceEntry, (step_no, "gate", dsts.text,
+                                                    "true" if gate else "false")))
                     if not gate:
                         continue
                 entries.append(new(TraceEntry, (step_no, "trigger", label, detail)))

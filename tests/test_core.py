@@ -33,7 +33,8 @@ from tmkit.core import (
     resolve,
     validate,
 )
-from tmkit.dsl import SourceSpan, parse
+from tmkit.dsl import SourceSpan, parse, serialize
+from tmkit.render import render_events, render_static
 
 from helpers import (
     CORPUS_NAMES,
@@ -440,6 +441,23 @@ def test_machine_tree_edge_count():
         roots = len(model.root_machines)
         parent_child_edges = sum(len(m.children) for m in machines)
         assert parent_child_edges == len(machines) - roots
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        (Machine("a", ("a",), (Machine("b", ("b",)),)),),
+        (Machine("a", ("x", "a")),),
+    ],
+    ids=["child-path-not-under-parent", "root-path-not-its-name"],
+)
+def test_a_machine_tree_that_does_not_nest_by_path_is_refused(roots):
+    # Walking the tree checks each path against the nesting, so no view
+    # writes a child as its parent's sibling.
+    model = Model("m", root_machines=roots)
+    for reader in (serialize, render_static, render_events, validate):
+        with pytest.raises(ValueError, match="machine path"):
+            reader(model)
 
 
 def test_resolve_stage_reference():

@@ -27,6 +27,7 @@ from helpers import (
     random_valid_model,
     reference_lex,
 )
+from test_acceptance import MUTATIONS
 
 
 def _lex(text: str) -> list:
@@ -128,16 +129,25 @@ def test_one_mistake_in_a_block_is_one_e001(block, first):
 
 
 def test_every_parse_diagnostic_has_a_span_in_bounds():
-    text = "model broken\nthing thing\nflow x a.b -> c.d\nmachine {\n"
-    result = parse(text, "b.tm")
-    assert result.diagnostics
-    n_lines = text.count("\n") + 1
-    for diag in result.diagnostics:
-        span = diag.location
-        assert isinstance(span, SourceSpan)
-        assert 1 <= span.start_line <= n_lines
-        assert 1 <= span.start_col
-        assert (span.end_line, span.end_col) >= (span.start_line, span.start_col)
+    # `tm` prints each diagnostic's location as its span, so every code must
+    # carry one: syntax, build and validation diagnostics alike.
+    base = corpus_path("murderer.tm").read_text()
+    texts = ["model broken\nthing thing\nflow x a.b -> c.d\nmachine {\n"]
+    texts += [mutate(base) for mutate in MUTATIONS.values()]
+    texts += [text for text, _ in bench_workloads().relay().broken.values()]
+    codes = set()
+    for text in texts:
+        result = parse(text, "b.tm")
+        assert result.diagnostics
+        n_lines = text.count("\n") + 1
+        for diag in result.diagnostics:
+            codes.add(diag.code)
+            span = diag.location
+            assert isinstance(span, SourceSpan)
+            assert 1 <= span.start_line <= n_lines
+            assert 1 <= span.start_col
+            assert (span.end_line, span.end_col) >= (span.start_line, span.start_col)
+    assert {"E102", "E103", "E105"} <= codes
 
 
 def test_unknown_keyword_is_syntax_error():

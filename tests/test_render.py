@@ -156,12 +156,13 @@ def test_reservoir_event_boundaries_match_corpus_regions():
         begin = doc.text.index(f"/* event {event.name} begin */")
         end = doc.text.index(f"/* event {event.name} end */")
         block = doc.text[begin:end]
-        member_refs = set(event.node_refs)
-        for fid in event.flow_ids:
-            edge = model.flows_by_id[fid]
-            member_refs.update((edge.src, edge.dst))
-        for tid in event.trigger_ids:
-            edge = model.triggers_by_id[tid]
+        member_refs = set()
+        for item in event.items:
+            if isinstance(item, RegionNode):
+                member_refs.add(item.ref)
+                continue
+            edges = model.flows_by_id if isinstance(item, RegionFlow) else model.triggers_by_id
+            edge = edges[item.edge_id]
             member_refs.update((edge.src, edge.dst))
         for ref in member_refs:
             assert f'"{ref}"' in block
@@ -252,42 +253,19 @@ def test_emit_formats_no_stage_ref_per_edge(monkeypatch):
     assert calls == 0, f"{calls} StageRef.__str__ calls"
 
 
-def test_emit_reads_no_event_item_property(monkeypatch):
-    # The overlay and coverage walk each event's items once; the three
-    # properties each walk all of them again.
-    model = parse(bench_workloads().relay(200).models["relay"]).model
-    calls = dict.fromkeys(("flow_ids", "trigger_ids", "node_refs"), 0)
-
-    def counting(name):
-        plain = getattr(Event, name)
-
-        def get(self):
-            calls[name] += 1
-            return plain.fget(self)
-
-        return property(get)
-
-    for name in calls:
-        monkeypatch.setattr(Event, name, counting(name))
-    serialize(model)
-    render_static(model)
-    render_events(model)
-    render_chronology(model)
-    coverage(model).text()
-    assert calls == dict.fromkeys(calls, 0)
-
-
 def reference_overlay(model) -> str:
-    """``render_events`` text with each event's members taken from
-    ``Event.node_refs``, ``flow_ids`` and ``trigger_ids``, every edge looked
-    up by id and every stage formatted from its ``StageRef``."""
+    """``render_events`` text with each event's members taken from its node,
+    flow and trigger items in turn, every edge looked up by id and every
+    stage formatted from its ``StageRef``."""
     flows = {e.id: e for e in model.flows}
     triggers = {t.id: t for t in model.triggers}
     lines, legend = [], ['  subgraph "cluster_legend" {', '    label="events";']
     for index, event in enumerate(model.events):
         color = _PALETTE[index % len(_PALETTE)]
-        members = dict.fromkeys(str(ref) for ref in event.node_refs)
-        edges = [flows[i] for i in event.flow_ids] + [triggers[i] for i in event.trigger_ids]
+        items = event.items
+        members = dict.fromkeys(str(i.ref) for i in items if isinstance(i, RegionNode))
+        edges = [flows[i.edge_id] for i in items if isinstance(i, RegionFlow)]
+        edges += [triggers[i.edge_id] for i in items if isinstance(i, RegionTrigger)]
         for edge in edges:
             members.setdefault(str(edge.src))
             members.setdefault(str(edge.dst))
@@ -308,8 +286,7 @@ def reference_coverage(model) -> CoverageReport:
     ids = [e.id for e in model.flows] + [t.id for t in model.triggers]
     inside = set()
     for event in model.events:
-        inside.update(event.flow_ids)
-        inside.update(event.trigger_ids)
+        inside.update(i.edge_id for i in event.items if not isinstance(i, RegionNode))
     covered = tuple(i for i in ids if i in inside)
     uncovered = tuple(i for i in ids if i not in inside)
     return CoverageReport(covered, uncovered, len(covered) / len(ids) if ids else 1.0)

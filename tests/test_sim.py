@@ -384,7 +384,8 @@ def test_a_one_shot_relay_and_its_copies_step_through_simulates_timings():
         timings = _timings_of(prefix)
         assert dict(state.timings) == timings
         assert state.fired == tuple(timings)
-        assert state.ended == {name for name, t in timings.items() if t.released_at is not None}
+        ended = {name for name, t in state.timings if t.released_at is not None}
+        assert ended == {e.subject for e in prefix if e.kind == "event_end"}
     assert dict(chain[-1][0].timings) == trace.timings
     copies = (replace, copy.copy, lambda s: pickle.loads(pickle.dumps(s)))
     for (state, _), later in zip(chain, chain[1:]):
@@ -839,8 +840,8 @@ def test_stepping_from_init_state_reproduces_simulate(model_name, scenario_name)
     assert state.quiescent == (trace.terminated == "quiescent")
     assert state.fired == trace.fired_events
     assert dict(state.timings) == trace.timings
-    assert state.ended == {
-        name for name, timing in state.timings if timing.released_at is not None
+    assert {name for name, timing in state.timings if timing.released_at is not None} == {
+        e.subject for e in trace.entries if e.kind == "event_end"
     }
 
 
