@@ -16,8 +16,8 @@ stage's input is made outside its timed call, so ``validate`` runs on a
 fresh model each time, each emitter on a freshly parsed model whose
 ``Model.stages`` is already built, and ``simulate`` and the step loop on a
 freshly parsed model, so that building ``Model.regions`` is timed with them.
-The script exits non-zero if the two sides' emitters or flood trace bytes
-differ.
+The script exits non-zero if the two sides' emitter bytes, flood trace bytes
+or flood step-loop entries (as text) differ.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -126,11 +126,13 @@ def sim_calls(tmkit, text: str, scenario_text: str) -> dict:
         model = dsl.parse(text, FLOOD).model
 
         def run():
-            state = sim.init_state(model, scenario)
+            state, entries = sim.init_state(model, scenario), []
             for _ in range(scenario.max_steps):
-                state, _ = sim.step(model, state)
+                state, new = sim.step(model, state)
+                entries += new
                 if state.quiescent:
                     break
+            return entries
         return run
 
     return {"simulate": simulate, "format_trace": format_trace, "step_loop": step_loop}
@@ -178,6 +180,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
         outputs[label] = {name: emit(model) for name, emit in emitters(tmkit).items()}
         outputs[label]["flood trace"] = sides[label]["format_trace"]()()
+        outputs[label]["flood step loop"] = "".join(
+            "\t".join(map(str, entry)) + "\n" for entry in sides[label]["step_loop"]()())
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")

@@ -535,7 +535,7 @@ class Model:
                     watch[src, None] = None
                     dst = stages[trigger.dst]
                     walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
-                else:
+                elif item.ref in stages:  # no flow reaches a stage no edge touches
                     watch[stages[item.ref], None] = None
             parts = tuple(
                 key if dsts is None  # a trigger: the key is the item
@@ -858,31 +858,21 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
     Each distinct stage reference is resolved once, and event items are
     looked up by their parsed refs in the edge and stage tables.
     Malformed identifiers (which the language cannot even express) raise
-    ValueError rather than producing diagnostics.
+    ValueError rather than producing diagnostics; an element whose type is
+    not one of the six declaration types (a subclass of one included) raises
+    TypeError.
     """
     _require_ident(name, "model name")
     diags: list[Diagnostic] = []
-    thing_decls: list[ThingDecl] = []
-    machine_decls: list[MachineDecl] = []
-    flow_decls: list[FlowDecl] = []
-    trigger_decls: list[TriggerDecl] = []
-    event_decls: list[EventDecl] = []
-    chronology_decls: list[ChronologyDecl] = []
+    kinds = (ThingDecl, MachineDecl, FlowDecl, TriggerDecl, EventDecl, ChronologyDecl)
+    by_kind: dict[type, list] = {kind: [] for kind in kinds}
     for decl in elements:
-        if isinstance(decl, ThingDecl):
-            thing_decls.append(decl)
-        elif isinstance(decl, MachineDecl):
-            machine_decls.append(decl)
-        elif isinstance(decl, FlowDecl):
-            flow_decls.append(decl)
-        elif isinstance(decl, TriggerDecl):
-            trigger_decls.append(decl)
-        elif isinstance(decl, EventDecl):
-            event_decls.append(decl)
-        elif isinstance(decl, ChronologyDecl):
-            chronology_decls.append(decl)
-        else:
+        if type(decl) not in by_kind:
             raise TypeError(f"not an element declaration: {decl!r}")
+        by_kind[type(decl)].append(decl)
+    thing_decls, machine_decls, flow_decls, trigger_decls, event_decls, chronology_decls = (
+        by_kind.values()
+    )
 
     things: dict[str, Thing] = {}
     for d in thing_decls:

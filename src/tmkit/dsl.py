@@ -505,10 +505,12 @@ def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseR
     if isinstance(built, list):
         return ParseResult(None, diagnostics + built)
     vdiags = validate(built, lax=lax)
-    if vdiags:
-        span_map = _element_spans(built, decls)
+    if vdiags:  # W202 is placed at a machine id, every other code at an edge id
+        edges, machines = _element_spans(built, decls)
         vdiags = [
-            Diagnostic(d.code, d.severity, span_map.get(d.location, d.location), d.message)
+            Diagnostic(d.code, d.severity,
+                       (machines if d.code == "W202" else edges).get(d.location, d.location),
+                       d.message)
             for d in vdiags
         ]
     all_diags = diagnostics + vdiags
@@ -516,20 +518,19 @@ def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseR
     return ParseResult(model, all_diags)
 
 
-def _element_spans(model: Model, decls: list[Decl]) -> dict[object, object]:
-    """Map element ids to source spans; the n-th flow or trigger decl is edge n."""
-    spans: dict[object, object] = {}
+def _element_spans(model: Model, decls: list[Decl]) -> tuple[dict, dict]:
+    """Edge ids and machine ids mapped to source spans, in two tables, as an
+    edge and a machine may share an id; the n-th flow or trigger decl is edge n."""
+    edges, machines = {}, {}
     flows, triggers = iter(model.flows), iter(model.triggers)
     for decl in decls:
         if isinstance(decl, FlowDecl):
-            spans[next(flows).id] = decl.span
+            edges[next(flows).id] = decl.span
         elif isinstance(decl, TriggerDecl):
-            spans[next(triggers).id] = decl.span
+            edges[next(triggers).id] = decl.span
         elif isinstance(decl, MachineDecl):
-            _machine_spans(decl, spans)
-        elif isinstance(decl, (ThingDecl, EventDecl)):
-            spans[decl.name] = decl.span
-    return spans
+            _machine_spans(decl, machines)
+    return edges, machines
 
 
 def _machine_spans(decl: MachineDecl, spans: dict[object, object]) -> None:

@@ -7,7 +7,9 @@ Operational semantics (fixed here so that runs are reproducible):
 * Events are swept in declaration order. An unfired event fires when every
   chronology predecessor fired before this step and its region has work: a
   token sits on a region edge, a region trigger can be evaluated, or a
-  region create stage would mint. Firing emits ``event_start``.
+  region create stage would mint. Firing emits ``event_start``. A region
+  node at a stage no edge touches (only a hand-built model has one) gives
+  no work: no flow can bring a token there.
 * A fired non-perpetual event runs its region to completion inside its
   firing step (repeated passes until a pass emits nothing) and then emits
   ``event_end``. A perpetual event never ends: it executes one region pass
@@ -45,14 +47,14 @@ sweeps, in declaration order, only the fired perpetual events and the
 unfired events whose predecessors have all fired; an event unlocked in step
 s is swept from step s+1.
 
-``step`` continues the engine that made its input state when that state is
-the engine's latest snapshot and the model is the same object. A snapshot
-copies, in C, the live tokens' pointers and the fired events' timing pairs,
-each built once. A relay step loop costs more than ``simulate`` as the run
-grows: 1.3x at 400 events (median of five runs, each the best of 5), and
-1.65x to 3.08x at 3200 across 18 single runs of the same code (best of 5
-each; CPython 3.11, 2 cores). Any other state (older, copied or
-``replace``d) rebuilds the engine, at a cost of its tokens and events.
+A snapshot holds a handle to the engine that made it, and ``step`` takes the
+handle from the state it steps, so only a state that ``step`` returned and
+that has not been stepped yet holds one. Stepping such a state with the same
+model object resumes its engine. Copies, pickles and ``replace``d states hold
+no handle; stepping one of them, an older state, or a state with another
+model object rebuilds the engine, at a cost of its tokens and events. A
+snapshot copies, in C, the live tokens' pointers and the fired events'
+timing pairs, each built once.
 
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
@@ -60,7 +62,6 @@ and may be shared freely.
 
 from __future__ import annotations
 
-import weakref
 from itertools import count
 from typing import NamedTuple
 
@@ -191,13 +192,9 @@ class SimState:
     quiescent: bool = False
 
     def __getstate__(self) -> dict:
-        # pickles and copies leave the engine handle behind
+        # pickles and copies leave the engine handle behind, so that only the
+        # state step returned can resume its engine
         return {k: v for k, v in vars(self).items() if k != "_engine"}
-
-    @property
-    def fired(self) -> tuple[str, ...]:
-        """Fired events in firing order."""
-        return tuple(name for name, _ in self.timings)
 
 
 def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
@@ -285,7 +282,6 @@ class _Engine:
     def __init__(self, model: Model, state: SimState):
         self.model = model
         self.scenario = state.scenario
-        self.latest: weakref.ref[SimState] | None = None  # the snapshot to resume from
         self.tokens: dict[str, Token] = {}
         self.at: dict[_Stage, dict[int, Token]] = {}
         self.untouched = _Interned()
@@ -343,7 +339,6 @@ class _Engine:
             quiescent=quiescent,
         )
         vars(state)["_engine"] = self  # not a field: outside init, repr, == and hash
-        self.latest = weakref.ref(state)  # weak, so no state-engine cycle is left
         return state
 
     # -- helpers -------------------------------------------------------------
@@ -517,9 +512,8 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     # The pop is atomic, so of two threads stepping one state at most one
     # gets the engine; the other rebuilds.
     engine = vars(state).pop("_engine", None)
-    if engine is None or engine.latest() is not state or engine.model is not model:
+    if engine is None or engine.model is not model:
         engine = _Engine(model, state)
-    engine.latest = None  # claimed: a failed step leaves nothing to resume
     engine.entries = []  # each call's entries are its own
     quiescent = engine.run_step()
     return engine.snapshot(quiescent), engine.entries

@@ -243,6 +243,30 @@ def test_validation_diagnostics_carry_spans():
     assert span.start_line == 5
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # The flow's E102 stays on its line, not machine f1's, and machine t1's
+        # W202 on its own line, not trigger t1's.
+        (
+            "model m\nthing x\nmachine a\nmachine t1\nflow x a.create -> a.transfer\n"
+            "trigger a.create ~> a.release\nmachine f1\n",
+            [("E102", 5), ("E102", 6), ("W202", 4), ("W202", 7)],
+        ),
+        # Machine x's W202 stays on its line, not the event x's.
+        (
+            "model m\nmachine x\nthing x\nmachine a\nflow x a.create -> a.process\n"
+            "event x {\n  flow x a.create -> a.process\n}\n",
+            [("W202", 2)],
+        ),
+    ],
+    ids=["edges-and-machines", "machine-thing-and-event"],
+)
+def test_an_element_sharing_an_id_with_another_kind_keeps_its_own_span(text, expected):
+    diagnostics = parse(text, "w.tm").diagnostics
+    assert [(d.code, d.location.start_line) for d in diagnostics] == expected
+
+
 def test_comments_and_blank_lines_are_ignored():
     result = parse("# header\nmodel m  # trailing\n\n  # indented comment\nthing a\n")
     assert result.model is not None

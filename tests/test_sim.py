@@ -17,7 +17,16 @@ import pytest
 
 import tmkit.core
 import tmkit.sim
-from tmkit.core import Chronology, Model, StageKind, StageRef, validate
+from tmkit.core import (
+    Chronology,
+    Event,
+    Model,
+    RegionFlow,
+    RegionNode,
+    StageKind,
+    StageRef,
+    validate,
+)
 from tmkit.dsl import parse
 from tmkit.sim import (
     EventTiming,
@@ -284,6 +293,26 @@ def test_the_region_table_is_built_once_per_model(monkeypatch):
     assert built == len(model.events) > 1
 
 
+def test_a_region_node_no_edge_touches_gives_its_event_no_work():
+    # Only a hand-built model has such a node (attach_event rejects it with
+    # E301). No flow can bring a token to its stage, so the run is the run of
+    # the same model without it.
+    model = load_corpus_model("murderer")
+    victim = model.root_machines[0]
+    flows = model.flows[:2]
+    node = RegionNode(StageRef(victim.path, StageKind.PROCESS))
+    edges = tuple(RegionFlow(flow.id) for flow in flows)
+    bare = replace(model, things=model.things[:1], root_machines=(victim,), flows=flows,
+                   triggers=(), events=(Event("hidden", items=edges),), chronology=None)
+    hand = replace(bare, events=(Event("hidden", items=(node, *edges)),))
+    assert node.ref not in hand.stages
+    trace = simulate(bare, Scenario(), lax=True)
+    assert trace.fired_events == ("hidden",) and trace.entries
+    assert simulate(hand, Scenario(), lax=True) == trace
+    first = step(bare, init_state(bare, Scenario(), lax=True))
+    assert step(hand, init_state(hand, Scenario(), lax=True)) == first
+
+
 # -- the trivial cases ------------------------------------------------------
 
 
@@ -314,7 +343,7 @@ def test_step_does_not_mutate_its_input_state():
     again_state, again_entries = step(model, state)
     assert first_entries == again_entries
     assert first_state == again_state
-    assert state.tokens == () and state.fired == ()
+    assert state.tokens == () and state.timings == ()
 
 
 def _step_chain(model, state, steps, prepare=lambda state: state):
@@ -352,6 +381,25 @@ def test_copied_states_step_like_fresh_engines(prepare):
     assert _step_chain(model, start, 25, prepare) == _step_chain(model, start, 25)
 
 
+def test_copies_of_a_live_state_rebuild_and_leave_its_engine_to_it(monkeypatch):
+    # Only the state step returned holds its engine's handle: each copy must
+    # rebuild, and the original must still resume the engine untouched.
+    model, scenario = perpetual_relay(20, 30)
+    start = init_state(model, scenario)
+    expected = _step_chain(model, start, 4)[-1]
+    live = _step_chain(model, start, 3)[-1][0]
+    built = []
+    init = tmkit.sim._Engine.__init__
+    monkeypatch.setattr(tmkit.sim._Engine, "__init__",
+                        lambda engine, *args: built.append(init(engine, *args)))
+    copies = (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)), replace)
+    for prepare in copies:
+        assert step(model, prepare(live)) == expected
+    assert len(built) == len(copies)
+    assert step(model, live) == expected
+    assert len(built) == len(copies)
+
+
 def _chain_relay(n: int) -> tuple[Model, Scenario, list]:
     """The benchmark's relay, a chain of n one-shot events with one fired per
     step, and its step chain from the initial state to quiescence."""
@@ -383,7 +431,7 @@ def test_a_one_shot_relay_and_its_copies_step_through_simulates_timings():
         prefix = [e for e in trace.entries if e.step <= state.step_no]
         timings = _timings_of(prefix)
         assert dict(state.timings) == timings
-        assert state.fired == tuple(timings)
+        assert tuple(name for name, _ in state.timings) == tuple(timings)
         ended = {name for name, t in state.timings if t.released_at is not None}
         assert ended == {e.subject for e in prefix if e.kind == "event_end"}
     assert dict(chain[-1][0].timings) == trace.timings
@@ -838,7 +886,7 @@ def test_stepping_from_init_state_reproduces_simulate(model_name, scenario_name)
             break
     assert tuple(entries) == trace.entries
     assert state.quiescent == (trace.terminated == "quiescent")
-    assert state.fired == trace.fired_events
+    assert tuple(name for name, _ in state.timings) == trace.fired_events
     assert dict(state.timings) == trace.timings
     assert {name for name, timing in state.timings if timing.released_at is not None} == {
         e.subject for e in trace.entries if e.kind == "event_end"
@@ -974,7 +1022,7 @@ def test_an_event_fires_the_step_after_its_predecessor():
     fired = []
     for _ in range(2):
         state, _ = step(model, state)
-        fired.append(state.fired)
+        fired.append(tuple(name for name, _ in state.timings))
     assert fired == [("first",), ("first", "second")]
 
 
@@ -990,7 +1038,7 @@ def test_stepping_a_perpetual_gated_relay_reproduces_simulate():
     assert {"gate", "trigger", "event_start"} <= kinds
     assert len(state.tokens) > 20
     assert tuple(entries) == trace.entries
-    assert state.fired == trace.fired_events
+    assert tuple(name for name, _ in state.timings) == trace.fired_events
     assert dict(state.timings) == trace.timings
     assert trace.terminated == "step_limit" and not state.quiescent
 
