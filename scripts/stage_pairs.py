@@ -17,7 +17,9 @@ fresh model each time, each emitter on a freshly parsed model whose
 ``Model.stages`` is already built, and ``simulate`` and the step loop on a
 freshly parsed model, so that building ``Model.regions`` is timed with them.
 The script exits non-zero if the two sides' emitter bytes, flood trace bytes
-or flood step-loop entries (as text) differ.
+or flood step-loop entries (as text) differ, or the trace bytes of the relay
+scenario or of any of the 8 corpus scenarios (read from PARENT_SRC's corpus),
+which run events to completion and take choices and gates.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -138,6 +140,13 @@ def sim_calls(tmkit, text: str, scenario_text: str) -> dict:
     return {"simulate": simulate, "format_trace": format_trace, "step_loop": step_loop}
 
 
+def trace_text(tmkit, text: str, scenario_text: str) -> str:
+    """The trace bytes of one run of a scenario on a model's source text."""
+    sim = tmkit.sim
+    model = tmkit.dsl.parse(text, FILE).model
+    return sim.format_trace(sim.simulate(model, sim.load_scenario(scenario_text)))
+
+
 def timed(make) -> float:
     call = make()
     gc.collect()
@@ -168,7 +177,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    text = workloads.relay(args.n).models["relay"]
+    relay = workloads.relay(args.n)
+    text = relay.models["relay"]
+    corpus = workloads.corpus(args.parent / "tmkit" / "corpus")
+    runs = {"relay trace": (text, relay.sims[0].scenario)}
+    runs.update((f"{case.name} trace", (corpus.models[case.model], case.scenario))
+                for case in corpus.sims)
     flood = workloads.flood()
     flood_text, flood_scenario = flood.models["flood"], flood.sims[0].scenario
     sides, outputs = {}, {}
@@ -182,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs[label]["flood trace"] = sides[label]["format_trace"]()()
         outputs[label]["flood step loop"] = "".join(
             "\t".join(map(str, entry)) + "\n" for entry in sides[label]["step_loop"]()())
+        outputs[label].update((name, trace_text(tmkit, *run)) for name, run in runs.items())
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")

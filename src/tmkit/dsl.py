@@ -63,6 +63,7 @@ from .core import (
     ThingDecl,
     TriggerDecl,
     _record,
+    _unknown_edge,
     build_model,
     validate,
 )
@@ -575,13 +576,17 @@ def serialize(model: Model) -> str:
     for event in model.events:
         head = f"event {event.name} perpetual {{" if event.perpetual else f"event {event.name} {{"
         lines.append(head)
-        for item in event.items:
-            if isinstance(item, RegionFlow):
-                lines.append("  " + flow_line[item.edge_id])
-            elif isinstance(item, RegionTrigger):
-                lines.append("  " + trigger_line[item.edge_id])
-            elif isinstance(item, RegionNode):  # formats a ref no edge touches
-                lines.append(f"  node {stages[item.ref].text if item.ref in stages else item.ref}")
+        try:  # of the lookups below, only an edge id can miss
+            for item in event.items:
+                if isinstance(item, RegionFlow):
+                    lines.append("  " + flow_line[item.edge_id])
+                elif isinstance(item, RegionTrigger):
+                    lines.append("  " + trigger_line[item.edge_id])
+                elif isinstance(item, RegionNode):  # formats a ref no edge touches
+                    ref = item.ref
+                    lines.append(f"  node {stages[ref].text if ref in stages else ref}")
+        except KeyError:
+            raise _unknown_edge(event, item) from None
         lines.append("}")
     if model.chronology is not None:
         lines.append("chronology {")

@@ -37,15 +37,20 @@ Operational semantics (fixed here so that runs are reproducible):
   models with perpetual events).
 
 Cost follows the work done, not the size of the run. Each region item's
-entry text is formatted once per model (``Model.regions``), and every entry
-the item makes shares that string. Live tokens are indexed by stage, so a
-region pass reads only a flow group's source bucket (still in mint order,
-not arrival order), and a hop, inline in that pass, formats nothing and
-calls no Python function: it appends its entry and re-files its token. A
-ready frontier counts each unfired event's unfired predecessors, so a step
-sweeps, in declaration order, only the fired perpetual events and the
-unfired events whose predecessors have all fired; an event unlocked in step
-s is swept from step s+1.
+entry text and each create text of a region or trigger mint is formatted
+once per model (``Model.regions``), each injection's once per engine, and
+every entry that uses one shares that string. Live tokens are indexed by
+stage, so a region pass reads only a flow group's source bucket, walking its
+ranks (sorted only when it holds two or more tokens, so tokens leave in mint
+order, not arrival order) and passing over tokens of other things. A pass
+calls no Python function except to mint or to take a choice: a hop appends
+its entry and re-files its token, both built with ``tuple.__new__`` so that
+no record's generated ``__new__`` runs. Beyond those, a flow group allocates
+only its list of ranks, and a hop a bucket for a stage that never held a
+token before. A ready frontier counts each unfired event's unfired
+predecessors, so a step sweeps, in declaration order, only the fired
+perpetual events and the unfired events whose predecessors have all fired;
+an event unlocked in step s is swept from step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``step`` returned and
@@ -63,6 +68,7 @@ and may be shared freely.
 from __future__ import annotations
 
 from itertools import count
+from operator import attrgetter
 from typing import NamedTuple
 
 from ._frozen import factory, frozen
@@ -101,6 +107,7 @@ __all__ = [
 ]
 
 _MAX_PASSES = 10_000  # defensive bound for run-to-completion of one event
+_thing = attrgetter("thing")
 
 
 class ScenarioError(ValueError):
@@ -298,9 +305,13 @@ class _Engine:
         self.gates: dict[str, bool] = {}
         for key, value in state.scenario.gates:
             self.gates.setdefault(key, value)  # the first line for a gate wins
-        self.injections: dict[int, list[tuple[str, _Stage]]] = {}
+        self.injections: dict[int, list[tuple[str, _Stage, str]]] = {}
+        mints: dict[tuple[str, _Stage], tuple[str, _Stage, str]] = {}  # one text per pair
         for inj in state.scenario.injections:
-            self.injections.setdefault(inj.step, []).append((inj.thing, self.stage(inj.ref)))
+            key = inj.thing, self.stage(inj.ref)
+            if key not in mints:
+                mints[key] = (*key, f"{inj.thing} @ {key[1].text} via injection")
+            self.injections.setdefault(inj.step, []).append(mints[key])
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
@@ -344,7 +355,7 @@ class _Engine:
     # -- helpers -------------------------------------------------------------
 
     def emit(self, kind: str, subject: str, detail: str) -> None:
-        self.entries.append(TraceEntry(self.step_no, kind, subject, detail or "-"))
+        self.entries.append(tuple.__new__(TraceEntry, (self.step_no, kind, subject, detail or "-")))
 
     def stage(self, ref: StageRef) -> _Stage:
         """The model's record of a stage, or this engine's if no edge touches it."""
@@ -355,18 +366,12 @@ class _Engine:
         self.tokens[token.id] = token
         self.at.setdefault(stage, {})[next(self.ranks)] = token
 
-    def mint(self, thing: str, stage: _Stage, via: str) -> None:
-        token = Token(f"tok{self.next_token}", thing, stage.ref)
+    def mint(self, thing: str, stage: _Stage, text: str) -> None:
+        """Mint a token of the thing at the stage; ``text`` is its create entry's detail."""
+        token = tuple.__new__(Token, (f"tok{self.next_token}", thing, stage.ref))
         self.next_token += 1
         self.place(token, stage)
-        self.emit("create", token.id, f"{thing} @ {stage.text} via {via}")
-
-    def occupied(self, stage: _Stage, thing: str | None = None) -> bool:
-        """Whether a token (of the thing, if one is given) sits at a stage."""
-        bucket = self.at.get(stage)
-        if not bucket:
-            return False
-        return thing is None or any(t.thing == thing for t in bucket.values())
+        self.emit("create", token.id, text)
 
     def choose(self, src: _Stage, dsts: tuple, details: tuple) -> tuple[_Stage, str]:
         """The next scenario choice at a decision point: its destination and text."""
@@ -399,17 +404,22 @@ class _Engine:
 
     # -- region mechanics ------------------------------------------------------
 
-    def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
-        """One declaration-order pass over the region. True if it emitted."""
-        entries, tokens, at, step_no = self.entries, self.tokens, self.at, self.step_no
-        new = tuple.__new__  # the records' generated __new__ would add a frame each
+    def run_pass(self, region: _Region, spent: set[str] | None) -> bool:
+        """One declaration-order pass over the region. True if it emitted. ``spent``
+        holds the triggers earlier passes fired; None for a perpetual event's one pass."""
+        entries, tokens, at, gates = self.entries, self.tokens, self.at, self.gates
+        step_no, new = self.step_no, tuple.__new__  # a record's __new__ would add a frame
         before = len(entries)
         for src, label, dsts, detail in region.walk:
-            if isinstance(dsts, _Stage):  # a trigger: label is its id
-                if label in spent_triggers or not at.get(src):
-                    continue
-                spent_triggers.add(label)
-                gate = self.gates.get(dsts.text)
+            bucket = at.get(src)
+            if not bucket:
+                continue
+            if type(dsts) is _Stage:  # a trigger: label is its id
+                if spent is not None:
+                    if label in spent:
+                        continue
+                    spent.add(label)
+                gate = gates.get(dsts.text)
                 if gate is not None:
                     entries.append(new(TraceEntry, (step_no, "gate", dsts.text,
                                                     "true" if gate else "false")))
@@ -417,25 +427,27 @@ class _Engine:
                         continue
                 entries.append(new(TraceEntry, (step_no, "trigger", label, detail)))
                 if dsts.kind == "create":
-                    for thing in dsts.outs:
-                        self.mint(thing, dsts, label)
+                    for thing, text in zip(dsts.outs, region.spawns[label]):
+                        self.mint(thing, dsts, text)
                 continue
             # a flow group: label is its thing and detail has a text per dst;
             # its tokens move in mint order, whatever their arrival
-            bucket = at.get(src)
-            if not bucket:
-                continue
             dst, text, fan = dsts[0], detail[0], len(dsts) > 1
-            for rank in [r for r in sorted(bucket) if bucket[r].thing == label]:
+            for rank in sorted(bucket) if len(bucket) > 1 else [*bucket]:
+                if bucket[rank].thing != label:
+                    continue
                 if fan:
                     dst, text = self.choose(src, dsts, detail)
                 token = bucket.pop(rank)
                 entries.append(new(TraceEntry, (step_no, dst.kind, token.id, text)))
                 if dst.env:
                     del tokens[token.id]
+                    continue
+                moved = tokens[token.id] = new(Token, (token.id, label, dst.ref))
+                if dst in at:
+                    at[dst][rank] = moved
                 else:
-                    moved = tokens[token.id] = new(Token, (token.id, label, dst.ref))
-                    at.setdefault(dst, {})[rank] = moved
+                    at[dst] = {rank: moved}
         return len(entries) > before
 
     # -- one macro-step ----------------------------------------------------------
@@ -444,28 +456,31 @@ class _Engine:
         """Run one macro-step; return whether the run is now quiescent."""
         self.step_no += 1
         before = len(self.entries)
-        for thing, stage in self.injections.get(self.step_no, ()):
-            self.mint(thing, stage, "injection")
+        for thing, stage, text in self.injections.get(self.step_no, ()):
+            self.mint(thing, stage, text)
         # sorted() copies the sweep, so an event unlocked in this step is
         # swept from the next one: its predecessor fired before that step.
         for i in sorted(self.sweep):
             event = self.model.events[i]
             region = self.model.regions[i]
             if event.name not in self.timings:  # fired events here are perpetual
-                if not region.mints and not any(
-                    self.occupied(stage, thing) for stage, thing in region.watch
-                ):
-                    continue
+                if not region.mints:  # work needs a token at a watched stage
+                    for stage, thing in region.watch:
+                        bucket = self.at.get(stage)  # map scans in C, a generator in frames
+                        if bucket and (thing is None or thing in map(_thing, bucket.values())):
+                            break
+                    else:
+                        continue
                 self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
                 self.timings[event.name] = (event.name, EventTiming(received_at=self.step_no))
                 for j in self.successors.pop(event.name, ()):
                     self.waiting[j] -= 1
                     if not self.waiting[j]:
                         self.sweep.add(j)
-            for thing, stage in region.mints:
-                self.mint(thing, stage, event.name)
+            for thing, stage, text in region.mints:
+                self.mint(thing, stage, text)
             if event.perpetual:
-                self.run_pass(region, set())
+                self.run_pass(region, None)
                 continue
             self.sweep.discard(i)
             self.unfired -= 1

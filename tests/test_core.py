@@ -14,6 +14,7 @@ import tmkit.core
 from tmkit.core import (
     ChronologyDecl,
     Diagnostic,
+    Event,
     EventDecl,
     FlowDecl,
     MachineDecl,
@@ -35,6 +36,7 @@ from tmkit.core import (
 )
 from tmkit.dsl import SourceSpan, parse, serialize
 from tmkit.render import render_events, render_static
+from tmkit.sim import Scenario, simulate
 
 from helpers import (
     CORPUS_NAMES,
@@ -458,6 +460,22 @@ def test_a_machine_tree_that_does_not_nest_by_path_is_refused(roots):
     for reader in (serialize, render_static, render_events, validate):
         with pytest.raises(ValueError, match="machine path"):
             reader(model)
+
+
+@pytest.mark.parametrize("item", [RegionFlow("f999"), RegionTrigger("t999")],
+                         ids=["flow", "trigger"])
+def test_an_event_item_whose_edge_the_model_lacks_is_refused(item):
+    # Only a hand-built model holds one (build_model reports E301); each
+    # reader names the event and the edge id instead of raising KeyError.
+    ghost = Event("ghost", items=(item,))
+    model = replace(load_corpus_model("murderer"), events=(ghost,), chronology=None)
+    kind = "flow" if type(item) is RegionFlow else "trigger"
+    message = f"event 'ghost' names {kind} '{item.edge_id}', which the model lacks"
+    readers = (serialize, render_events, lambda m: m.regions, lambda m: simulate(m, Scenario()))
+    for reader in readers:
+        with pytest.raises(ValueError) as info:
+            reader(model)
+        assert str(info.value) == message
 
 
 def test_resolve_stage_reference():

@@ -1141,6 +1141,73 @@ def test_simulate_runs_few_generated_lines_per_entry():
     assert per_entry <= 2, f"{per_entry:.2f} generated lines per trace entry"
 
 
+def test_simulate_makes_fewer_python_calls_than_entries():
+    # A region pass that called a comprehension, a generator or a record's
+    # generated __new__ per flow group, watch check or entry would make about
+    # one Python call per entry or more; the calls left are per pass and per mint.
+    flood = bench_workloads().flood(20, 75, 0)
+    model = parse(flood.models["flood"]).model
+    scenario = load_scenario(flood.sims[0].scenario)
+    model.regions  # built once per model, outside the count
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = simulate(model, scenario)
+    finally:
+        sys.setprofile(previous)
+    assert calls < len(trace.entries), f"{calls} Python calls for {len(trace.entries)} entries"
+
+
+_MIXED_BUCKET_MODEL = """\
+model mixed
+thing x
+thing y
+machine a
+machine b
+flow x env.transfer -> a.transfer
+flow y env.transfer -> b.transfer
+event split perpetual {
+  flow x env.transfer -> a.transfer
+  flow y env.transfer -> b.transfer
+}
+"""
+
+
+def test_each_flow_group_moves_only_its_own_thing_from_a_shared_stage():
+    # env.transfer holds x, y, x in step 1: the x group takes tok1 and tok3,
+    # in mint order, and leaves tok2 to the y group. In step 2 it holds one
+    # y, which the x group passes over too.
+    model = parse(_MIXED_BUCKET_MODEL).model
+    scenario = load_scenario(
+        "inject x env.transfer @1\n"
+        "inject y env.transfer @1\n"
+        "inject x env.transfer @1\n"
+        "inject y env.transfer @2\n"
+        "max_steps 2\n"
+    )
+    trace = simulate(model, scenario)
+    hops = [(e.step, e.subject, e.detail) for e in trace.entries if e.kind == "transfer"]
+    assert hops == [
+        (1, "tok1", "x: env.transfer -> a.transfer"),
+        (1, "tok3", "x: env.transfer -> a.transfer"),
+        (1, "tok2", "y: env.transfer -> b.transfer"),
+        (2, "tok4", "y: env.transfer -> b.transfer"),
+    ]
+    state = init_state(model, scenario)
+    for _ in range(2):
+        state, _ = step(model, state)
+    assert [(t.id, t.thing, str(t.at)) for t in state.tokens] == [
+        ("tok1", "x", "a.transfer"), ("tok2", "y", "b.transfer"),
+        ("tok3", "x", "a.transfer"), ("tok4", "y", "b.transfer"),
+    ]
+
+
 _UNTOUCHED_ENV_MODEL = """\
 model lone
 thing x
