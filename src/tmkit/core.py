@@ -252,11 +252,11 @@ class RegionTrigger(NamedTuple):
 RegionItem = Union[RegionNode, RegionFlow, RegionTrigger]
 
 
-def _unknown_edge(event: "Event", item: RegionItem) -> ValueError:
-    """The error for an event item whose edge the model lacks (only a hand-built
-    model has one: ``build_model`` reports E301)."""
+def _unknown_edge(event: "Event", item: RegionItem) -> str:
+    """The message for an event item whose edge the model lacks (only a
+    hand-built model has one: ``build_model`` refuses it as E301 too)."""
     kind = "flow" if type(item) is RegionFlow else "trigger"
-    return ValueError(f"event {event.name!r} names {kind} {item.edge_id!r}, which the model lacks")
+    return f"event {event.name!r} names {kind} {item.edge_id!r}, which the model lacks"
 
 
 @frozen
@@ -429,9 +429,7 @@ class _Region:
     All stages are ``_Stage`` records of the model. ``mints`` holds the
     (thing, create stage, create entry text) triples minted when the event
     (re-)enters, leaving create stages that are trigger destinations to their
-    trigger; ``spawns``, one dict shared by a model's regions, maps each trigger
-    onto a create stage to the create entry texts of its mints there, one per
-    thing of the stage's ``outs``, in their order. ``walk``
+    trigger (``Model.spawns`` holds those texts). ``walk``
     is the region in declaration order: (source, trigger id, destination,
     ``"src ~> dst"``) for a trigger, and (source, thing, destinations, a
     ``"thing: src -> dst"`` per destination) for the flows that leave one
@@ -441,11 +439,10 @@ class _Region:
     thing or None) pairs whose occupation gives the event work.
     """
 
-    __slots__ = ("mints", "spawns", "walk", "watch")
+    __slots__ = ("mints", "walk", "watch")
 
-    def __init__(self, mints: tuple, spawns: dict, walk: tuple, watch: tuple) -> None:
+    def __init__(self, mints: tuple, walk: tuple, watch: tuple) -> None:
         self.mints = mints
-        self.spawns = spawns
         self.walk = walk
         self.watch = watch
 
@@ -526,44 +523,49 @@ class Model:
 
     @cached_property
     def regions(self) -> tuple[_Region, ...]:
-        """Per event, parallel to ``events``, its region as the simulator runs it."""
+        """Per event, parallel to ``events``, its region as the simulator runs
+        it. The model must validate: an item's edge id must name an edge."""
         stages, regions = self.stages, []
-        spawns: dict[str, tuple[str, ...]] = {}  # shared by the regions
         for event in self.events:
             mints: dict[tuple[str, _Stage, str], None] = {}
             walk: dict[tuple, list[_Stage] | None] = {}  # a flow group: its dsts
             watch: dict[tuple[_Stage, str | None], None] = {}
-            try:  # of the lookups below, only an edge id can miss
-                for item in event.items:
-                    if isinstance(item, RegionFlow):
-                        edge = self.flows_by_id[item.edge_id]
-                        src = stages[edge.src]
-                        watch[src, edge.thing] = None
-                        walk.setdefault((src, edge.thing), []).append(stages[edge.dst])
-                        if src.kind == "create" and not src.triggered:
-                            text = f"{edge.thing} @ {src.text} via {event.name}"
-                            mints[edge.thing, src, text] = None
-                    elif isinstance(item, RegionTrigger):
-                        trigger = self.triggers_by_id[item.edge_id]
-                        src = stages[trigger.src]
-                        watch[src, None] = None
-                        dst = stages[trigger.dst]
-                        walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
-                        if dst.kind == "create" and trigger.id not in spawns:
-                            spawns[trigger.id] = tuple(
-                                f"{thing} @ {dst.text} via {trigger.id}" for thing in dst.outs)
-                    elif item.ref in stages:  # no flow reaches a stage no edge touches
-                        watch[stages[item.ref], None] = None
-            except KeyError:
-                raise _unknown_edge(event, item) from None
+            for item in event.items:
+                if isinstance(item, RegionFlow):
+                    edge = self.flows_by_id[item.edge_id]
+                    src = stages[edge.src]
+                    watch[src, edge.thing] = None
+                    walk.setdefault((src, edge.thing), []).append(stages[edge.dst])
+                    if src.kind == "create" and not src.triggered:
+                        text = f"{edge.thing} @ {src.text} via {event.name}"
+                        mints[edge.thing, src, text] = None
+                elif isinstance(item, RegionTrigger):
+                    trigger = self.triggers_by_id[item.edge_id]
+                    src = stages[trigger.src]
+                    watch[src, None] = None
+                    dst = stages[trigger.dst]
+                    walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
+                elif item.ref in stages:  # no flow reaches a stage no edge touches
+                    watch[stages[item.ref], None] = None
             parts = tuple(
                 key if dsts is None  # a trigger: the key is the item
                 else (*key, tuple(dsts), tuple(f"{key[1]}: {key[0].text} -> {d.text}"
                                                for d in dsts))
                 for key, dsts in walk.items()
             )
-            regions.append(_Region(tuple(mints), spawns, parts, tuple(watch)))
+            regions.append(_Region(tuple(mints), parts, tuple(watch)))
         return tuple(regions)
+
+    @cached_property
+    def spawns(self) -> dict[str, tuple[str, ...]]:
+        """Per trigger onto a create stage, the create entry text of each thing
+        it mints there, in the order of the stage's ``outs``."""
+        stages, spawns = self.stages, {}
+        for t in self.triggers:
+            dst = stages[t.dst]
+            if dst.kind == "create":
+                spawns[t.id] = tuple(f"{thing} @ {dst.text} via {t.id}" for thing in dst.outs)
+        return spawns
 
     @cached_property
     def _validation(self) -> dict[bool, tuple[Diagnostic, ...]]:
@@ -1082,4 +1084,13 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
             diags.append(
                 _warning("W202", f"machine '{m.id}' has no incident edges", m.id)
             )
+    # build_model resolves every event item it makes; a hand-built one may miss
+    flows, triggers = model.flows_by_id, model.triggers_by_id
+    for event in model.events:
+        for item in event.items:
+            kind = type(item)
+            if kind is not RegionNode and item.edge_id not in (
+                flows if kind is RegionFlow else triggers
+            ):
+                diags.append(_error("E301", _unknown_edge(event, item), event.name))
     return diags

@@ -586,7 +586,7 @@ def serialize(model: Model) -> str:
                     ref = item.ref
                     lines.append(f"  node {stages[ref].text if ref in stages else ref}")
         except KeyError:
-            raise _unknown_edge(event, item) from None
+            raise ValueError(_unknown_edge(event, item)) from None
         lines.append("}")
     if model.chronology is not None:
         lines.append("chronology {")

@@ -17,8 +17,7 @@ from __future__ import annotations
 import re
 
 from ._frozen import frozen
-from .core import (ENV_NAME, Model, RegionFlow, RegionTrigger, _require_no_errors, _Stage,
-                   _unknown_edge, validate)
+from .core import ENV_NAME, Model, RegionFlow, RegionTrigger, _require_no_errors, _Stage, validate
 
 __all__ = [
     "DotDocument",
@@ -107,20 +106,17 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
     for index, event in enumerate(model.events):
         color = _PALETTE[index % len(_PALETTE)]
         nodes, flow_texts, trigger_texts = [], [], []
-        try:  # of the lookups below, only an edge id can miss
-            for item in event.items:
-                kind = type(item)
-                if kind is RegionFlow:
-                    edge = flows[item.edge_id]
-                    flow_texts += stages[edge.src].text, stages[edge.dst].text
-                elif kind is RegionTrigger:
-                    edge = triggers[item.edge_id]
-                    trigger_texts += stages[edge.src].text, stages[edge.dst].text
-                else:  # a node that no edge touches occurs only in a hand-built model
-                    ref = item.ref
-                    nodes.append(stages[ref].text if ref in stages else str(ref))
-        except KeyError:
-            raise _unknown_edge(event, item) from None
+        for item in event.items:
+            kind = type(item)
+            if kind is RegionFlow:
+                edge = flows[item.edge_id]
+                flow_texts += stages[edge.src].text, stages[edge.dst].text
+            elif kind is RegionTrigger:
+                edge = triggers[item.edge_id]
+                trigger_texts += stages[edge.src].text, stages[edge.dst].text
+            else:  # a node that no edge touches occurs only in a hand-built model
+                ref = item.ref
+                nodes.append(stages[ref].text if ref in stages else str(ref))
         members = dict.fromkeys(nodes + flow_texts + trigger_texts)
         lines.append(f"  /* event {event.name} begin */")
         lines += [f'  "{text}" [color="{color}", penwidth=2.0];' for text in members]

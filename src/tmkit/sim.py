@@ -37,20 +37,16 @@ Operational semantics (fixed here so that runs are reproducible):
   models with perpetual events).
 
 Cost follows the work done, not the size of the run. Each region item's
-entry text and each create text of a region or trigger mint is formatted
-once per model (``Model.regions``), each injection's once per engine, and
-every entry that uses one shares that string. Live tokens are indexed by
-stage, so a region pass reads only a flow group's source bucket, walking its
-ranks (sorted only when it holds two or more tokens, so tokens leave in mint
-order, not arrival order) and passing over tokens of other things. A pass
-calls no Python function except to mint or to take a choice: a hop appends
-its entry and re-files its token, both built with ``tuple.__new__`` so that
-no record's generated ``__new__`` runs. Beyond those, a flow group allocates
-only its list of ranks, and a hop a bucket for a stage that never held a
-token before. A ready frontier counts each unfired event's unfired
-predecessors, so a step sweeps, in declaration order, only the fired
-perpetual events and the unfired events whose predecessors have all fired;
-an event unlocked in step s is swept from step s+1.
+entry text and each create text is formatted once per model
+(``Model.regions``, ``Model.spawns``) or engine (injections), and every
+entry that uses one shares that string. Live tokens are indexed by stage,
+so a region pass reads only a flow group's source bucket, in mint order,
+not arrival order, passing over tokens of other things. A pass calls no
+Python function except to mint or to take a choice, and a hop builds only
+its entry and its re-filed token. A ready frontier counts each unfired
+event's unfired predecessors, so a step sweeps, in declaration order, only
+the fired perpetual events and the unfired events whose predecessors have
+all fired; an event unlocked in step s is swept from step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``step`` returned and
@@ -404,9 +400,8 @@ class _Engine:
 
     # -- region mechanics ------------------------------------------------------
 
-    def run_pass(self, region: _Region, spent: set[str] | None) -> bool:
-        """One declaration-order pass over the region. True if it emitted. ``spent``
-        holds the triggers earlier passes fired; None for a perpetual event's one pass."""
+    def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
+        """One declaration-order pass over the region. True if it emitted."""
         entries, tokens, at, gates = self.entries, self.tokens, self.at, self.gates
         step_no, new = self.step_no, tuple.__new__  # a record's __new__ would add a frame
         before = len(entries)
@@ -415,10 +410,9 @@ class _Engine:
             if not bucket:
                 continue
             if type(dsts) is _Stage:  # a trigger: label is its id
-                if spent is not None:
-                    if label in spent:
-                        continue
-                    spent.add(label)
+                if label in spent_triggers:
+                    continue
+                spent_triggers.add(label)
                 gate = gates.get(dsts.text)
                 if gate is not None:
                     entries.append(new(TraceEntry, (step_no, "gate", dsts.text,
@@ -427,13 +421,13 @@ class _Engine:
                         continue
                 entries.append(new(TraceEntry, (step_no, "trigger", label, detail)))
                 if dsts.kind == "create":
-                    for thing, text in zip(dsts.outs, region.spawns[label]):
+                    for thing, text in zip(dsts.outs, self.model.spawns[label]):
                         self.mint(thing, dsts, text)
                 continue
             # a flow group: label is its thing and detail has a text per dst;
             # its tokens move in mint order, whatever their arrival
             dst, text, fan = dsts[0], detail[0], len(dsts) > 1
-            for rank in sorted(bucket) if len(bucket) > 1 else [*bucket]:
+            for rank in sorted(bucket):
                 if bucket[rank].thing != label:
                     continue
                 if fan:
@@ -480,7 +474,7 @@ class _Engine:
             for thing, stage, text in region.mints:
                 self.mint(thing, stage, text)
             if event.perpetual:
-                self.run_pass(region, None)
+                self.run_pass(region, set())
                 continue
             self.sweep.discard(i)
             self.unfired -= 1

@@ -465,17 +465,22 @@ def test_a_machine_tree_that_does_not_nest_by_path_is_refused(roots):
 @pytest.mark.parametrize("item", [RegionFlow("f999"), RegionTrigger("t999")],
                          ids=["flow", "trigger"])
 def test_an_event_item_whose_edge_the_model_lacks_is_refused(item):
-    # Only a hand-built model holds one (build_model reports E301); each
-    # reader names the event and the edge id instead of raising KeyError.
+    # Only a hand-built model holds one (build_model never makes it): validate
+    # reports it as E301, so the readers that validate refuse the model, and
+    # serialize, which does not, names the event and the edge id itself.
     ghost = Event("ghost", items=(item,))
     model = replace(load_corpus_model("murderer"), events=(ghost,), chronology=None)
     kind = "flow" if type(item) is RegionFlow else "trigger"
     message = f"event 'ghost' names {kind} '{item.edge_id}', which the model lacks"
-    readers = (serialize, render_events, lambda m: m.regions, lambda m: simulate(m, Scenario()))
-    for reader in readers:
+    errors = [(d.code, d.location, d.message) for d in validate(model) if d.is_error]
+    assert errors == [("E301", "ghost", message)]
+    with pytest.raises(ValueError) as info:
+        serialize(model)
+    assert str(info.value) == message
+    for reader in (render_events, lambda m: simulate(m, Scenario())):
         with pytest.raises(ValueError) as info:
             reader(model)
-        assert str(info.value) == message
+        assert str(info.value) == f"model does not validate: error E301 [ghost] {message}"
 
 
 def test_resolve_stage_reference():
