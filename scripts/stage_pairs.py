@@ -8,16 +8,20 @@ Each SRC is a directory holding the ``tmkit`` package, such as a checkout's
 ``tmkit_parent`` and ``tmkit_change``, and given the same inputs from
 perfbench/workloads.py (imported, not edited), seed 0. On the relay model of
 ``--n`` machines the stages are ``_scan``, the token parser,
-``build_model``, ``validate``, the whole ``parse``, and the emitters
-``serialize``, ``render_static`` and ``render_events``. On the flood model
+``build_model``, ``validate``, the whole ``parse``, the emitters
+``serialize``, ``render_static`` and ``render_events``, and ``emit``, the
+emit block perfbench times (``serialize``, the three views, then
+``coverage``) on one model. On the flood model
 and scenario, at perfbench's size, they are ``simulate``, ``format_trace``
 and ``step_loop`` (``init_state`` and a ``step`` per macro-step). Each
 stage's input is made outside its timed call, so ``validate`` runs on a
 fresh model each time, each emitter on a freshly parsed model whose
-``Model.stages`` is already built, and ``simulate`` and the step loop on a
+``Model.stages`` is already built, ``emit`` on a freshly parsed model, as
+perfbench's emit block gets it, and ``simulate`` and the step loop on a
 freshly parsed model, so that building ``Model.regions`` is timed with them.
-The script exits non-zero if the two sides' emitter bytes, flood trace bytes
-or flood step-loop entries (as text) differ, or the trace bytes of the relay
+The script exits non-zero if the two sides' emitter bytes (``render_events``
+also on a fresh model that runs it before ``render_static``), flood trace
+bytes or flood step-loop entries (as text) differ, or the trace bytes of the relay
 scenario or of any of the 8 corpus scenarios (read from PARENT_SRC's corpus),
 which run events to completion and take choices and gates.
 
@@ -69,6 +73,15 @@ def emitters(tmkit) -> dict:
     }
 
 
+def emit_block(tmkit, model) -> list[str]:
+    """perfbench's emit block on one model: ``serialize``, the three views,
+    then ``coverage``."""
+    render = tmkit.render
+    return [tmkit.dsl.serialize(model), render.render_static(model).text,
+            render.render_events(model).text, render.render_chronology(model).text,
+            tmkit.events.coverage(model).text()]
+
+
 def stage_calls(tmkit, text: str) -> dict:
     """Per stage, a function that makes its input and returns the timed call."""
     dsl, core = tmkit.dsl, tmkit.core
@@ -99,6 +112,10 @@ def stage_calls(tmkit, text: str) -> dict:
             return lambda: emit(model)
         return make
 
+    def emit():
+        model = dsl.parse(text, FILE).model
+        return lambda: emit_block(tmkit, model)
+
     calls = {
         "_scan": lambda: lambda: dsl._scan(text, FILE),
         "parser": parser,
@@ -107,6 +124,7 @@ def stage_calls(tmkit, text: str) -> dict:
         "parse": lambda: lambda: dsl.parse(text, FILE),
     }
     calls.update((name, emitter(emit)) for name, emit in emitters(tmkit).items())
+    calls["emit"] = emit
     return calls
 
 
@@ -193,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         if not model:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
         outputs[label] = {name: emit(model) for name, emit in emitters(tmkit).items()}
+        fresh = tmkit.dsl.parse(text, FILE).model
+        outputs[label]["render_events before render_static"] = (
+            tmkit.render.render_events(fresh).text)
         outputs[label]["flood trace"] = sides[label]["format_trace"]()()
         outputs[label]["flood step loop"] = "".join(
             "\t".join(map(str, entry)) + "\n" for entry in sides[label]["step_loop"]()())

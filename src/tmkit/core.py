@@ -522,6 +522,10 @@ class Model:
         return dict(stages)
 
     @cached_property
+    def stages_by_text(self) -> dict[str, _Stage]:
+        return {stage.text: stage for stage in self.stages.values()}
+
+    @cached_property
     def regions(self) -> tuple[_Region, ...]:
         """Per event, parallel to ``events``, its region as the simulator runs
         it. The model must validate: an item's edge id must name an edge."""

@@ -1,15 +1,17 @@
 """DOT emitters for static models, event overlays, and chronologies.
 
 Machines become nested clusters, stages become nodes labeled with their
-kind, flows are solid edges labeled with the thing, triggers dashed.
-Event regions are drawn as color-coded node outlines with a legend
-(clusters cannot cross machine boundaries or overlap, so outlines are the
-non-lossy encoding); each event's assignments sit between begin/end marker
-comments. Output is deterministic: same model, same bytes. Every stage's
-text comes from ``Model.stages``, formatted once per model, so no view
-formats a ``StageRef`` per edge end. An event's members come from one
-walk of its items: node stages first, then flow ends, then trigger ends,
-each in item order and first-seen.
+kind, flows are solid edges labeled with the thing, triggers dashed. Event
+regions are drawn as color-coded node outlines with a legend (clusters
+cannot cross machine boundaries or overlap, so outlines are the non-lossy
+encoding); each event's assignments sit between begin/end marker comments.
+Output is deterministic: same model, same bytes. Every stage's text comes
+from ``Model.stages``, formatted once per model, so no view formats a
+``StageRef`` per edge end. The static diagram's text is formatted once per
+model object and kept in its instance dict: ``render_static`` returns it,
+and ``render_events`` appends its overlay to it. An event's members come
+from one walk of its items: node stages first, then flow ends, then trigger
+ends, in item order and first-seen.
 """
 
 from __future__ import annotations
@@ -60,9 +62,13 @@ def _stages_by_machine(model: Model) -> dict[tuple[str, ...], list[_Stage]]:
     return grouped
 
 
-def _static_body(model: Model, lines: list[str]) -> None:
-    """Append the static diagram's body to ``lines``."""
+def _static_text(model: Model) -> str:
+    """The static diagram's text; racing threads keep the first of equal texts."""
+    cache = vars(model)
+    if "_static_dot" in cache:
+        return cache["_static_dot"]
     grouped = _stages_by_machine(model)
+    lines = [f'digraph "{model.name}" {{', "  compound=true;"]
     closers: list[str] = []  # one pending "}" line per open cluster
     for machine in model.machines:
         while len(closers) >= len(machine.path):
@@ -83,15 +89,14 @@ def _static_body(model: Model, lines: list[str]) -> None:
     for t in model.triggers:
         src, dst = stages[t.src].text, stages[t.dst].text
         lines.append(f'  "{src}" -> "{dst}" [id="{t.id}", style=dashed];')
+    lines.append("}")
+    return cache.setdefault("_static_dot", "\n".join(lines) + "\n")
 
 
 def render_static(model: Model, *, lax: bool = False) -> DotDocument:
     """Static diagram: machine clusters, stage nodes, flow and trigger edges."""
     _require_no_errors(validate(model, lax=lax))
-    lines = [f'digraph "{model.name}" {{', "  compound=true;"]
-    _static_body(model, lines)
-    lines.append("}")
-    return DotDocument("\n".join(lines) + "\n")
+    return DotDocument(_static_text(model))
 
 
 def render_events(model: Model, *, lax: bool = False) -> DotDocument:
@@ -99,8 +104,7 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
     _require_no_errors(validate(model, lax=lax))
     if not model.events:
         raise ValueError("model has no events to render")
-    lines = [f'digraph "{model.name}" {{', "  compound=true;"]
-    _static_body(model, lines)
+    lines = [_static_text(model)[:-3]]  # the static text up to its closing "\n}\n"
     stages, flows, triggers = model.stages, model.flows_by_id, model.triggers_by_id
     legend = ['  subgraph "cluster_legend" {', '    label="events";']
     for index, event in enumerate(model.events):
@@ -126,9 +130,7 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
             f'    "legend_{event.name}" [label="{event.name}{tag}", '
             f'color="{color}", penwidth=2.0, shape=box];'
         )
-    lines += legend
-    lines.append("  }")
-    lines.append("}")
+    lines += legend + ["  }", "}"]
     return DotDocument("\n".join(lines) + "\n")
 
 

@@ -38,15 +38,16 @@ Operational semantics (fixed here so that runs are reproducible):
 
 Cost follows the work done, not the size of the run. Each region item's
 entry text and each create text is formatted once per model
-(``Model.regions``, ``Model.spawns``) or engine (injections), and every
-entry that uses one shares that string. Live tokens are indexed by stage,
-so a region pass reads only a flow group's source bucket, in mint order,
-not arrival order, passing over tokens of other things. A pass calls no
-Python function except to mint or to take a choice, and a hop builds only
-its entry and its re-filed token. A ready frontier counts each unfired
-event's unfired predecessors, so a step sweeps, in declaration order, only
-the fired perpetual events and the unfired events whose predecessors have
-all fired; an event unlocked in step s is swept from step s+1.
+(``Model.regions``, ``Model.spawns``) or engine (once per distinct
+injection), and every entry that uses one shares that string. Live tokens
+are indexed by stage, so a region pass reads only a flow group's source
+bucket, in mint order, not arrival order, passing over tokens of other
+things. A pass calls no Python function except to mint or to take a choice,
+and a hop or a mint builds only its entry and its token. A ready frontier
+counts each unfired event's unfired predecessors, so a step sweeps, in
+declaration order, only the fired perpetual events and the unfired events
+whose predecessors have all fired; an event unlocked in step s is swept from
+step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``step`` returned and
@@ -243,7 +244,7 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
 
 def _check_scenario(model: Model, scenario: Scenario) -> None:
     """Hard-fail on scenario keys that name nothing in the model."""
-    stages = {stage.text: stage for stage in model.stages.values()}
+    stages = model.stages_by_text
     for key, branch in scenario.choices:
         outs = stages[key].outs.values() if key in stages else ()
         branches = [text for dsts in outs if len(dsts) >= 2 for text in dsts]
@@ -260,12 +261,13 @@ def _check_scenario(model: Model, scenario: Scenario) -> None:
             raise ScenarioError(
                 f"gate '{gate_id}' does not name a trigger destination"
             )
-    for inj in scenario.injections:
-        if inj.thing not in model.things_by_name:
-            raise ScenarioError(f"injection of unknown thing '{inj.thing}'")
-        if not inj.ref.is_env or inj.ref.kind is not StageKind.TRANSFER:
+    # each distinct (thing, path, kind) once, first-seen; plain tuples run no StageRef ==
+    for thing, path, kind in {(inj.thing, *inj.ref): None for inj in scenario.injections}:
+        if thing not in model.things_by_name:
+            raise ScenarioError(f"injection of unknown thing '{thing}'")
+        if path != (ENV_NAME,) or kind is not StageKind.TRANSFER:
             raise ScenarioError(
-                f"injections enter at '{ENV_NAME}.transfer', got '{inj.ref}'"
+                f"injections enter at '{ENV_NAME}.transfer', got '{StageRef(path, kind)}'"
             )
     if scenario.max_steps < 1:
         raise ScenarioError("max_steps must be >= 1")
@@ -290,7 +292,9 @@ class _Engine:
         self.untouched = _Interned()
         self.ranks = count()
         for token in state.tokens:
-            self.place(token, self.stage(token.at))
+            self.tokens[token.id] = token
+            stage = model.stages.get(token.at) or self.untouched[token.at]
+            self.at.setdefault(stage, {})[next(self.ranks)] = token
         self.next_token = state.next_token
         self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
         self.choices: dict[str, list[str]] = {}
@@ -302,11 +306,12 @@ class _Engine:
         for key, value in state.scenario.gates:
             self.gates.setdefault(key, value)  # the first line for a gate wins
         self.injections: dict[int, list[tuple[str, _Stage, str]]] = {}
-        mints: dict[tuple[str, _Stage], tuple[str, _Stage, str]] = {}  # one text per pair
+        mints: dict[tuple, tuple[str, _Stage, str]] = {}  # per (thing, path, kind), as checked
         for inj in state.scenario.injections:
-            key = inj.thing, self.stage(inj.ref)
+            key = (inj.thing, *inj.ref)
             if key not in mints:
-                mints[key] = (*key, f"{inj.thing} @ {key[1].text} via injection")
+                stage = model.stages_by_text.get(str(inj.ref)) or self.untouched[inj.ref]
+                mints[key] = (inj.thing, stage, f"{inj.thing} @ {stage.text} via injection")
             self.injections.setdefault(inj.step, []).append(mints[key])
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
@@ -353,21 +358,17 @@ class _Engine:
     def emit(self, kind: str, subject: str, detail: str) -> None:
         self.entries.append(tuple.__new__(TraceEntry, (self.step_no, kind, subject, detail or "-")))
 
-    def stage(self, ref: StageRef) -> _Stage:
-        """The model's record of a stage, or this engine's if no edge touches it."""
-        return self.model.stages.get(ref) or self.untouched[ref]
-
-    def place(self, token: Token, stage: _Stage) -> None:
-        """Add a live token at its stage's record under the next mint rank."""
-        self.tokens[token.id] = token
-        self.at.setdefault(stage, {})[next(self.ranks)] = token
-
     def mint(self, thing: str, stage: _Stage, text: str) -> None:
         """Mint a token of the thing at the stage; ``text`` is its create entry's detail."""
-        token = tuple.__new__(Token, (f"tok{self.next_token}", thing, stage.ref))
+        token_id = f"tok{self.next_token}"
         self.next_token += 1
-        self.place(token, stage)
-        self.emit("create", token.id, text)
+        token = self.tokens[token_id] = tuple.__new__(Token, (token_id, thing, stage.ref))
+        rank, at = next(self.ranks), self.at
+        if stage in at:
+            at[stage][rank] = token
+        else:
+            at[stage] = {rank: token}
+        self.entries.append(tuple.__new__(TraceEntry, (self.step_no, "create", token_id, text)))
 
     def choose(self, src: _Stage, dsts: tuple, details: tuple) -> tuple[_Stage, str]:
         """The next scenario choice at a decision point: its destination and text."""

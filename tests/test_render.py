@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 from dataclasses import replace
 
 import pytest
 
+import tmkit.render
 from tmkit.core import Event, RegionFlow, RegionNode, RegionTrigger, StageKind, StageRef
 from tmkit.dsl import parse, serialize
 from tmkit.events import CoverageReport, coverage
@@ -370,3 +373,64 @@ def test_a_region_node_no_edge_touches_is_emitted():
     assert untouched not in hand.stages
     assert serialize(hand) == _UNTOUCHED_NODE_FMT
     assert render_events(hand, lax=True).text == _UNTOUCHED_NODE_DOT
+
+
+def test_both_views_format_the_static_text_once_per_model(monkeypatch):
+    # render_static returns the model's one static text and render_events
+    # builds its overlay on that text, so four renders format the body once.
+    model = load_corpus_model("reservoir")
+    calls = 0
+    grouped = tmkit.render._stages_by_machine
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return grouped(m)
+
+    monkeypatch.setattr(tmkit.render, "_stages_by_machine", counting)
+    static, events = render_static(model).text, render_events(model).text
+    again = render_static(model).text, render_events(model).text
+    assert calls == 1
+    assert again[0] is static and again[1] == events
+    assert events.startswith(static[: -len("}\n")])
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_views_give_the_same_bytes_whichever_runs_first(name):
+    static_first, events_first = load_corpus_model(name), load_corpus_model(name)
+    static = render_static(static_first).text
+    events = render_events(static_first).text
+    assert render_events(events_first).text == events
+    assert render_static(events_first).text == static
+
+
+def test_a_cached_text_does_not_skip_the_validity_guard():
+    model = parse(_CROSSING, lax=True).model
+    assert dot_well_formed(render_static(model, lax=True).text)
+    for call in (render_static, render_events):
+        with pytest.raises(ValueError, match="error E103"):
+            call(model)
+
+
+def test_a_replaced_model_and_a_model_with_an_event_render_their_own_text():
+    model = load_corpus_model("reservoir")
+    render_static(model), render_events(model)
+    renamed = replace(model, name="renamed")
+    static = render_static(renamed).text
+    assert static == render_static(model).text.replace('"reservoir"', '"renamed"', 1)
+    assert render_events(renamed).text.startswith(static[: -len("}\n")])
+    extra = Event("extra", items=(RegionFlow(model.flows[0].id),))
+    grown = model.with_event(extra)
+    assert render_static(grown).text is not render_static(model).text
+    assert render_static(grown).text == render_static(model).text
+    events = render_events(grown).text
+    assert events == render_events(load_corpus_model("reservoir").with_event(extra)).text
+    assert "/* event extra begin */" in events
+
+
+def test_a_copied_or_unpickled_rendered_model_renders_the_same_bytes():
+    model = load_corpus_model("murderer")
+    static, events = render_static(model).text, render_events(model).text
+    for other in (copy.copy(model), pickle.loads(pickle.dumps(model))):
+        assert render_static(other).text == static
+        assert render_events(other).text == events

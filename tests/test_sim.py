@@ -1164,6 +1164,32 @@ def test_simulate_makes_fewer_python_calls_than_entries():
     assert calls < len(trace.entries), f"{calls} Python calls for {len(trace.entries)} entries"
 
 
+def test_simulate_resolves_each_injection_once_and_files_mints_inline():
+    # A parsed scenario's injection ref equals the model's key but is another
+    # object, so a lookup by ref runs StageRef == per injection; each distinct
+    # (thing, ref) is checked and resolved once, by plain tuple and by text,
+    # and a mint files its token with no helper call.
+    flood = bench_workloads().flood(20, 75, 0)
+    model = parse(flood.models["flood"]).model
+    scenario = load_scenario(flood.sims[0].scenario)
+    model.regions  # built once per model, outside the count
+    calls = dict.fromkeys(("is_env", "stage", "_eq", "place"), 0)
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name in calls:
+            calls[name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = simulate(model, scenario)
+    finally:
+        sys.setprofile(previous)
+    assert sum(e.kind == "create" for e in trace.entries) == 75
+    assert calls == dict.fromkeys(calls, 0)
+
+
 _MIXED_BUCKET_MODEL = """\
 model mixed
 thing x

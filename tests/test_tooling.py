@@ -156,7 +156,7 @@ def test_stage_pairs_times_every_front_end_stage():
     rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
     assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse",
                                         "serialize", "render_static", "render_events",
-                                        "simulate", "format_trace", "step_loop"]
+                                        "emit", "simulate", "format_trace", "step_loop"]
     assert all(float(x) > 0 for row in rows for x in row[1:])
 
 
