@@ -50,11 +50,13 @@ whose predecessors have all fired; an event unlocked in step s is swept from
 step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
-handle from the state it steps, so only a state that ``step`` returned and
-that has not been stepped yet holds one. Stepping such a state with the same
-model object resumes its engine. Copies, pickles and ``replace``d states hold
-no handle; stepping one of them, an older state, or a state with another
-model object rebuilds the engine, at a cost of its tokens and events. A
+handle from the state it steps, so only a state that ``init_state`` or
+``step`` returned and that has not been stepped yet holds one. Stepping such
+a state with the same model object resumes its engine. Copies, pickles and
+``replace``d states hold no handle; stepping one of them, an older state, or
+a state with another model object rebuilds the engine, at a cost of its
+tokens and events. Building an engine is where a scenario is checked, so a
+rebuilt one refuses what ``init_state`` refuses. A
 snapshot copies, in C, the live tokens' pointers and the fired events'
 timing pairs, each built once.
 
@@ -79,6 +81,7 @@ from .core import (
     _Interned,
     _Region,
     _Stage,
+    _error,
     _record,
     _require_no_errors,
     parse_stage_ref,
@@ -180,7 +183,6 @@ class Trace:
     terminated: str  # "quiescent" or "step_limit"
     warnings: tuple[str, ...] = ()
     timings: dict[str, EventTiming] = factory(dict)
-    perpetual_events: frozenset[str] = frozenset()
 
 
 @frozen
@@ -196,8 +198,8 @@ class SimState:
     quiescent: bool = False
 
     def __getstate__(self) -> dict:
-        # pickles and copies leave the engine handle behind, so that only the
-        # state step returned can resume its engine
+        # pickles and copies leave the engine handle behind, so that only a
+        # state that init_state or step returned can resume its engine
         return {k: v for k, v in vars(self).items() if k != "_engine"}
 
 
@@ -242,37 +244,6 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
     return Scenario(tuple(injections), tuple(choices), tuple(gates), max_steps)
 
 
-def _check_scenario(model: Model, scenario: Scenario) -> None:
-    """Hard-fail on scenario keys that name nothing in the model."""
-    stages = model.stages_by_text
-    for key, branch in scenario.choices:
-        outs = stages[key].outs.values() if key in stages else ()
-        branches = [text for dsts in outs if len(dsts) >= 2 for text in dsts]
-        if not branches:
-            raise ScenarioError(
-                f"choice key '{key}' is not a decision point of the model"
-            )
-        if branch not in branches:
-            raise ScenarioError(
-                f"choice branch '{branch}' is not an outgoing flow of '{key}'"
-            )
-    for gate_id, _ in scenario.gates:
-        if gate_id not in stages or not stages[gate_id].triggered:
-            raise ScenarioError(
-                f"gate '{gate_id}' does not name a trigger destination"
-            )
-    # each distinct (thing, path, kind) once, first-seen; plain tuples run no StageRef ==
-    for thing, path, kind in {(inj.thing, *inj.ref): None for inj in scenario.injections}:
-        if thing not in model.things_by_name:
-            raise ScenarioError(f"injection of unknown thing '{thing}'")
-        if path != (ENV_NAME,) or kind is not StageKind.TRANSFER:
-            raise ScenarioError(
-                f"injections enter at '{ENV_NAME}.transfer', got '{StageRef(path, kind)}'"
-            )
-    if scenario.max_steps < 1:
-        raise ScenarioError("max_steps must be >= 1")
-
-
 class _Engine:
     """Mutable state of one run, resumable from a SimState.
 
@@ -285,11 +256,47 @@ class _Engine:
     """
 
     def __init__(self, model: Model, state: SimState):
+        """Check the state's scenario against the model (ScenarioError) and resolve it."""
         self.model = model
-        self.scenario = state.scenario
+        self.scenario = scenario = state.scenario
+        stages = model.stages_by_text
+        self.choices: dict[str, list[str]] = {}
+        for key, branch in scenario.choices:
+            outs = stages[key].outs.values() if key in stages else ()
+            branches = [text for dsts in outs if len(dsts) >= 2 for text in dsts]
+            if not branches:
+                raise ScenarioError(f"choice key '{key}' is not a decision point of the model")
+            if branch not in branches:
+                raise ScenarioError(f"choice branch '{branch}' is not an outgoing flow of '{key}'")
+            self.choices.setdefault(key, []).append(branch)
+        taken = state.choice_taken or (0,) * len(self.choices)
+        self.taken: dict[str, int] = dict(zip(self.choices, taken))
+        self.gates: dict[str, bool] = {}
+        for key, value in scenario.gates:
+            if key not in stages or not stages[key].triggered:
+                raise ScenarioError(f"gate '{key}' does not name a trigger destination")
+            self.gates.setdefault(key, value)  # the first line for a gate wins
+        self.untouched = _Interned()
+        self.injections: dict[int, list[tuple[str, _Stage, str]]] = {}
+        # each distinct (thing, path, kind) is checked and resolved once, first-seen;
+        # as plain tuples they run no StageRef ==
+        mints: dict[tuple, tuple[str, _Stage, str]] = {}
+        for inj in scenario.injections:
+            key = (inj.thing, *inj.ref)
+            if key not in mints:
+                if inj.thing not in model.things_by_name:
+                    raise ScenarioError(f"injection of unknown thing '{inj.thing}'")
+                if key[1:] != ((ENV_NAME,), StageKind.TRANSFER):
+                    raise ScenarioError(
+                        f"injections enter at '{ENV_NAME}.transfer', got '{inj.ref}'"
+                    )
+                stage = stages.get(str(inj.ref)) or self.untouched[inj.ref]
+                mints[key] = (inj.thing, stage, f"{inj.thing} @ {stage.text} via injection")
+            self.injections.setdefault(inj.step, []).append(mints[key])
+        if scenario.max_steps < 1:
+            raise ScenarioError("max_steps must be >= 1")
         self.tokens: dict[str, Token] = {}
         self.at: dict[_Stage, dict[int, Token]] = {}
-        self.untouched = _Interned()
         self.ranks = count()
         for token in state.tokens:
             self.tokens[token.id] = token
@@ -297,22 +304,6 @@ class _Engine:
             self.at.setdefault(stage, {})[next(self.ranks)] = token
         self.next_token = state.next_token
         self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
-        self.choices: dict[str, list[str]] = {}
-        for key, branch in state.scenario.choices:
-            self.choices.setdefault(key, []).append(branch)
-        taken = state.choice_taken or (0,) * len(self.choices)
-        self.taken: dict[str, int] = dict(zip(self.choices, taken))
-        self.gates: dict[str, bool] = {}
-        for key, value in state.scenario.gates:
-            self.gates.setdefault(key, value)  # the first line for a gate wins
-        self.injections: dict[int, list[tuple[str, _Stage, str]]] = {}
-        mints: dict[tuple, tuple[str, _Stage, str]] = {}  # per (thing, path, kind), as checked
-        for inj in state.scenario.injections:
-            key = (inj.thing, *inj.ref)
-            if key not in mints:
-                stage = model.stages_by_text.get(str(inj.ref)) or self.untouched[inj.ref]
-                mints[key] = (inj.thing, stage, f"{inj.thing} @ {stage.text} via injection")
-            self.injections.setdefault(inj.step, []).append(mints[key])
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
@@ -376,28 +367,16 @@ class _Engine:
         queue = self.choices.get(key, ())
         index = self.taken.get(key, 0)
         if index >= len(queue):
-            raise SimulationError(
-                Diagnostic(
-                    "E401",
-                    "error",
-                    key,
-                    f"no choice left for decision point '{key}'",
-                )
-            )
+            raise SimulationError(_error("E401", f"no choice left for decision point '{key}'", key))
         self.taken[key] = index + 1
         branch = queue[index]
         self.emit("choice", key, f"-> {branch}")
         for dst, text in zip(dsts, details):
             if dst.text == branch:
                 return dst, text
-        raise SimulationError(
-            Diagnostic(
-                "E401",
-                "error",
-                key,
-                f"choice branch '{branch}' does not match a region flow at '{key}'",
-            )
-        )
+        raise SimulationError(_error(
+            "E401", f"choice branch '{branch}' does not match a region flow at '{key}'", key
+        ))
 
     # -- region mechanics ------------------------------------------------------
 
@@ -484,14 +463,9 @@ class _Engine:
                 if not self.run_pass(region, spent):
                     break
             else:
-                raise SimulationError(
-                    Diagnostic(
-                        "E402",
-                        "error",
-                        event.name,
-                        f"event '{event.name}' did not run to completion",
-                    )
-                )
+                raise SimulationError(_error(
+                    "E402", f"event '{event.name}' did not run to completion", event.name
+                ))
             self.emit("event_end", event.name, "")
             self.timings[event.name] = (event.name, EventTiming(self.step_no, self.step_no))
         return (
@@ -502,20 +476,24 @@ class _Engine:
 
 
 def init_state(model: Model, scenario: Scenario, *, lax: bool = False) -> SimState:
-    """Validate inputs and produce the initial simulation state."""
+    """Validate inputs and produce the initial simulation state, holding the
+    engine that checked its scenario, so that its first ``step`` resumes it."""
     _require_no_errors(validate(model, lax=lax))
-    _check_scenario(model, scenario)
-    return SimState(scenario=scenario)
+    state = SimState(scenario=scenario)
+    vars(state)["_engine"] = _Engine(model, state)  # the handle snapshot attaches
+    return state
 
 
 def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     """Run exactly one macro-step. Stepping a quiescent state is a no-op.
 
-    A state that ``step`` returned and that has not been stepped yet
-    continues the engine that made it, so a step costs a step of
+    A state that ``init_state`` or ``step`` returned and that has not been
+    stepped yet continues the engine that made it, so a step costs a step of
     ``simulate`` plus the snapshot. Any other state (an older one, a copy, a
     replaced one, or one paired with another model object) gives the same
-    result from an engine rebuilt from the state.
+    result from an engine rebuilt from the state. A rebuilt engine checks
+    the state's scenario as ``init_state`` does and raises
+    :class:`ScenarioError` on the same lines.
     """
     if state.quiescent:
         return state, []
@@ -536,7 +514,7 @@ def simulate(model: Model, scenario: Scenario, *, lax: bool = False) -> Trace:
     scenario choices are reported as warnings; running out of choices at
     a decision point raises :class:`SimulationError` (E401).
     """
-    engine = _Engine(model, init_state(model, scenario, lax=lax))
+    engine = vars(init_state(model, scenario, lax=lax)).pop("_engine")
     terminated = "step_limit"
     for _ in range(scenario.max_steps):
         if engine.run_step():
@@ -554,9 +532,6 @@ def simulate(model: Model, scenario: Scenario, *, lax: bool = False) -> Trace:
         terminated=terminated,
         warnings=warnings,
         timings=dict(engine.timings.values()),
-        perpetual_events=frozenset(
-            e.name for e in model.events if e.perpetual and e.name in engine.timings
-        ),
     )
 
 

@@ -160,9 +160,8 @@ _FROZEN = [
      (), {"injections": (), "choices": (), "gates": (), "max_steps": 100}),
     (EventTiming, (1, 3), 2, {"released_at": None}),
     (Trace, ((TraceEntry(1, "create", "tok1", "-"),), ("fill",), "quiescent", ("late",),
-             {"fill": _TIMING}, frozenset({"fill"})),
-     (), {"warnings": (), "timings": field(default_factory=dict),
-          "perpetual_events": frozenset()}),
+             {"fill": _TIMING}),
+     (), {"warnings": (), "timings": field(default_factory=dict)}),
     (SimState, (Scenario(), 2, (Token("tok1", "water", _SRC),), 2, (0,), (("fill", _TIMING),),
                 False),
      Scenario(max_steps=3), {"step_no": 0, "tokens": (), "next_token": 1, "choice_taken": (),

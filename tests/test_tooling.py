@@ -42,7 +42,8 @@ def test_every_traced_name_exists(monkeypatch):
 
 def test_simulate_validates_and_initialises_once(monkeypatch):
     # The traced benchmark reads sim.init_state and core.validate spans
-    # from these two names; one run must pass through each exactly once.
+    # from these two names; one run must pass through each exactly once,
+    # and build one engine, which init_state hands to the run.
     calls = {"init_state": 0, "validate": 0}
 
     def counting(name, fn):
@@ -54,10 +55,13 @@ def test_simulate_validates_and_initialises_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(tmkit.sim, name, counting(name, getattr(tmkit.sim, name)))
+    calls["engine"] = 0
+    monkeypatch.setattr(tmkit.sim._Engine, "__init__",
+                        counting("engine", tmkit.sim._Engine.__init__))
     model = load_corpus_model("reservoir")
     trace = tmkit.sim.simulate(model, load_corpus_scenario("reservoir"))
     assert trace.entries
-    assert calls == {"init_state": 1, "validate": 1}
+    assert calls == {"init_state": 1, "validate": 1, "engine": 1}
 
 
 @pytest.mark.parametrize(
