@@ -11,43 +11,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chronology",
-    "CoverageReport",
-    "Diagnostic",
-    "DotDocument",
-    "Event",
-    "FlowEdge",
-    "Machine",
-    "Model",
-    "ParseResult",
-    "Scenario",
-    "SourceSpan",
-    "StageKind",
-    "StageRef",
-    "Thing",
-    "Trace",
-    "TriggerEdge",
-    "attach_event",
-    "build_model",
-    "conforms",
-    "coverage",
-    "flow_legal",
-    "is_linear_extension",
-    "load_scenario",
-    "parse",
-    "render_chronology",
-    "render_events",
-    "render_static",
-    "resolve",
-    "serialize",
-    "simulate",
-    "step",
-    "validate",
-    "validate_chronology",
-    "__version__",
-]
-
 # The home module of each public name. A name's module is imported on its
 # first access (PEP 562), so ``import tmkit`` alone loads no submodule.
 _HOMES = {
@@ -63,6 +26,7 @@ _HOMES = {
                     "sim"),
 }
 _SUBMODULES = frozenset({"cli", "core", "dsl", "events", "render", "sim"})
+__all__ = sorted(_HOMES) + ["__version__"]
 
 
 def __getattr__(name: str):

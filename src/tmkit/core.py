@@ -186,13 +186,9 @@ def parse_stage_ref(text: str) -> StageRef:
 
 @frozen
 class Thing:
-    """A thing that manifests in stages of machines. Its id is its name."""
+    """A thing that manifests in stages of machines, known by its name."""
 
     name: str
-
-    @property
-    def id(self) -> str:
-        return self.name
 
 
 @frozen
@@ -273,10 +269,6 @@ class Event:
     name: str
     perpetual: bool = False
     items: tuple[RegionItem, ...] = ()
-
-    @property
-    def id(self) -> str:
-        return self.name
 
 
 @frozen
@@ -761,7 +753,7 @@ def _check_event_decl(
 
 def _chronology_diagnostics(
     events: dict[str, Event], decl: ChronologyDecl
-) -> tuple[Chronology | None, list[Diagnostic]]:
+) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     edges: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
@@ -806,9 +798,7 @@ def _chronology_diagnostics(
                     decl.span or path[0],
                 )
             )
-    if any(d.is_error for d in diags):
-        return None, diags
-    return Chronology(nodes, tuple(edges)), diags
+    return diags
 
 
 def _tarjan_sccs(
@@ -979,15 +969,14 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
         else:
             diags.extend(result)
 
-    chronology: Chronology | None = None
+    chronology = None
     if chronology_decls:
-        if len(chronology_decls) > 1:
-            for extra in chronology_decls[1:]:
-                diags.append(
-                    _error("E106", "duplicate chronology block", extra.span or "chronology")
-                )
-        chronology, cdiags = _chronology_diagnostics(events, chronology_decls[0])
-        diags.extend(cdiags)
+        for extra in chronology_decls[1:]:
+            diags.append(
+                _error("E106", "duplicate chronology block", extra.span or "chronology")
+            )
+        diags.extend(_chronology_diagnostics(events, chronology_decls[0]))
+        chronology = Chronology(tuple(events), tuple(chronology_decls[0].edges))
 
     if any(d.is_error for d in diags):
         return diags

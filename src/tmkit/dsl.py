@@ -75,7 +75,6 @@ _RESYNC_KEYWORDS = _ITEM_KEYWORDS | {"model"}
 # Items that no block holds: a line starting with one ends a block left open.
 _TOP_LEVEL_ONLY = {"thing", "event", "chronology"}
 _FOLDED = frozenset({"edge", "thingdecl"})
-_KEYWORDS = RESERVED_WORDS
 
 
 @_record
@@ -182,7 +181,7 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
             start, stop = m.span(kind)
             lexeme = text[start:stop]
             if kind == "word":
-                kind = "kw" if lexeme in _KEYWORDS else "ident"
+                kind = "kw" if lexeme in RESERVED_WORDS else "ident"
             elif kind == "symbol":
                 kind = lexeme
             col = start - line_start + 1

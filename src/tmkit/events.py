@@ -67,7 +67,7 @@ def attach_event(model: Model, decl: EventDecl) -> Event | list[Diagnostic]:
     raises ValueError, as in ``build_model``. Attach the result with
     ``model.with_event(event)``.
     """
-    return _check_event_decl(model, dict(model.events_by_name), decl)
+    return _check_event_decl(model, model.events_by_name, decl)
 
 
 def validate_chronology(model: Model) -> list[Diagnostic]:
@@ -78,10 +78,9 @@ def validate_chronology(model: Model) -> list[Diagnostic]:
     """
     if model.chronology is None:
         return []
-    _, diags = _chronology_diagnostics(
-        dict(model.events_by_name), ChronologyDecl(model.chronology.edges)
+    return _chronology_diagnostics(
+        model.events_by_name, ChronologyDecl(model.chronology.edges)
     )
-    return diags
 
 
 def coverage(model: Model) -> CoverageReport:
@@ -122,6 +121,8 @@ def topological_order(chronology: Chronology) -> list[str] | None:
     indegree = {n: 0 for n in chronology.nodes}
     successors: dict[str, list[str]] = {n: [] for n in chronology.nodes}
     for a, b in chronology.edges:
+        if a not in indegree or b not in indegree:
+            raise ValueError(f"chronology edge '{a} -> {b}' names an event not in its nodes")
         indegree[b] += 1
         successors[a].append(b)
     # First in, first out: the list grows at its end while it is walked.

@@ -282,6 +282,8 @@ class _Engine:
         # as plain tuples they run no StageRef ==
         mints: dict[tuple, tuple[str, _Stage, str]] = {}
         for inj in scenario.injections:
+            if inj.step < 1:
+                raise ScenarioError("injection step must be >= 1")
             key = (inj.thing, *inj.ref)
             if key not in mints:
                 if inj.thing not in model.things_by_name:

@@ -300,6 +300,8 @@ def test_corpus_copy(tmp_path):
     assert (tmp_path / "murderer.tm").exists()
     assert (tmp_path / "murderer_truth.scn").exists()
     assert run(["corpus", "copy", "nonesuch", str(tmp_path)]) == 2
+    assert run(["corpus", "copy", "murderer", str(tmp_path / "new" / "dir")]) == 0
+    assert (tmp_path / "new" / "dir" / "murderer.tm").exists()
 
 
 def test_corpus_models_parse_and_validate():

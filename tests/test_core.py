@@ -252,6 +252,11 @@ def test_duplicate_ids_are_e106_and_all_are_reported():
     )
     assert isinstance(result, list)
     assert codes(result) == ["E106", "E106"]
+    trigger = TriggerDecl("tank.release", "tank.create")
+    result = build_model("bad", [MachineDecl("tank"), trigger, trigger])
+    assert [(d.code, d.message) for d in result] == [
+        ("E106", "duplicate trigger 'tank.release ~> tank.create'")
+    ]
 
 
 def test_env_machine_name_is_reserved():

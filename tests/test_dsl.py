@@ -204,6 +204,30 @@ def test_a_stage_reference_without_a_machine_path_is_e001():
     )]
 
 
+_IN_MACHINE = "syntax error: expected 'machine' or '}' inside machine block, found 'bogus'"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("model m\nevent e {\n",
+         [(2, 9, "syntax error: unterminated event block, expected '}'")]),
+        ("model m\nmachine a {\n",
+         [(2, 11, "syntax error: unterminated machine block, expected '}'")]),
+        # the first block's braces are counted, so the second block is parsed
+        ("model m\nmachine a {\n  bogus\n}\nmachine b {\n  bogus\n}\n",
+         [(3, 3, _IN_MACHINE), (6, 3, _IN_MACHINE)]),
+        # a mid-file E001 sits at the failing token, not one token back
+        ("model m\nthing x\nmachine a {\n  bogus }\n", [(4, 3, _IN_MACHINE)]),
+    ],
+    ids=["unterminated-event", "unterminated-machine", "two-machine-blocks", "mid-file"],
+)
+def test_e001_sits_at_the_failing_token(text, expected):
+    result = parse(text)
+    assert [(d.code, d.location.start_line, d.location.start_col, d.message)
+            for d in result.diagnostics] == [("E001", *e) for e in expected]
+
+
 def test_duplicate_chronology_edge_is_e106():
     result = parse(
         "model m\nthing x\nmachine a\n"

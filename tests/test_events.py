@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from tmkit.events import (
     validate_chronology,
 )
 from tmkit.dsl import parse
+from tmkit.render import render_chronology
 
 from helpers import corpus_path, load_corpus_model
 
@@ -103,6 +105,7 @@ def test_attach_event_region_flow_must_match_static_edge():
 def test_murderer_chronology_validates_clean():
     model = load_corpus_model("murderer")
     assert validate_chronology(model) == []
+    assert validate_chronology(parse("model m").model) == []
     assert model.chronology is not None
     assert len(model.chronology.nodes) == 10
 
@@ -439,6 +442,19 @@ def test_topological_order_is_first_in_first_out():
 def test_topological_order_none_on_cycle():
     chron = Chronology(("a", "b"), (("a", "b"), ("b", "a")))
     assert topological_order(chron) is None
+
+
+def test_an_edge_naming_an_unknown_event_is_a_value_error():
+    # build_model reports such an edge as E303, but a hand-built chronology may hold one
+    model = load_corpus_model("murderer")
+    first = model.chronology.nodes[0]
+    for a, b in (("ghost", first), (first, "ghost")):
+        chron = Chronology(model.chronology.nodes, (*model.chronology.edges, (a, b)))
+        message = f"chronology edge '{a} -> {b}' names an event not in its nodes"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            topological_order(chron)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_chronology(replace(model, chronology=chron))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -97,7 +97,7 @@ def test_a_record_survives_a_pickle_round_trip(cls, fields, values, text):
 )
 def test_a_record_equals_only_values_of_its_own_type(a, b):
     assert a != b and b != a
-    assert not a == b and not b == a
+    assert (a == b) is False and (b == a) is False
 
 
 def test_a_record_keeps_its_str_and_is_env():

@@ -232,6 +232,7 @@ def test_dot_well_formed_rejects_broken_documents():
     assert not dot_well_formed("digraph g { /* never closed }")
     assert dot_well_formed("digraph g {\n  // } hidden\n  a;\n}")
     assert not dot_well_formed("digraph g } a; {")
+    assert not dot_well_formed("digraph g } {{ }")
     assert not dot_well_formed('digraph g { a [label="x"; }')
 
 

@@ -93,6 +93,9 @@ def test_load_scenario_rejects_garbage():
     assert str(excinfo.value) == (
         "<scenario>:1: stage reference needs machine path and stage kind: 'nowhere'"
     )
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario("inject x a-b.transfer @1")
+    assert str(excinfo.value) == "<scenario>:1: bad path segment 'a-b' in 'a-b.transfer'"
 
 
 def test_invalid_scenario_keys_are_hard_errors():
@@ -126,6 +129,13 @@ def test_invalid_scenario_keys_are_hard_errors():
             "injections enter at 'env.transfer', got 'a.transfer'",
         ),
         ("reservoir", Scenario(max_steps=0), "max_steps must be >= 1"),
+        (
+            "reservoir",
+            Scenario(injections=(
+                Injection("water", StageRef(("env",), StageKind.TRANSFER), 0),
+            ), max_steps=5),
+            "injection step must be >= 1",
+        ),
     ]
     for model_name, scenario, message in cases:
         model = load_corpus_model(model_name)
