@@ -9,10 +9,10 @@ Each SRC is a directory holding the ``tmkit`` package, such as a checkout's
 perfbench/workloads.py (imported, not edited), seed 0. On the relay model of
 ``--n`` machines the stages are ``_scan``, the token parser,
 ``build_model``, ``validate``, the whole ``parse``, the emitters
-``serialize``, ``render_static`` and ``render_events``, and ``emit``, the
-emit block perfbench times (``serialize``, the three views, then
-``coverage``) on one model. On the flood model
-and scenario, at perfbench's size, they are ``simulate``, ``format_trace``
+``serialize``, ``render_static``, ``render_events`` and
+``render_chronology``, and ``emit``, the emit block perfbench times
+(``serialize``, the three views, then ``coverage``) on one model. On the
+flood model and scenario, at perfbench's size, they are ``simulate``, ``format_trace``
 and ``step_loop`` (``init_state`` and a ``step`` per macro-step). Each
 stage's input is made outside its timed call, so ``validate`` runs on a
 fresh model each time, each emitter on a freshly parsed model whose
@@ -70,6 +70,7 @@ def emitters(tmkit) -> dict:
         "serialize": tmkit.dsl.serialize,
         "render_static": lambda model: render.render_static(model).text,
         "render_events": lambda model: render.render_events(model).text,
+        "render_chronology": lambda model: render.render_chronology(model).text,
     }
 
 
@@ -228,8 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         if stage in titles:
             print(f"{titles[stage]}, {args.calls} alternating calls per stage and side, "
                   "median ms")
-            print(f"{'stage':<13} {'parent':>9} {'change':>9} {'change/parent':>14}")
-        print(f"{stage:<13} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
+            print(f"{'stage':<17} {'parent':>9} {'change':>9} {'change/parent':>14}")
+        print(f"{stage:<17} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
               f"{m['change'] / m['parent']:>14.3f}")
     return 0
 

@@ -285,6 +285,25 @@ class Chronology:
             out.setdefault(b, []).append(a)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def order(self) -> tuple[str, ...] | None:
+        """One topological order, peeled once per object, or None if cyclic."""
+        indegree = {n: 0 for n in self.nodes}
+        successors: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for a, b in self.edges:
+            if a not in indegree or b not in indegree:  # raised again on each read
+                raise ValueError(f"chronology edge '{a} -> {b}' names an event not in its nodes")
+            indegree[b] += 1
+            successors[a].append(b)
+        # First in, first out: the list grows at its end while it is walked.
+        order = [n for n in self.nodes if indegree[n] == 0]
+        for node in order:
+            for succ in successors[node]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    order.append(succ)
+        return tuple(order) if len(order) == len(self.nodes) else None
+
 
 @frozen
 class Diagnostic:
@@ -751,41 +770,40 @@ def _check_event_decl(
     return Event(decl.name, decl.perpetual, tuple(items))
 
 
-def _chronology_diagnostics(
-    events: dict[str, Event], decl: ChronologyDecl
-) -> list[Diagnostic]:
+def _chronology_diagnostics(chronology: Chronology, span: object | None = None) -> list[Diagnostic]:
+    """E303 and E106 per bad edge; one E302 per cyclic component, if the peel leaves nodes."""
     diags: list[Diagnostic] = []
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for a, b in decl.edges:
-        missing = [n for n in (a, b) if n not in events]
-        if missing:
-            for n in missing:
+    nodes = set(chronology.nodes)
+    kept: dict[tuple[str, str], None] = {}  # each edge between nodes, once
+    for a, b in chronology.edges:
+        if a not in nodes or b not in nodes:
+            for n in [n for n in (a, b) if n not in nodes]:
                 diags.append(
                     _error(
                         "E303",
                         f"unknown event '{n}' in chronology",
-                        decl.span or n,
+                        span or n,
                     )
                 )
             continue
-        if (a, b) in seen:
+        if (a, b) in kept:
             diags.append(
                 _error(
                     "E106",
                     f"duplicate chronology edge '{a} -> {b}'",
-                    decl.span or f"{a} -> {b}",
+                    span or f"{a} -> {b}",
                 )
             )
             continue
-        seen.add((a, b))
-        edges.append((a, b))
-    nodes = tuple(events)
-    # One E302 per strongly connected component with a cycle.
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
+        kept[a, b] = None
+    if diags:  # peel the edges kept, as the peel raises on an unknown end
+        chronology = Chronology(chronology.nodes, tuple(kept))
+    if chronology.order is not None:
+        return diags
+    adjacency: dict[str, list[str]] = {n: [] for n in chronology.nodes}
+    for a, b in kept:
         adjacency[a].append(b)
-    for component in _tarjan_sccs(nodes, adjacency):
+    for component in _components(chronology.nodes, adjacency):
         cyclic = len(component) > 1 or any(
             n in adjacency[n] for n in component
         )
@@ -795,63 +813,57 @@ def _chronology_diagnostics(
                 _error(
                     "E302",
                     "chronology cycle: " + " -> ".join(path),
-                    decl.span or path[0],
+                    span or path[0],
                 )
             )
     return diags
 
 
-def _tarjan_sccs(
+def _components(
     nodes: tuple[str, ...], adjacency: dict[str, list[str]]
 ) -> list[list[str]]:
-    """Tarjan's SCCs on an explicit call stack, in the recursive version's
-    order: components as they complete, each popped root-last."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    calls: list[tuple[str, Iterator[str]]] = []  # (node, unvisited successors)
-
-    def visit(v: str) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        calls.append((v, iter(adjacency[v])))
-
+    """Kosaraju's strongly connected components, in Tarjan's order (as each
+    completes), each led by the member a depth-first pass in ``nodes`` order reaches first."""
+    finished: list[str] = []  # the depth-first pass's nodes, as their visits end
+    reached: set[str] = set()  # the second pass takes each node out again
     for n in nodes:
-        if n in index:
+        if n in reached:
             continue
-        visit(n)
+        reached.add(n)
+        calls = [(n, iter(adjacency[n]))]  # (node, unvisited successors)
         while calls:
             v, successors = calls[-1]
             for w in successors:
-                if w not in index:
-                    visit(w)
+                if w not in reached:
+                    reached.add(w)
+                    calls.append((w, iter(adjacency[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
             else:
                 calls.pop()
-                if calls:
-                    parent = calls[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
+                finished.append(v)
+    predecessors: dict[str, list[str]] = {n: [] for n in nodes}
+    for a in nodes:
+        for b in adjacency[a]:
+            predecessors[b].append(a)
+    components: list[list[str]] = []
+    for root in reversed(finished):  # over the reversed edges, last finished first
+        if root in reached:
+            reached.remove(root)
+            component = [root]
+            for v in component:
+                for w in predecessors[v]:
+                    if w in reached:
+                        reached.remove(w)
                         component.append(w)
-                        if w == v:
-                            break
-                    sccs.append(component)
-    return sccs
+            components.append(component)
+    components.reverse()
+    return components
 
 
 def _cycle_path(component: list[str], adjacency: dict[str, list[str]]) -> list[str]:
     """One concrete cycle inside a cyclic strongly connected component."""
     members = set(component)
-    start = component[-1]  # Tarjan pops the root last; deterministic
+    start = component[0]  # the root; deterministic
     path = [start]
     seen = {start}
     node = start
@@ -975,8 +987,8 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
             diags.append(
                 _error("E106", "duplicate chronology block", extra.span or "chronology")
             )
-        diags.extend(_chronology_diagnostics(events, chronology_decls[0]))
         chronology = Chronology(tuple(events), tuple(chronology_decls[0].edges))
+        diags.extend(_chronology_diagnostics(chronology, chronology_decls[0].span))
 
     if any(d.is_error for d in diags):
         return diags
@@ -1086,4 +1098,6 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
                 flows if kind is RegionFlow else triggers
             ):
                 diags.append(_error("E301", _unknown_edge(event, item), event.name))
+    if model.chronology is not None:  # a parsed one reads the order build_model peeled
+        diags += _chronology_diagnostics(model.chronology)
     return diags

@@ -3,7 +3,8 @@
 An event is a machine in its own right: its region is a subgraph of the
 static model and it implicitly carries a time sub-machine. Chronologies
 are precedence DAGs over events; events with no path between them may
-occur in any order or simultaneously.
+occur in any order or simultaneously. ``Chronology.order`` is peeled once
+per object; ``topological_order`` returns a new list of it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from ._frozen import frozen
 
 from .core import (
     Chronology,
-    ChronologyDecl,
     Diagnostic,
     Event,
     EventDecl,
@@ -71,16 +71,15 @@ def attach_event(model: Model, decl: EventDecl) -> Event | list[Diagnostic]:
 
 
 def validate_chronology(model: Model) -> list[Diagnostic]:
-    """Report unknown event references (E303) and cycles (E302).
+    """Report edges naming no chronology node (E303), repeated edges (E106)
+    and cycles (E302), as ``validate`` does for any model's chronology.
 
-    One E302 is emitted per strongly connected component, naming a full
-    cycle path. Models without a chronology yield no diagnostics.
+    One E302 is emitted per cyclic strongly connected component, naming a
+    full cycle path. Models without a chronology yield no diagnostics.
     """
     if model.chronology is None:
         return []
-    return _chronology_diagnostics(
-        model.events_by_name, ChronologyDecl(model.chronology.edges)
-    )
+    return _chronology_diagnostics(model.chronology)
 
 
 def coverage(model: Model) -> CoverageReport:
@@ -104,11 +103,14 @@ def is_linear_extension(chronology: Chronology, sequence) -> bool:
     """True iff the sequence respects every precedence edge.
 
     The sequence must be a permutation of the chronology's nodes;
-    anything else raises ValueError rather than returning False.
+    anything else raises ValueError rather than returning False, as does an
+    edge naming no node. A cyclic chronology has no linear extension.
     """
     seq = tuple(sequence)
     if len(seq) != len(chronology.nodes) or set(seq) != set(chronology.nodes):
         raise ValueError("sequence must be a permutation of the chronology nodes")
+    if chronology.order is None:
+        return False
     position = {node: i for i, node in enumerate(seq)}
     for before, after in chronology.edges:
         if position[before] >= position[after]:
@@ -118,20 +120,4 @@ def is_linear_extension(chronology: Chronology, sequence) -> bool:
 
 def topological_order(chronology: Chronology) -> list[str] | None:
     """One topological order of the chronology, or None if it is cyclic."""
-    indegree = {n: 0 for n in chronology.nodes}
-    successors: dict[str, list[str]] = {n: [] for n in chronology.nodes}
-    for a, b in chronology.edges:
-        if a not in indegree or b not in indegree:
-            raise ValueError(f"chronology edge '{a} -> {b}' names an event not in its nodes")
-        indegree[b] += 1
-        successors[a].append(b)
-    # First in, first out: the list grows at its end while it is walked.
-    order = [n for n in chronology.nodes if indegree[n] == 0]
-    for node in order:
-        for succ in successors[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                order.append(succ)
-    if len(order) != len(chronology.nodes):
-        return None
-    return order
+    return None if chronology.order is None else list(chronology.order)

@@ -130,17 +130,15 @@ def render_events(model: Model, *, lax: bool = False) -> DotDocument:
             f'    "legend_{event.name}" [label="{event.name}{tag}", '
             f'color="{color}", penwidth=2.0, shape=box];'
         )
-    lines += legend + ["  }", "}"]
-    return DotDocument("\n".join(lines) + "\n")
+    lines += legend + ["  }", "}", ""]
+    return DotDocument("\n".join(lines))
 
 
 def render_chronology(model: Model) -> DotDocument:
     """One node per event, one edge per precedence pair."""
-    from .events import topological_order
-
     if model.chronology is None:
         raise ValueError("model has no chronology to render")
-    if topological_order(model.chronology) is None:
+    if model.chronology.order is None:
         raise ValueError("chronology is cyclic")
     lines = [f'digraph "{model.name}_chronology" {{']
     events = model.events_by_name

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.core import Chronology, Event, EventDecl, FlowDecl, NodeItemDecl, _tarjan_sccs
+from tmkit import core
+from tmkit.core import Chronology, Event, EventDecl, FlowDecl, NodeItemDecl, _components
 from tmkit.core import ChronologyDecl, MachineDecl, Model, RegionFlow, ThingDecl, build_model
+from tmkit.core import validate
 from tmkit.events import (
     attach_event,
     coverage,
@@ -21,7 +23,8 @@ from tmkit.events import (
     validate_chronology,
 )
 from tmkit.dsl import parse
-from tmkit.render import render_chronology
+from tmkit.render import render_chronology, render_static
+from tmkit.sim import init_state, load_scenario, simulate
 
 from helpers import corpus_path, load_corpus_model
 
@@ -204,8 +207,12 @@ def _recursive_tarjan(nodes, adjacency) -> list[list[str]]:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_sccs_keep_the_recursive_order(seed):
+    # Same components, same roots (Tarjan pops the root last), same order; the
+    # order of members inside a component is not compared, as nothing reads it.
     nodes, adjacency = _random_digraph(seed)
-    assert _tarjan_sccs(nodes, adjacency) == _recursive_tarjan(nodes, adjacency)
+    assert [(c[0], set(c)) for c in _components(nodes, adjacency)] == [
+        (c[-1], set(c)) for c in _recursive_tarjan(nodes, adjacency)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -216,11 +223,11 @@ def test_sccs_match_networkx(seed):
     graph.add_nodes_from(nodes)
     graph.add_edges_from((a, b) for a in nodes for b in adjacency[a])
     expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
-    assert {frozenset(c) for c in _tarjan_sccs(nodes, adjacency)} == expected
+    assert {frozenset(c) for c in _components(nodes, adjacency)} == expected
 
 
 def test_build_model_reports_one_e302_per_cyclic_component():
-    # The tests above call _tarjan_sccs directly; this one checks the E302s
+    # The tests above call _components directly; this one checks the E302s
     # build_model reports, with networkx as the oracle, on digraphs with and
     # without cycles, self-loops included.
     nx = pytest.importorskip("networkx")
@@ -255,6 +262,26 @@ def test_build_model_reports_one_e302_per_cyclic_component():
             found.add(next(c for c in cyclic if path[0] in c))
         assert len(found) == len(cyclic)
     assert 500 < acyclic_seen < 2500
+
+
+def _cycle_messages(names: str, edges: str) -> list[str]:
+    lines = ["model pins", "thing x", "machine m", "flow x m.create -> m.release"]
+    lines += [f"event {n} {{ flow x m.create -> m.release }}" for n in names.split()]
+    result = parse("\n".join(lines + [f"chronology {{ {edges} }}"]) + "\n")
+    assert codes(result.diagnostics) == ["E302"] * len(result.diagnostics)
+    return [d.message for d in result.diagnostics]
+
+
+def test_a_cycle_starts_at_the_node_the_depth_first_pass_reaches_first():
+    # c is declared before b, but the pass from a reaches b first
+    assert _cycle_messages("a c b", "a -> b b -> c c -> b") == ["chronology cycle: b -> c -> b"]
+
+
+def test_cyclic_components_are_reported_as_they_complete():
+    assert _cycle_messages("a b c d", "a -> b b -> a b -> c c -> d d -> c") == [
+        "chronology cycle: c -> d -> c",
+        "chronology cycle: a -> b -> a",
+    ]
 
 
 def test_unknown_event_reference_is_e303():
@@ -442,6 +469,7 @@ def test_topological_order_is_first_in_first_out():
 def test_topological_order_none_on_cycle():
     chron = Chronology(("a", "b"), (("a", "b"), ("b", "a")))
     assert topological_order(chron) is None
+    assert not any(is_linear_extension(chron, p) for p in (("a", "b"), ("b", "a")))
 
 
 def test_an_edge_naming_an_unknown_event_is_a_value_error():
@@ -455,6 +483,52 @@ def test_an_edge_naming_an_unknown_event_is_a_value_error():
             topological_order(chron)
         with pytest.raises(ValueError, match=re.escape(message)):
             render_chronology(replace(model, chronology=chron))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            is_linear_extension(chron, chron.nodes)
+
+
+@pytest.mark.parametrize(
+    "edge, diagnostic",
+    [
+        (("e2", "e1"), ("E302", "chronology cycle: e1 -> e2 -> e1", "e1")),
+        (("ghost", "e1"), ("E303", "unknown event 'ghost' in chronology", "ghost")),
+    ],
+)
+def test_validate_refuses_a_hand_built_chronology(edge, diagnostic):
+    model = load_corpus_model("murderer")
+    chron = model.chronology
+    broken = replace(model, chronology=Chronology(chron.nodes, (*chron.edges, edge)))
+    assert [(d.code, d.message, d.location) for d in validate(broken)] == [diagnostic]
+    assert validate_chronology(broken) == validate(broken)
+    scenario = load_scenario(corpus_path("murderer_truth.scn").read_text())
+    for refuse in (lambda: init_state(broken, scenario), lambda: simulate(broken, scenario),
+                   lambda: render_static(broken)):
+        with pytest.raises(ValueError, match=diagnostic[1]):
+            refuse()
+
+
+def test_an_acyclic_chronology_is_peeled_once(monkeypatch):
+    # parse, validate, topological_order and two chronology views share one peel,
+    # and only a cyclic chronology is searched for components
+    calls = {"peel": 0, "components": 0}
+    peel = Chronology.__dict__["order"]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(peel, "func", counted("peel", peel.func))
+    monkeypatch.setattr(core, "_components", counted("components", core._components))
+    model = parse(corpus_path("murderer.tm").read_text()).model
+    assert validate(model) == []
+    first, second = topological_order(model.chronology), topological_order(model.chronology)
+    assert first == second and first is not second  # a new list per call
+    assert render_chronology(model).text == render_chronology(model).text
+    assert calls == {"peel": 1, "components": 0}
+    assert _cycle_messages("a b", "a -> b b -> a") == ["chronology cycle: a -> b -> a"]
+    assert calls == {"peel": 2, "components": 1}
 
 
 @pytest.mark.parametrize("seed", range(10))

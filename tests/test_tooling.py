@@ -160,7 +160,8 @@ def test_stage_pairs_times_every_front_end_stage():
     rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
     assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse",
                                         "serialize", "render_static", "render_events",
-                                        "emit", "simulate", "format_trace", "step_loop"]
+                                        "render_chronology", "emit", "simulate", "format_trace",
+                                        "step_loop"]
     assert all(float(x) > 0 for row in rows for x in row[1:])
 
 
