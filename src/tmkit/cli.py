@@ -8,22 +8,22 @@ message``.
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import os
 import sys
 from pathlib import Path
 
-from ._frozen import frozen, replace
+from ._frozen import replace
 from .core import Model
 from .dsl import parse, serialize
 
 __all__ = ["main", "run", "corpus_list", "CorpusEntry", "corpus_dir"]
 
-# The library names ``run`` needs beyond parsing, by home module. Each is
-# imported on its first access as an attribute of this module (PEP 562) and
-# kept there, so a command loads only the modules it runs, and ``run`` calls
-# whatever is bound here at the time, as a tracer that rebinds it expects.
+# Names imported on their first access as an attribute of this module
+# (PEP 562) and kept there, by home module, so a command loads only the
+# modules it runs. ``run`` calls the library names as bound here at the
+# time, as a tracer that rebinds them expects. ``_cli_rare`` holds what no
+# well-formed model command runs: the ``corpus`` command, argparse and the
+# atomic write behind ``-o``.
 _LAZY = {
     "coverage": "events",
     "render_static": "render",
@@ -34,6 +34,9 @@ _LAZY = {
     "format_trace": "sim",
     "load_scenario": "sim",
     "simulate": "sim",
+    "CorpusEntry": "_cli_rare",
+    "corpus_dir": "_cli_rare",
+    "corpus_list": "_cli_rare",
 }
 
 
@@ -49,65 +52,86 @@ VALIDATION_ERRORS = 1
 USAGE_OR_IO = 2
 SIMULATION_ERROR = 3
 
-
-@frozen
-class CorpusEntry:
-    """One bundled worked model with its scenarios and golden outputs."""
-
-    name: str
-    model_file: Path
-    scenarios: tuple[Path, ...]
-    golden_traces: dict[str, Path]
-    golden_dots: dict[str, Path]
-
-
-def corpus_dir() -> Path:
-    return Path(__file__).parent / "corpus"
-
-
-_CORPUS_SCENARIOS = {
-    "reservoir": ("reservoir",),
-    "kant_ci": ("kant_agree", "kant_disagree"),
-    "murderer": ("murderer_truth", "murderer_lie"),
-    "islamic": ("islamic_gate_true", "islamic_gate_false", "islamic_abstain"),
+# The grammar of the model commands, declared once: per command its help,
+# its positional (``files`` takes one or more words, ``file`` one) and its
+# options in help order, each with its help text. ``_OPTIONS`` gives an
+# option's destination, default and the other argparse keywords.
+_OPTIONS = {
+    "--scenario": ("scenario", None, {"required": True}),
+    "--view": ("view", "static", {"choices": ("static", "events", "chronology")}),
+    "-o": ("output", None, {}),
+    "--max-steps": ("max_steps", None, {"type": int}),
+    "--lax": ("lax", False, {"action": "store_true"}),
+}
+_COMMANDS = {
+    "validate": ("check model files", "files",
+                 {"--lax": "downgrade cross-boundary flows to warnings"}),
+    "fmt": ("canonical serialization", "file", {"-o": None, "--lax": None}),
+    "sim": ("simulate a model under a scenario", "file",
+            {"--scenario": None, "-o": None,
+             "--max-steps": "override the scenario step limit", "--lax": None}),
+    "render": ("emit a DOT diagram", "file", {"--view": None, "-o": None, "--lax": None}),
+    "coverage": ("event coverage of the static model", "file",
+                 {"-o": "write a machine-readable JSON record", "--lax": None}),
 }
 
 
-def corpus_list() -> list[CorpusEntry]:
-    """The four bundled models, in fixed order."""
-    base = corpus_dir()
-    golden = base / "golden"
-    entries = []
-    for name in ("reservoir", "kant_ci", "murderer", "islamic"):
-        scenario_names = _CORPUS_SCENARIOS[name]
-        entries.append(
-            CorpusEntry(
-                name=name,
-                model_file=base / f"{name}.tm",
-                scenarios=tuple(base / f"{s}.scn" for s in scenario_names),
-                golden_traces={s: golden / f"{s}.trace" for s in scenario_names},
-                golden_dots={
-                    view: golden / f"{name}_{view}.dot"
-                    for view in ("static", "events", "chronology")
-                },
-            )
-        )
-    return entries
+def _read_command_line(argv: list[str]) -> dict | None:
+    """The attributes argparse gives a well-formed model command line, or None.
 
-
-def _atomic_write(path: str, data: str) -> None:
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tm-out-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    A line is read here only where argparse reads it the same way: the
+    positionals are contiguous, each option name is exact, each option value
+    is the next word and does not start with ``-``, a value passes its
+    option's ``type`` and ``choices``, and each required option is given.
+    Anything else (help, ``corpus``, ``--opt=value``, abbreviations, ``-oFILE``,
+    ``--``, every usage error) is left to argparse.
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _help, positional, options = spec
+    args = {"command": argv[0]}
+    args.update(_OPTIONS[name][:2] for name in options)
+    words: list[str] = []
+    words_end = 0  # the index after the last positional
+    i = 1
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if not word.startswith("-"):
+            if words and words_end != i - 1:
+                return None
+            words.append(word)
+            words_end = i
+            continue
+        if word not in options:
+            return None
+        dest, _default, keywords = _OPTIONS[word]
+        if "action" in keywords:  # store_true
+            args[dest] = True
+            continue
+        if i == len(argv) or argv[i].startswith("-"):
+            return None
+        value = argv[i]
+        i += 1
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        args[dest] = value
+    for name in options:
+        if _OPTIONS[name][2].get("required") and args[_OPTIONS[name][0]] is None:
+            return None
+    if positional == "files" and words:
+        args[positional] = words
+    elif positional == "file" and len(words) == 1:
+        args[positional] = words[0]
+    else:
+        return None
+    return args
 
 
 def _read_file(path: str) -> str | None:
@@ -141,95 +165,57 @@ def _emit(text: str, output: str | None) -> int:
         sys.stdout.write(text)
         return OK
     try:
-        _atomic_write(output, text)
+        from ._cli_rare import atomic_write
+
+        atomic_write(output, text)
     except OSError as exc:
         print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_OR_IO
     return OK
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tm", description="Thinging Machine modeling toolchain"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check model files")
-    p_validate.add_argument("files", nargs="+")
-    p_validate.add_argument("--lax", action="store_true",
-                            help="downgrade cross-boundary flows to warnings")
-
-    p_fmt = sub.add_parser("fmt", help="canonical serialization")
-    p_fmt.add_argument("file")
-    p_fmt.add_argument("-o", dest="output", default=None)
-    p_fmt.add_argument("--lax", action="store_true")
-
-    p_sim = sub.add_parser("sim", help="simulate a model under a scenario")
-    p_sim.add_argument("file")
-    p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("-o", dest="output", default=None)
-    p_sim.add_argument("--max-steps", type=int, default=None,
-                       help="override the scenario step limit")
-    p_sim.add_argument("--lax", action="store_true")
-
-    p_render = sub.add_parser("render", help="emit a DOT diagram")
-    p_render.add_argument("file")
-    p_render.add_argument("--view", choices=("static", "events", "chronology"),
-                          default="static")
-    p_render.add_argument("-o", dest="output", default=None)
-    p_render.add_argument("--lax", action="store_true")
-
-    p_cov = sub.add_parser("coverage", help="event coverage of the static model")
-    p_cov.add_argument("file")
-    p_cov.add_argument("-o", dest="output", default=None,
-                       help="write a machine-readable JSON record")
-    p_cov.add_argument("--lax", action="store_true")
-
-    p_corpus = sub.add_parser("corpus", help="bundled example models")
-    corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
-    corpus_sub.add_parser("list", help="list bundled models")
-    p_copy = corpus_sub.add_parser("copy", help="copy bundled models")
-    p_copy.add_argument("name", help="model name or 'all'")
-    p_copy.add_argument("dest", help="destination directory")
-    return parser
-
-
 def run(argv: list[str] | None = None) -> int:
     """Dispatch a command line. Returns the exit status."""
     lib = sys.modules[__name__]  # the lazy library names, as bound now
-    parser = _build_arg_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_OR_IO if exc.code not in (0, None) else OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_command_line(argv)
+    if args is None:  # help, corpus, another form argparse reads, or a usage error
+        from . import _cli_rare
 
-    if args.command == "validate":
+        args = _cli_rare.parse_args(argv)
+        if isinstance(args, int):
+            return args
+        if args["command"] == "corpus":
+            return _cli_rare.run_corpus(args)
+    command = args["command"]
+
+    if command == "validate":
         worst = OK
-        for path in args.files:
-            model = _load_or_report(path, args.lax, quiet=False)
+        for path in args["files"]:
+            model = _load_or_report(path, args["lax"], quiet=False)
             if isinstance(model, int):
                 if model == USAGE_OR_IO:
                     return model
                 worst = VALIDATION_ERRORS
         return worst
 
-    if args.command in ("fmt", "sim", "render", "coverage"):
-        model = _load_or_report(args.file, args.lax)
-        if isinstance(model, int):
-            return model
+    model = _load_or_report(args["file"], args["lax"])
+    if isinstance(model, int):
+        return model
 
-    if args.command == "fmt":
-        return _emit(serialize(model), args.output)
+    if command == "fmt":
+        return _emit(serialize(model), args["output"])
 
-    if args.command == "sim":
-        scenario_text = _read_file(args.scenario)
+    if command == "sim":
+        scenario_text = _read_file(args["scenario"])
         if scenario_text is None:
             return USAGE_OR_IO
         try:
-            scenario = lib.load_scenario(scenario_text, args.scenario)
-            if args.max_steps is not None:
-                scenario = replace(scenario, max_steps=args.max_steps)
-            trace = lib.simulate(model, scenario, lax=args.lax)
+            scenario = lib.load_scenario(scenario_text, args["scenario"])
+            if args["max_steps"] is not None:
+                scenario = replace(scenario, max_steps=args["max_steps"])
+            trace = lib.simulate(model, scenario, lax=args["lax"])
         except lib.ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return SIMULATION_ERROR
@@ -239,55 +225,27 @@ def run(argv: list[str] | None = None) -> int:
             return SIMULATION_ERROR
         for warning in trace.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        return _emit(lib.format_trace(trace), args.output)
+        return _emit(lib.format_trace(trace), args["output"])
 
-    if args.command == "render":
+    if command == "render":
         try:
-            if args.view == "static":
-                doc = lib.render_static(model, lax=args.lax)
-            elif args.view == "events":
-                doc = lib.render_events(model, lax=args.lax)
+            if args["view"] == "static":
+                doc = lib.render_static(model, lax=args["lax"])
+            elif args["view"] == "events":
+                doc = lib.render_events(model, lax=args["lax"])
             else:
                 doc = lib.render_chronology(model)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_OR_IO
-        return _emit(doc.text, args.output)
+        return _emit(doc.text, args["output"])
 
-    if args.command == "coverage":
-        report = lib.coverage(model)
-        if args.output is None:
-            return _emit(report.text(), None)
-        import json
+    report = lib.coverage(model)  # the one command left
+    if args["output"] is None:
+        return _emit(report.text(), None)
+    import json
 
-        return _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.output)
-
-    if args.command == "corpus":
-        entries = corpus_list()
-        if args.corpus_command == "list":
-            for entry in entries:
-                scenario_names = ", ".join(p.stem for p in entry.scenarios)
-                print(f"{entry.name}: {entry.model_file.name} ({scenario_names})")
-            return OK
-        wanted = [e for e in entries if args.name in ("all", e.name)]
-        if not wanted:
-            print(f"error: no corpus model named {args.name!r}", file=sys.stderr)
-            return USAGE_OR_IO
-        import shutil
-
-        dest = Path(args.dest)
-        try:
-            dest.mkdir(parents=True, exist_ok=True)
-            for entry in wanted:
-                shutil.copy(entry.model_file, dest / entry.model_file.name)
-                for scenario in entry.scenarios:
-                    shutil.copy(scenario, dest / scenario.name)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_OR_IO
-        return OK
-
-    return USAGE_OR_IO  # pragma: no cover
+    return _emit(json.dumps(report.as_dict(), indent=2) + "\n", args["output"])
 
 
 def main() -> None:

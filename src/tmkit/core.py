@@ -777,14 +777,7 @@ def _chronology_diagnostics(chronology: Chronology, span: object | None = None) 
     kept: dict[tuple[str, str], None] = {}  # each edge between nodes, once
     for a, b in chronology.edges:
         if a not in nodes or b not in nodes:
-            for n in [n for n in (a, b) if n not in nodes]:
-                diags.append(
-                    _error(
-                        "E303",
-                        f"unknown event '{n}' in chronology",
-                        span or n,
-                    )
-                )
+            diags += [_unknown_event(n, span or n) for n in (a, b) if n not in nodes]
             continue
         if (a, b) in kept:
             diags.append(
@@ -817,6 +810,10 @@ def _chronology_diagnostics(chronology: Chronology, span: object | None = None) 
                 )
             )
     return diags
+
+
+def _unknown_event(name: str, location: object) -> Diagnostic:
+    return _error("E303", f"unknown event '{name}' in chronology", location)
 
 
 def _components(
@@ -1099,5 +1096,7 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
             ):
                 diags.append(_error("E301", _unknown_edge(event, item), event.name))
     if model.chronology is not None:  # a parsed one reads the order build_model peeled
+        events = {event.name for event in model.events}  # a hand-built node may be no event
+        diags += [_unknown_event(n, n) for n in model.chronology.nodes if n not in events]
         diags += _chronology_diagnostics(model.chronology)
     return diags

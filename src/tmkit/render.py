@@ -17,6 +17,7 @@ ends, in item order and first-seen.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from ._frozen import frozen
 from .core import ENV_NAME, Model, RegionFlow, RegionTrigger, _require_no_errors, _Stage, validate
@@ -152,20 +153,22 @@ def render_chronology(model: Model) -> DotDocument:
     return DotDocument("\n".join(lines) + "\n")
 
 
-# A closed string (with backslash escapes) or comment; a string or block
-# comment that never closes falls through to the `unclosed` group.
-_DOT_SKIP_RE = re.compile(
-    r'(?P<string>"(?:[^"\\]|\\.)*")|/\*.*?\*/|//[^\n]*\n?|(?P<unclosed>"|/\*)', re.S
-)
-_DOT_NEST_RE = re.compile(r"[{}\[\]]")
+@cache
+def _dot_res() -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """A closed string (with backslash escapes) or comment, where a string or
+    block comment that never closes falls through to the ``unclosed`` group;
+    and one bracket. Compiled on the first check: no ``tm`` command runs one."""
+    skip = r'(?P<string>"(?:[^"\\]|\\.)*")|/\*.*?\*/|//[^\n]*\n?|(?P<unclosed>"|/\*)'
+    return re.compile(skip, re.S), re.compile(r"[{}\[\]]")
 
 
 def dot_well_formed(text: str) -> bool:
     """Tokenizer-level well-formedness: balanced braces/brackets, closed
     strings and comments, a digraph header, and terminated statements."""
+    skip_re, nest_re = _dot_res()
     kept: list[str] = []
     pos = 0
-    for m in _DOT_SKIP_RE.finditer(text):
+    for m in skip_re.finditer(text):
         if m.lastgroup == "unclosed":
             return False
         kept.append(text[pos : m.start()])
@@ -175,7 +178,7 @@ def dot_well_formed(text: str) -> bool:
     kept.append(text[pos:])
     flat = "".join(kept).strip()
     depth = dict.fromkeys("{}[]", 0)
-    for m in _DOT_NEST_RE.finditer(flat):
+    for m in nest_re.finditer(flat):
         depth[m.group()] += 1
         if depth["}"] > depth["{"] or depth["]"] > depth["["]:
             return False

@@ -36,6 +36,16 @@ Operational semantics (fixed here so that runs are reproducible):
   stops at ``max_steps`` (reported as ``step_limit``, a normal outcome for
   models with perpetual events).
 
+``simulate`` skips idle steps, and the skip is exact. A step that makes no
+entry changes nothing but the step number: no token was minted or moved, no
+event fired, no choice or gate was read, and spent triggers are forgotten
+at the end of every step. The step number is read only to apply
+injections and to test quiescence, so every later step up to the next
+injection is idle too and none of them ends the run quiescent, as this one
+did not. After an idle step ``simulate`` sets the step number to the step
+before the next injection, or to ``max_steps``. ``step`` still runs one
+macro-step per call.
+
 Cost follows the work done, not the size of the run. Each region item's
 entry text and each create text is formatted once per model
 (``Model.regions``, ``Model.spawns``) or engine (once per distinct
@@ -66,6 +76,7 @@ and may be shared freely.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count
 from operator import attrgetter
 from typing import NamedTuple
@@ -518,10 +529,16 @@ def simulate(model: Model, scenario: Scenario, *, lax: bool = False) -> Trace:
     """
     engine = vars(init_state(model, scenario, lax=lax)).pop("_engine")
     terminated = "step_limit"
-    for _ in range(scenario.max_steps):
+    entries, injected = engine.entries, sorted(engine.injections)
+    while engine.step_no < scenario.max_steps:
+        before = len(entries)
         if engine.run_step():
             terminated = "quiescent"
             break
+        if len(entries) == before:  # idle until the next injection: skip to it
+            later = bisect_right(injected, engine.step_no)
+            upto = injected[later] - 1 if later < len(injected) else scenario.max_steps
+            engine.step_no = min(upto, scenario.max_steps)
     warnings = tuple(
         f"unconsumed choices for '{key}': "
         f"{len(queue) - engine.taken[key]} of {len(queue)} left"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import subprocess
@@ -10,9 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from contextlib import redirect_stderr, redirect_stdout
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tmkit
-from tmkit.cli import run, corpus_list
+from tmkit import _cli_rare
+from tmkit.cli import _read_command_line, run, corpus_list
 from tmkit.dsl import parse, serialize
 from tmkit.events import coverage
 from tmkit.render import render_static
@@ -447,5 +452,153 @@ def test_each_command_loads_only_the_modules_it_runs(argv, runs, tmp_path):
     own = {name for name in loaded if name.split(".")[0] == "tmkit"}
     assert own == {"tmkit", "tmkit._frozen", "tmkit.cli", "tmkit.core", "tmkit.dsl"} | runs
     # json is for coverage -o, tempfile for -o and shutil for corpus copy;
-    # dataclasses (which imports inspect) only for dataclasses.fields and replace
-    assert not set(loaded) & {"json", "tempfile", "shutil", "dataclasses", "inspect"}
+    # dataclasses (which imports inspect) only for dataclasses.fields and
+    # replace; argparse (with gettext and locale) only for a line that the
+    # strict reader leaves to it
+    assert not set(loaded) & {"json", "tempfile", "shutil", "dataclasses", "inspect",
+                              "argparse", "gettext", "locale"}
+
+
+# A well-formed model command line is read without argparse. The strict
+# reader must read a line exactly as argparse does, or leave it to argparse.
+
+
+def _argparse_reading(argv: list[str]) -> dict | int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return _cli_rare.parse_args(argv)
+
+
+def _check_reading(argv: list[str]) -> dict | None:
+    strict = _read_command_line(argv)
+    assert strict is None or strict == _argparse_reading(argv), argv
+    return strict
+
+
+_READ_STRICTLY = [
+    ["validate", "a.tm"],
+    ["validate", "--lax", "a.tm", "b.tm"],
+    ["validate", "a.tm", "b.tm", "--lax", "--lax"],
+    ["fmt", "-o", "out", "--lax", "a.tm"],
+    ["fmt", "a.tm", "-o", "x", "-o", "y"],
+    ["fmt", ""],
+    ["fmt", "a.tm", "-o", ""],
+    ["sim", "f", "--scenario", "s"],
+    ["sim", "--max-steps", "+7", "f", "--scenario", "s", "-o", "t"],
+    ["sim", "f", "--scenario", "s", "--max-steps", " 4", "--scenario", "t"],
+    ["render", "f"],
+    ["render", "f", "--view", "events", "--view", "chronology", "--lax"],
+    ["coverage", "a", "-o", "c.json"],
+]
+
+_LEFT_TO_ARGPARSE = [
+    [], ["-h"], ["--help"], ["bogus"], ["corpus", "list"], ["corpus", "copy", "all", "d"],
+    ["validate"], ["validate", "-h"], ["validate", "a.tm", "--lax", "b.tm"],
+    ["validate", "a.tm", "-o", "x"], ["fmt", "a", "b"], ["fmt", "a", "-o"],
+    ["fmt", "a", "-oout"], ["fmt", "-", "--lax"], ["fmt", "-3"], ["fmt", "a", "--la"],
+    ["sim", "f"], ["sim", "f", "--max-steps", "-3", "--scenario", "s"],
+    ["sim", "f", "--scen", "s"], ["sim", "f", "--scenario=s"],
+    ["sim", "f", "--scenario", "s", "--max-steps", "x"],
+    ["sim", "f", "--scenario", "-s"], ["render", "f", "--view=events"],
+    ["render", "f", "--view", "bad"], ["render", "f", "--view"],
+    ["coverage", "a", "--", "b"], ["coverage", "--", "a"], ["--lax", "validate", "a"],
+]
+
+
+@pytest.mark.parametrize("argv", _READ_STRICTLY, ids=" ".join)
+def test_the_strict_reader_reads_a_well_formed_line_as_argparse_does(argv):
+    assert _check_reading(argv) is not None
+
+
+@pytest.mark.parametrize("argv", _LEFT_TO_ARGPARSE, ids=" ".join)
+def test_the_strict_reader_leaves_every_other_line_to_argparse(argv):
+    assert _check_reading(argv) is None
+
+
+_WORDS = st.sampled_from([
+    "validate", "fmt", "sim", "render", "coverage", "corpus", "list", "--lax", "-o",
+    "--scenario", "--max-steps", "--view", "-h", "--help", "static", "events",
+    "chronology", "bad", "3", "-3", "0", "+2", " 4", "x", "-", "--", "", "a.tm",
+    "b.tm", "s.scn", "--view=events", "--scen", "-oout", "--la",
+])
+_COMMAND = st.sampled_from(["validate", "fmt", "sim", "render", "coverage"])
+# Lines built mostly well formed: file names, and each of the command's
+# options with a value of the kind it takes.
+_VALUES = {"-o": ["out", ""], "--scenario": ["s.scn"], "--max-steps": ["3", "0", "x", "-3"],
+           "--view": ["static", "events", "chronology", "bad"], "--lax": []}
+_COMMAND_OPTIONS = {"validate": ["--lax"], "fmt": ["-o", "--lax"],
+                    "sim": ["--scenario", "-o", "--max-steps", "--lax"],
+                    "render": ["--view", "-o", "--lax"], "coverage": ["-o", "--lax"]}
+
+
+def _option_phrase(option: str):
+    if not _VALUES[option]:
+        return st.just([option])
+    return st.sampled_from(_VALUES[option]).map(lambda value: [option, value])
+
+
+def _mostly_well_formed(command: str):
+    phrase = st.one_of(st.sampled_from([["a.tm"], ["b.tm"], [""]]),
+                       st.sampled_from(_COMMAND_OPTIONS[command]).flatmap(_option_phrase))
+    return st.lists(phrase, max_size=5).map(lambda ps: [command, *(w for p in ps for w in p)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_WORDS, max_size=8),
+    st.tuples(_COMMAND, st.lists(_WORDS, max_size=8)).map(lambda c: [c[0], *c[1]]),
+    _COMMAND.flatmap(_mostly_well_formed),
+))
+def test_the_strict_reader_agrees_with_argparse_on_drawn_lines(argv):
+    _check_reading(argv)
+
+
+# Help, usage errors and the other forms go to argparse, and print what
+# they printed when every line went there. COLUMNS fixes argparse's width.
+
+_FALLBACK_OUTPUT = {
+    ("-h",): (0, (
+        "usage: tm [-h] {validate,fmt,sim,render,coverage,corpus} ...\n\n"
+        "Thinging Machine modeling toolchain\n\n"
+        "positional arguments:\n"
+        "  {validate,fmt,sim,render,coverage,corpus}\n"
+        "    validate            check model files\n"
+        "    fmt                 canonical serialization\n"
+        "    sim                 simulate a model under a scenario\n"
+        "    render              emit a DOT diagram\n"
+        "    coverage            event coverage of the static model\n"
+        "    corpus              bundled example models\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), ""),
+    ("validate", "-h"): (0, (
+        "usage: tm validate [-h] [--lax] files [files ...]\n\n"
+        "positional arguments:\n"
+        "  files\n\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --lax       downgrade cross-boundary flows to warnings\n"
+    ), ""),
+    ("bogus",): (2, "", (
+        "usage: tm [-h] {validate,fmt,sim,render,coverage,corpus} ...\n"
+        "tm: error: argument command: invalid choice: 'bogus' (choose from 'validate', "
+        "'fmt', 'sim', 'render', 'coverage', 'corpus')\n"
+    )),
+    ("render", "f", "--view", "bad"): (2, "", (
+        "usage: tm render [-h] [--view {static,events,chronology}] [-o OUTPUT] [--lax]\n"
+        "                 file\n"
+        "tm render: error: argument --view: invalid choice: 'bad' (choose from 'static', "
+        "'events', 'chronology')\n"
+    )),
+    ("validate", "a.tm", "--lax", "b.tm"): (2, "", (
+        "usage: tm [-h] {validate,fmt,sim,render,coverage,corpus} ...\n"
+        "tm: error: unrecognized arguments: b.tm\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("argv", list(_FALLBACK_OUTPUT), ids=" ".join)
+def test_a_line_left_to_argparse_prints_what_it_did(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err = _FALLBACK_OUTPUT[argv]
+    assert run(list(argv)) == status
+    assert capsys.readouterr() == (out, err)

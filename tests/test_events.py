@@ -507,6 +507,20 @@ def test_validate_refuses_a_hand_built_chronology(edge, diagnostic):
             refuse()
 
 
+def test_validate_refuses_a_hand_built_chronology_node_that_is_no_event():
+    # with the node, the edge names no unknown end, so only the node is reported
+    model = load_corpus_model("murderer")
+    chron = model.chronology
+    ghost = Chronology((*chron.nodes, "ghost"), (*chron.edges, ("ghost", "e1")))
+    broken = replace(model, chronology=ghost)
+    diagnostic = ("E303", "unknown event 'ghost' in chronology", "ghost")
+    assert [(d.code, d.message, d.location) for d in validate(broken)] == [diagnostic]
+    scenario = load_scenario(corpus_path("murderer_truth.scn").read_text())
+    for refuse in (lambda: init_state(broken, scenario), lambda: simulate(broken, scenario)):
+        with pytest.raises(ValueError, match=diagnostic[1]):
+            refuse()
+
+
 def test_an_acyclic_chronology_is_peeled_once(monkeypatch):
     # parse, validate, topological_order and two chronology views share one peel,
     # and only a cyclic chronology is searched for components

@@ -20,11 +20,15 @@ import tmkit.sim
 from tmkit.core import (
     Chronology,
     Event,
+    EventDecl,
+    FlowDecl,
     Model,
     RegionFlow,
     RegionNode,
     StageKind,
     StageRef,
+    ThingDecl,
+    build_model,
     validate,
 )
 from tmkit.dsl import parse
@@ -53,6 +57,7 @@ from helpers import (
     load_corpus_model,
     load_corpus_scenario,
     perpetual_relay,
+    random_valid_decls,
 )
 
 
@@ -1342,3 +1347,132 @@ def test_simulate_rejects_invalid_models():
     assert isinstance(model, Model)
     with pytest.raises(ValueError):
         simulate(model, Scenario())
+
+
+# simulate skips the steps of an idle stretch; step runs each of them.
+
+_ONE_MACHINE = """\
+model one
+thing x
+machine a
+flow x env.transfer -> a.transfer
+event go {
+  flow x env.transfer -> a.transfer
+}
+"""
+
+
+def test_simulate_skips_idle_steps(monkeypatch):
+    # the macro-steps run do not grow with the idle stretch before an injection
+    model = parse(_ONE_MACHINE).model
+    calls = []
+    run_step = tmkit.sim._Engine.run_step
+    monkeypatch.setattr(tmkit.sim._Engine, "run_step",
+                        lambda engine: calls.append(engine.step_no) or run_step(engine))
+    counts = []
+    for n in (10**3, 10**6):
+        calls.clear()
+        trace = simulate(model, load_scenario(f"inject x env.transfer @{n}\nmax_steps {2 * n}\n"))
+        assert [(e.step, e.kind) for e in trace.entries] == [
+            (n, "create"), (n, "event_start"), (n, "transfer"), (n, "event_end")]
+        assert trace.terminated == "quiescent"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3
+
+
+def _sparse_case(seed: int) -> tuple[Model, Scenario]:
+    """A ``random_valid_model`` with an event that takes injected tokens in,
+    and a scenario of a few injections far apart and a few choices at each
+    decision point. The model's own events are made one-shot: a perpetual
+    event that mints keeps every step busy, and its trace can grow with the
+    square of the steps."""
+    name, decls = random_valid_decls(seed)
+    decls = [d._replace(perpetual=False) if isinstance(d, EventDecl) else d for d in decls]
+    rng = random.Random(f"sparse{seed}")
+    flows = [d for d in decls if isinstance(d, FlowDecl)]
+    things = [d.name for d in decls if isinstance(d, ThingDecl)]
+    # env.transfer may pass on only the thing that flows into it, if any
+    into_env = {f.thing for f in flows if f.dst == "env.transfer"}
+    entering = [t for t in things if not into_env or into_env == {t}]
+    entries = []
+    for thing in entering:
+        first = next(f.src for f in flows if f.thing == thing).split(".")[0]
+        entries.append(FlowDecl(thing, "env.transfer", f"{first}.transfer"))
+    if entries:
+        decls = [*decls, *entries, EventDecl("arrive", rng.random() < 0.5, tuple(entries))]
+    model = build_model(name, decls)
+    assert isinstance(model, Model), [str(d) for d in model]
+    lines = [f"inject {rng.choice(things)} env.transfer @{rng.randint(1, 2000)}"
+             for _ in range(rng.randint(0, 4))]
+    for text, stage in model.stages_by_text.items():
+        branches = [dst for dsts in stage.outs.values() if len(dsts) >= 2 for dst in dsts]
+        lines += [f"choose {text} {rng.choice(branches)}"
+                  for _ in range(rng.randint(0, 6) if branches else 0)]
+    lines.append(f"max_steps {rng.randint(1, 3000)}")
+    return model, load_scenario("\n".join(lines) + "\n")
+
+
+def _simulated(model: Model, scenario: Scenario):
+    try:
+        trace = simulate(model, scenario)
+    except SimulationError as exc:
+        return "error", str(exc)
+    return (trace.entries, trace.fired_events, trace.terminated, trace.warnings,
+            trace.timings)
+
+
+def _stepped(model: Model, scenario: Scenario):
+    """What ``simulate`` returns, from a loop of ``step`` that runs every step."""
+    try:
+        state, entries = init_state(model, scenario), []
+        while not state.quiescent and state.step_no < scenario.max_steps:
+            state, new = step(model, state)
+            entries += new
+    except SimulationError as exc:
+        return "error", str(exc)
+    queues: dict[str, int] = {}
+    for key, _ in scenario.choices:
+        queues[key] = queues.get(key, 0) + 1
+    warnings = tuple(
+        f"unconsumed choices for '{key}': {n - taken} of {n} left"
+        for (key, n), taken in zip(queues.items(), state.choice_taken) if taken < n
+    )
+    return (tuple(entries), tuple(name for name, _ in state.timings),
+            "quiescent" if state.quiescent else "step_limit", warnings, dict(state.timings))
+
+
+def test_simulate_with_idle_steps_skipped_equals_a_full_step_loop(monkeypatch):
+    # both sides raise E402 after the same number of passes; fewer keep it quick
+    monkeypatch.setattr(tmkit.sim, "_MAX_PASSES", 50)
+    idle = 0  # runs with an idle stretch: a step with no entry before the last step
+    for seed in range(300):
+        model, scenario = _sparse_case(seed)
+        simulated = _simulated(model, scenario)
+        assert simulated == _stepped(model, scenario), seed
+        if simulated[0] == "error":
+            continue
+        steps = [0, *sorted({e.step for e in simulated[0]})]
+        if simulated[2] == "step_limit":
+            steps.append(scenario.max_steps + 1)
+        idle += any(b - a > 1 for a, b in zip(steps, steps[1:]))
+    assert idle > 200
+
+
+@pytest.mark.parametrize(
+    "model_text, scenario_text",
+    [
+        (SPIN_MODEL, "inject x env.transfer @1500\nmax_steps 3000\n"),  # E402
+        (_DETOUR_MODEL, "inject x env.transfer @40\ninject x env.transfer @900\n"
+                        "choose a.transfer mid.transfer\nmax_steps 2000\n"),  # E401
+        (_DETOUR_MODEL, "inject x env.transfer @700\nchoose a.transfer mid.transfer\n"
+                        "choose a.transfer sink.transfer\nmax_steps 1000\n"),  # a warning
+        (_DETOUR_MODEL, "inject x env.transfer @700\nchoose a.transfer sink.transfer\n"
+                        "max_steps 500\n"),  # the injection falls after the limit
+    ],
+    ids=["E402", "E401", "warning", "late-injection"],
+)
+def test_simulate_with_idle_steps_skipped_fails_and_warns_as_a_step_loop(
+    model_text, scenario_text
+):
+    model, scenario = parse(model_text).model, load_scenario(scenario_text)
+    assert _simulated(model, scenario) == _stepped(model, scenario)

@@ -165,18 +165,35 @@ def test_stage_pairs_times_every_front_end_stage():
     assert all(float(x) > 0 for row in rows for x in row[1:])
 
 
-def test_cli_pairs_times_every_corpus_command():
-    # Both sides run the same source, each command in a fresh interpreter.
+def _cli_pairs_rows(*options: str) -> tuple[str, list[tuple]]:
+    """The output and rows of ``cli_pairs.py`` run with the same source on both sides."""
     src = str(Path(tmkit.core.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(CLI_PAIRS), src, src, "--rounds", "1",
-                           "--models", "murderer"], capture_output=True, text=True, timeout=60)
+                           "--models", "murderer", *options],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rows = re.findall(r"^(.+?) +([\d.]+) +([\d.]+) +([\d.]+) +(\d+)/(\d+)$", proc.stdout, re.M)
+    rows = re.findall(r"^(.+?) +([\d.]+) +([\d.]+) +([\d.]+) +([\d.]+) +([\d.]+) +(\d+)/(\d+)$",
+                      proc.stdout, re.M)
     assert [row[0] for row in rows] == [
         "validate murderer.tm", "fmt murderer.tm", "render murderer.tm --view static",
         "render murderer.tm --view events", "render murderer.tm --view chronology",
         "coverage murderer.tm", "sim murderer.tm --scenario murderer_truth.scn",
         "sim murderer.tm --scenario murderer_lie.scn", "all",
     ]
-    assert all(float(x) > 0 for row in rows for x in row[1:4])
-    assert [int(row[5]) for row in rows] == [1] * 8 + [8]
+    # each side's median wall time comes with the time inside the child
+    for row in rows:
+        parent, parent_inside, change, change_inside = (float(x) for x in row[1:5])
+        assert 0 < parent_inside < parent and 0 < change_inside < change, row
+    assert [int(row[7]) for row in rows] == [1] * 8 + [8]
+    return proc.stdout, rows
+
+
+def test_cli_pairs_times_every_corpus_command():
+    # Both sides run the same source, each command in a fresh interpreter.
+    out, _rows = _cli_pairs_rows()
+    assert "inherited bytecode settings" in out
+
+
+def test_cli_pairs_can_time_with_a_warm_bytecode_cache():
+    out, _rows = _cli_pairs_rows("--warm-cache")
+    assert "warm bytecode cache, one per side" in out
