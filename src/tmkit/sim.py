@@ -535,7 +535,7 @@ def simulate(model: Model, scenario: Scenario, *, lax: bool = False) -> Trace:
         if engine.run_step():
             terminated = "quiescent"
             break
-        if len(entries) == before:  # idle until the next injection: skip to it
+        if len(entries) == before:  # an idle step: so is each one before the next injection
             later = bisect_right(injected, engine.step_no)
             upto = injected[later] - 1 if later < len(injected) else scenario.max_steps
             engine.step_no = min(upto, scenario.max_steps)

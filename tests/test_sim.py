@@ -1361,23 +1361,51 @@ event go {
 }
 """
 
+# `second` waits on `first`, which watches for an x that never comes
+_BLOCKED = """\
+model blocked
+thing x
+thing y
+machine a
+machine b
+flow x env.transfer -> a.transfer
+flow y b.create -> b.release
+event first {
+  flow x env.transfer -> a.transfer
+}
+event second {
+  flow y b.create -> b.release
+}
+chronology {
+  first -> second
+}
+"""
 
-def test_simulate_skips_idle_steps(monkeypatch):
-    # the macro-steps run do not grow with the idle stretch before an injection
-    model = parse(_ONE_MACHINE).model
-    calls = []
+
+@pytest.mark.parametrize(
+    "model_text, scenario, entries, terminated, calls",
+    [
+        (_ONE_MACHINE, "inject x env.transfer @{n}\nmax_steps {twice}\n",
+         ["{n} create", "{n} event_start", "{n} transfer", "{n} event_end"], "quiescent", 3),
+        (_BLOCKED, "inject y env.transfer @1\nmax_steps {n}\n", ["1 create"], "step_limit", 2),
+    ],
+    ids=["late-injection", "blocked-event"],
+)
+def test_simulate_skips_idle_steps(model_text, scenario, entries, terminated, calls,
+                                   monkeypatch):
+    # the macro-steps run do not grow with an idle stretch
+    model = parse(model_text).model
+    ran = []
     run_step = tmkit.sim._Engine.run_step
     monkeypatch.setattr(tmkit.sim._Engine, "run_step",
-                        lambda engine: calls.append(engine.step_no) or run_step(engine))
-    counts = []
+                        lambda engine: ran.append(engine.step_no) or run_step(engine))
     for n in (10**3, 10**6):
-        calls.clear()
-        trace = simulate(model, load_scenario(f"inject x env.transfer @{n}\nmax_steps {2 * n}\n"))
-        assert [(e.step, e.kind) for e in trace.entries] == [
-            (n, "create"), (n, "event_start"), (n, "transfer"), (n, "event_end")]
-        assert trace.terminated == "quiescent"
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 3
+        ran.clear()
+        trace = simulate(model, load_scenario(scenario.format(n=n, twice=2 * n)))
+        assert [f"{e.step} {e.kind}" for e in trace.entries] == [
+            entry.format(n=n) for entry in entries]
+        assert trace.terminated == terminated
+        assert len(ran) == calls
 
 
 def _sparse_case(seed: int) -> tuple[Model, Scenario]:
