@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Count the garbage collections in each timed phase of a relay repetition.
+"""Count the garbage collections in each timed phase of a perfbench repetition.
 
-    python3 scripts/gc_schedule.py [--seeds 3,11] [--reps 1]
+    python3 scripts/gc_schedule.py [--workload relay] [--seeds 3,11] [--reps 1]
 
 perfbench runs a relay repetition's second front-end pass over the broken
 texts only when its first pass took under ``FRONT_SECONDS``, so the speed of
@@ -11,7 +11,13 @@ script forces a repetition onto each of them, in perfbench's order of calls:
 - ``short``: the second pass parses and emits the valid texts only;
 - ``long``: the second pass parses the broken texts too.
 
-For each relay seed it sets up the workload, runs perfbench's discarded
+``--workload flood`` or ``corpus`` forces the same two passes on that
+workload. perfbench repeats their cheap front end until ``FRONT_SECONDS``
+have passed, as many passes as the host manages, so there the ``check_s``
+and ``reject_s`` rows count two passes, not perfbench's number, and the later
+phases start from a different generation-0 count.
+
+For each seed it sets up the workload, runs perfbench's discarded
 warm-up repetition, and then, for each schedule, collects with
 ``gc.collect()`` and runs one repetition, as perfbench's end-to-end run does.
 A ``gc.callbacks`` hook counts the collections per generation in each timed
@@ -147,7 +153,8 @@ def report(label: str, generations: list[int], marks: list[int]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="3,11", help="relay seeds, comma-separated")
+    parser.add_argument("--workload", default="relay", choices=("relay", "flood", "corpus"))
+    parser.add_argument("--seeds", default="3,11", help="seeds, comma-separated")
     parser.add_argument("--reps", type=int, default=1, help="repetitions per schedule")
     args = parser.parse_args(argv)
     generations: list[int] = []
@@ -161,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     plain = run.front_end
     print(f"# gc thresholds {gc.get_threshold()}; Python {sys.version.split()[0]}")
     for seed in (int(s) for s in args.seeds.split(",")):
-        inputs = workloads.make("relay", seed, run.SRC / "tmkit" / "corpus")
+        inputs = workloads.make(args.workload, seed, run.SRC / "tmkit" / "corpus")
         expect, tally = run.Expect(), run.Tally()
         meter = PhaseMeter(generations)
         run.repetition(api, inputs, expect, tally, tm, True, meter)  # warm-up, as perfbench
@@ -178,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                 finally:
                     gc.callbacks.remove(hook)
                     run.front_end = plain
-                report(f"relay seed {seed}, {name} schedule, repetition {rep + 1}",
+                report(f"{args.workload} seed {seed}, {name} schedule, repetition {rep + 1}",
                        generations, meter.marks)
         if tally.failed:
             print(f"# {tally.failed} of {tally.attempted} operations failed", file=sys.stderr)

@@ -27,7 +27,11 @@ which run events to completion and take choices and gates.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
-collector runs before each timed call. The process is pinned to one CPU where
+collector runs before each timed call. Where a side's ``parse`` and
+``simulate`` pause the cyclic collector while they run, their rows run
+paused, and the ``_scan``, ``parser``, ``build_model``, ``validate`` and
+``step_loop`` rows do not: the four front-end rows then no longer sum to
+``parse``. The process is pinned to one CPU where
 the platform allows it. The script prints each stage's median in milliseconds
 per side and the change's median over the parent's. Standard library only.
 """

@@ -12,6 +12,7 @@ codes; checks are exhaustive, never fail-fast.
 
 from __future__ import annotations
 
+import gc
 import re
 from enum import Enum
 from functools import cached_property
@@ -1012,6 +1013,28 @@ def _require_no_errors(diags: list[Diagnostic]) -> None:
     errors = [d for d in diags if d.is_error]
     if errors:
         raise ValueError("model does not validate: " + "; ".join(str(d) for d in errors))
+
+
+def _paused(call, *args):
+    """``call(*args)`` with the cyclic collector paused, if it is enabled.
+
+    ``parse`` and ``simulate`` run through this: what they build holds no
+    reference cycle, so a collection during the call frees nothing and only
+    rescans it. After a call that allocated past the generation-0 threshold,
+    as the collector would have run anyway, one young collection moves what
+    the call kept into the old generation, once. A ``gc.disable()`` made by
+    another thread during the call is undone when the call returns.
+    """
+    if not gc.isenabled():
+        return call(*args)
+    gc.disable()
+    try:
+        return call(*args)
+    finally:
+        gc.enable()
+        threshold = gc.get_threshold()[0]
+        if threshold and gc.get_count()[0] > threshold:
+            gc.collect(1)
 
 
 def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:

@@ -62,6 +62,7 @@ from .core import (
     StageRef,
     ThingDecl,
     TriggerDecl,
+    _paused,
     _record,
     _unknown_edge,
     build_model,
@@ -495,7 +496,18 @@ def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseR
     validation produced an error; all diagnostics carry source spans.
     ``lax`` is wired to the relaxed boundary rule of validation (E103
     becomes a warning).
+
+    An enabled cyclic collector is paused while it runs, and one young
+    collection follows a call that allocated past the generation-0
+    threshold: nothing a parse builds is in a reference cycle
+    (``test_parse_leaves_no_reference_cycles``), so a collection during it
+    would free nothing. A ``gc.disable()`` made by another thread meanwhile
+    is undone when it returns.
     """
+    return _paused(_parse, text, filename, lax)
+
+
+def _parse(text: str, filename: str, lax: bool) -> ParseResult:
     tokens, folded = _scan(text, filename)
     parser = _Parser(tokens, folded, filename)
     name, decls, diagnostics = parser.parse()

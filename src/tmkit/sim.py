@@ -93,6 +93,7 @@ from .core import (
     _Region,
     _Stage,
     _error,
+    _paused,
     _record,
     _require_no_errors,
     parse_stage_ref,
@@ -526,7 +527,18 @@ def simulate(model: Model, scenario: Scenario, *, lax: bool = False) -> Trace:
     Deterministic: identical inputs produce identical traces. Unconsumed
     scenario choices are reported as warnings; running out of choices at
     a decision point raises :class:`SimulationError` (E401).
+
+    An enabled cyclic collector is paused while it runs, and one young
+    collection follows a call that allocated past the generation-0
+    threshold: nothing a run builds is in a reference cycle
+    (``test_simulate_leaves_no_reference_cycles``), so a collection during
+    it would free nothing. A ``gc.disable()`` made by another thread
+    meanwhile is undone when it returns.
     """
+    return _paused(_simulate, model, scenario, lax)
+
+
+def _simulate(model: Model, scenario: Scenario, lax: bool) -> Trace:
     engine = vars(init_state(model, scenario, lax=lax)).pop("_engine")
     terminated = "step_limit"
     entries, injected = engine.entries, sorted(engine.injections)

@@ -19,6 +19,7 @@ from tmkit.render import dot_well_formed, render_static
 from helpers import (
     CORPUS_NAMES,
     bench_workloads,
+    collector_runs,
     corpus_path,
     generated_line_events,
     line_events,
@@ -675,6 +676,16 @@ def test_a_dropped_parse_result_needs_no_cyclic_collection(name):
     finally:
         gc.enable()
     assert found == 0
+
+
+def test_parse_pauses_the_collector_and_restores_it():
+    # What parse builds holds no cycle (the two tests above), so a collection
+    # during it frees nothing: relay n=400 made 45 of them unpaused. One young
+    # collection may follow a call that allocated past the threshold.
+    text = bench_workloads().relay(400).models["relay"]
+    (collections, enabled), *rest = collector_runs(lambda: parse(text))
+    assert collections <= 1 and enabled
+    assert rest == [(0, False), (0, True)]  # the caller's disable and threshold 0 hold
 
 
 def test_parse_enters_no_python_level_hash():

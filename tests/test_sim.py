@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import os
 import pickle
@@ -17,6 +18,7 @@ import pytest
 
 import tmkit.core
 import tmkit.sim
+from tmkit.cli import corpus_list
 from tmkit.core import (
     Chronology,
     Event,
@@ -52,6 +54,7 @@ from helpers import (
     SPIN_MODEL,
     SPIN_SCENARIO,
     bench_workloads,
+    collector_runs,
     generated_line_events,
     line_events,
     load_corpus_model,
@@ -1195,6 +1198,48 @@ def test_simulate_makes_fewer_python_calls_than_entries():
     finally:
         sys.setprofile(previous)
     assert calls < len(trace.entries), f"{calls} Python calls for {len(trace.entries)} entries"
+
+
+def test_simulate_leaves_no_reference_cycles():
+    # simulate runs with the collector paused, which is free only while
+    # reference counting alone frees what it makes: a trace, an engine and
+    # its token index.
+    cases = [(load_corpus_model(entry.name), load_scenario(path.read_text()))
+             for entry in corpus_list() for path in entry.scenarios]
+    assert len(cases) == 8
+    flood = bench_workloads().flood()
+    cases.append((parse(flood.models["flood"]).model, load_scenario(flood.sims[0].scenario)))
+    found = []
+    gc.collect()
+    gc.disable()
+    try:
+        for model, scenario in cases:
+            format_trace(simulate(model, scenario))
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [0] * len(cases)
+
+
+def test_simulate_pauses_the_collector_and_restores_it():
+    # A flood simulate made 20 collections unpaused, none of which freed
+    # anything (the test above). One young collection may follow a call that
+    # allocated past the threshold.
+    flood = bench_workloads().flood()
+    model = parse(flood.models["flood"]).model
+    scenario = load_scenario(flood.sims[0].scenario)
+    (collections, enabled), *rest = collector_runs(lambda: simulate(model, scenario))
+    assert collections <= 1 and enabled
+    assert rest == [(0, False), (0, True)]  # the caller's disable and threshold 0 hold
+    # an error inside the call restores the collector too
+    with pytest.raises(SimulationError, match="does not match a region flow"):
+        simulate(parse(_REGION_BRANCH_MODEL).model,
+                 load_scenario("inject x env.transfer @1\nchoose a.transfer d.transfer\n"))
+    assert gc.isenabled()
+    early = Injection("water", StageRef(("env",), StageKind.TRANSFER), 0)
+    with pytest.raises(ScenarioError, match="injection step must be >= 1"):
+        simulate(load_corpus_model("reservoir"), Scenario(injections=(early,), max_steps=5))
+    assert gc.isenabled()
 
 
 def test_simulate_resolves_each_injection_once_and_files_mints_inline():

@@ -136,19 +136,24 @@ def test_run_calls_a_rebound_cli_name(monkeypatch, capsys, name):
 
 def test_gc_schedule_finds_every_timed_phase():
     # The script reads perfbench's timed phases from run.py's source lines;
-    # it must still find them, and force a repetition onto both schedules.
-    proc = subprocess.run([sys.executable, str(GC_SCHEDULE), "--seeds", "3"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    blocks = re.findall(r"(short|long) schedule, repetition 1: (\d+) collections", proc.stdout)
-    assert [name for name, _ in blocks] == ["short", "long"]
-    assert int(blocks[0][1]) < int(blocks[1][1])
-    for phase in ("check_s", "reject_s", "emit_s", "sim_s", "step_s", "untimed"):
-        assert proc.stdout.count(f"  {phase} ") == 2, phase
-    # Each schedule reports how many collections it has left before a
-    # second full collection could land inside the repetition.
-    margins = [int(n) for n in re.findall(r"  margin: (\d+) collections", proc.stdout)]
-    assert len(margins) == 2 and min(margins) > 0, margins
+    # it must still find them, and force a repetition onto both schedules,
+    # on relay and on flood.
+    for workload in ("relay", "flood"):
+        proc = subprocess.run([sys.executable, str(GC_SCHEDULE), "--seeds", "3",
+                               "--workload", workload],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        blocks = re.findall(rf"{workload} seed 3, (short|long) schedule, repetition 1: "
+                            r"(\d+) collections", proc.stdout)
+        assert [name for name, _ in blocks] == ["short", "long"]
+        if workload == "relay":  # the long schedule parses relay's broken texts too
+            assert int(blocks[0][1]) < int(blocks[1][1])
+        for phase in ("check_s", "reject_s", "emit_s", "sim_s", "step_s", "untimed"):
+            assert proc.stdout.count(f"  {phase} ") == 2, (workload, phase)
+        # Each schedule reports how many collections it has left before a
+        # second full collection could land inside the repetition.
+        margins = [int(n) for n in re.findall(r"  margin: (\d+) collections", proc.stdout)]
+        assert len(margins) == 2 and min(margins) > 0, (workload, margins)
 
 
 def test_stage_pairs_times_every_front_end_stage():
