@@ -1016,15 +1016,10 @@ def _require_no_errors(diags: list[Diagnostic]) -> None:
 
 
 def _paused(call, *args):
-    """``call(*args)`` with the cyclic collector paused, if it is enabled.
-
-    ``parse`` and ``simulate`` run through this: what they build holds no
-    reference cycle, so a collection during the call frees nothing and only
-    rescans it. After a call that allocated past the generation-0 threshold,
-    as the collector would have run anyway, one young collection moves what
-    the call kept into the old generation, once. A ``gc.disable()`` made by
-    another thread during the call is undone when the call returns.
-    """
+    """``call(*args)`` with an enabled cyclic collector paused. After a call
+    that allocated past the generation-0 threshold, so that the collector
+    would have run during it anyway, one young collection moves what the
+    call kept into the old generation, once."""
     if not gc.isenabled():
         return call(*args)
     gc.disable()

@@ -69,38 +69,37 @@ def bench_workloads():
     return module
 
 
-def collections_during(run) -> int:
-    """How many collections the cyclic collector starts while ``run()`` runs."""
-    started = 0
-
-    def hook(phase, info):
-        nonlocal started
-        started += phase == "start"
-
-    gc.callbacks.append(hook)
-    try:
-        run()
-    finally:
-        gc.callbacks.remove(hook)
-    return started
-
-
 def collector_runs(run) -> list[tuple[int, bool]]:
     """``run()`` three times: with the collector as it stands, after the
     caller's ``gc.disable()`` and after its ``gc.set_threshold(0)``. For each,
     the collections started during the call and whether the collector was
     enabled after it; the caller's settings are put back in between."""
+
+    def counted() -> tuple[int, bool]:
+        started = 0
+
+        def hook(phase, info):
+            nonlocal started
+            started += phase == "start"
+
+        gc.callbacks.append(hook)
+        try:
+            run()
+        finally:
+            gc.callbacks.remove(hook)
+        return started, gc.isenabled()
+
     gc.collect()
-    runs = [(collections_during(run), gc.isenabled())]
+    runs = [counted()]
     gc.disable()
     try:
-        runs.append((collections_during(run), gc.isenabled()))
+        runs.append(counted())
     finally:
         gc.enable()
     threshold = gc.get_threshold()
     gc.set_threshold(0)
     try:
-        runs.append((collections_during(run), gc.isenabled()))
+        runs.append(counted())
     finally:
         gc.set_threshold(*threshold)
     return runs

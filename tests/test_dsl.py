@@ -680,8 +680,8 @@ def test_a_dropped_parse_result_needs_no_cyclic_collection(name):
 
 def test_parse_pauses_the_collector_and_restores_it():
     # What parse builds holds no cycle (the two tests above), so a collection
-    # during it frees nothing: relay n=400 made 45 of them unpaused. One young
-    # collection may follow a call that allocated past the threshold.
+    # during it frees nothing; unpaused, relay n=400 makes 45 of them. One
+    # young collection may follow a call that allocated past the threshold.
     text = bench_workloads().relay(400).models["relay"]
     (collections, enabled), *rest = collector_runs(lambda: parse(text))
     assert collections <= 1 and enabled

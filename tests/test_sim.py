@@ -1222,7 +1222,7 @@ def test_simulate_leaves_no_reference_cycles():
 
 
 def test_simulate_pauses_the_collector_and_restores_it():
-    # A flood simulate made 20 collections unpaused, none of which freed
+    # Unpaused, a flood simulate makes 20 collections, none of which frees
     # anything (the test above). One young collection may follow a call that
     # allocated past the threshold.
     flood = bench_workloads().flood()
