@@ -19,6 +19,9 @@ fresh model each time, each emitter on a freshly parsed model whose
 ``Model.stages`` is already built, ``emit`` on a freshly parsed model, as
 perfbench's emit block gets it, and ``simulate`` and the step loop on a
 freshly parsed model, so that building ``Model.regions`` is timed with them.
+Before the tables it prints each side's ``_scan`` token count and folded
+declaration count for the relay text, so that a front-end change shows its
+count delta beside its timings.
 The script exits non-zero if the two sides' emitter bytes (``render_events``
 also on a fresh model that runs it before ``render_static``), flood trace
 bytes or flood step-loop entries (as text) differ, or the trace bytes of the relay
@@ -208,10 +211,12 @@ def main(argv: list[str] | None = None) -> int:
                 for case in corpus.sims)
     flood = workloads.flood()
     flood_text, flood_scenario = flood.models["flood"], flood.sims[0].scenario
-    sides, outputs = {}, {}
+    sides, outputs, counts = {}, {}, []
     for label, src in (("parent", args.parent), ("change", args.change)):
         tmkit = load(src, f"tmkit_{label}")
         sides[label] = stage_calls(tmkit, text) | sim_calls(tmkit, flood_text, flood_scenario)
+        tokens, folded = tmkit.dsl._scan(text, FILE)
+        counts.append(f"{label} {len(tokens)} tokens, {len(folded)} folded")
         model = tmkit.dsl.parse(text, FILE).model
         if not model:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
@@ -227,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")
     medians = measure(sides, args.calls)
+    print(f"relay n={args.n} _scan: {'; '.join(counts)}")
     titles = {"_scan": f"relay n={args.n}", "simulate": f"flood {workloads.FLOOD_MACHINES} "
               f"machines, {workloads.FLOOD_STEPS} steps"}
     for stage, m in medians.items():

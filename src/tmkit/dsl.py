@@ -26,22 +26,32 @@ starts to resynchronize after an error. ``_scan`` makes one regex match per
 token: the match takes the spaces before the token and the spaces, comment
 and line end after it, and a blank or comment-only line is one match. Its
 unfolded mode gives the token stream. ``parse`` uses the folded mode, which
-reads most input a line at a time: a line holding one complete ``flow``,
-``trigger`` or ``thing`` item (indented or not, with or without a trailing
-comment) is one match, cut to its keyword token, and the line's finished
-declaration is kept beside that token. The line pattern admits
-only lines the token parser would accept as they stand: a reserved word as
-a name, a stage kind inside a reference, or a next token ``.`` (which would
-continue the last reference) leaves the line whole. The parser takes the
-declaration where it expects a whole item, at the top level and in an event
-body; anywhere else it sees the keyword token, so every diagnostic comes
-from the token path.
+reads most input a line or a block at a time. Six shapes fold, indented or
+not, each line with or without a trailing comment:
+
+- a ``flow THING REF -> REF``, ``trigger REF ~> REF``, ``thing NAME`` or
+  ``machine NAME`` line, whose next token is neither a ``.`` (which would
+  continue the last reference) nor a ``{`` (which would open a block);
+- an ``event NAME {`` or ``event NAME perpetual {`` head line;
+- a whole ``chronology {`` block of one ``NAME -> NAME`` per line, blank and
+  comment lines allowed, closed by a ``}`` line.
+
+Each is one match, cut to its keyword token, and its declaration is kept
+beside that token; a head's is an ``EventDecl`` without items. A shape that
+names a reserved word, or has one inside a stage reference, is given to the
+parser as its tokens instead. The parser takes a folded declaration only
+where the token path would build the same: every shape but a head at the
+top level, a leaf ``machine`` line inside a machine block, a ``flow`` or
+``trigger`` line in an event body, and a head in ``parse_event``. Anywhere
+else it sees the keyword token, so every diagnostic comes from the token
+path.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 from ._frozen import frozen
@@ -75,7 +85,7 @@ _ITEM_KEYWORDS = {"thing", "machine", "flow", "trigger", "event", "chronology"}
 _RESYNC_KEYWORDS = _ITEM_KEYWORDS | {"model"}
 # Items that no block holds: a line starting with one ends a block left open.
 _TOP_LEVEL_ONLY = {"thing", "event", "chronology"}
-_FOLDED = frozenset({"edge", "thingdecl"})
+_FOLDED = frozenset({"edge", "thingdecl", "leaf", "head", "chronology"})
 
 
 @_record
@@ -111,11 +121,14 @@ class _Token(NamedTuple):
 
 @cache
 def _scan_re(fold: bool) -> re.Pattern[str]:
-    """One match per token, folded line, or blank or comment-only line.
+    """One match per token, folded shape, or blank or comment-only line.
 
     A token takes the spaces before it and the spaces, comment and newline
     after it; any single character that starts no other token is an error
-    token. With ``fold``, one alternative per foldable line shape comes first.
+    token. With ``fold``, one alternative per folded shape comes first, each
+    starting at a line start: a ``flow``, ``trigger``, ``thing`` or leaf
+    ``machine`` line, an ``event`` head line, or a whole ``chronology`` block.
+    A name here is any identifier: ``_scan`` checks for reserved words.
     """
     tail = r"[ \t\r]*(?:#[^\n]*)?\n?"
     token = (
@@ -124,59 +137,100 @@ def _scan_re(fold: bool) -> re.Pattern[str]:
     )
     if not fold:
         return re.compile(token)
-    name = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})\b)[A-Za-z_][A-Za-z0-9_]*"
+    name = r"[A-Za-z_][A-Za-z0-9_]*"
     ref = rf"(?:{name}\.)+(?:{'|'.join(STAGE_KINDS)})\b"
-    # The line ends at a comment or newline, and the next token is not a "."
-    # that would continue its last stage reference.
-    end = r"[ \t\r]*(?![^#\n])(?!(?:[ \t\r\n]|#[^\n]*(?![^\n]))*\.)"
+    # The line ends at a comment or newline ...
+    eol = r"[ \t\r]*(?![^#\n])"
+    # ... and, after a name or a stage kind, the next token is not a "." that
+    # would continue the last stage reference or a "{" that would open a block.
+    end = rf"{eol}(?!(?:[ \t\r\n]|#[^\n]*(?![^\n]))*[.{{])"
+    # A line inside a chronology block: blank, a comment, or one edge.
+    edge_line = rf"[ \t\r]*(?:{name}[ \t\r]*->[ \t\r]*{name}[ \t\r]*)?(?:#[^\n]*)?\n"
     # A lookahead and a backreference take the indentation atomically, so a
     # line that does not fold is not backtracked through space by space. A
     # flow names its thing and takes "->", a trigger "~>".
     return re.compile(
-        rf"(?<![^\n])(?=(?P<indent>[ \t\r]*))(?P=indent)(?:"
+        rf"(?<![^\n])(?=(?P<indent>[ \t\r]*))(?P=indent)(?:(?:"
         rf"(?P<edge>(?:flow[ \t\r]+(?P<thing>{name})|trigger)[ \t\r]+(?P<src>{ref})"
         rf"[ \t\r]*(?(thing)->|~>)[ \t\r]*(?P<dst>{ref}))"
-        rf"|(?P<thingdecl>thing[ \t\r]+(?P<name>{name})))"
-        rf"{end}{tail}|{token}"
+        rf"|(?P<thingdecl>thing[ \t\r]+(?P<name>{name}))"
+        rf"|(?P<leaf>machine[ \t\r]+(?P<machine>{name}))){end}"
+        rf"|(?:(?P<head>event[ \t\r]+(?P<event>{name})(?P<perpetual>[ \t\r]+perpetual)?"
+        rf"[ \t\r]*\{{)"
+        rf"|(?P<chronology>chronology[ \t\r]*\{{[ \t\r]*(?:#[^\n]*)?\n(?:{edge_line})*"
+        rf"[ \t\r]*\}})){eol}){tail}|{token}"
     )
 
 
-def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[int, Decl]]:
-    """The tokens of ``text``, ending with the eof token. With ``fold``, each
-    complete flow, trigger or thing line is cut to its keyword token, and the
-    line's declaration is kept by the position of that token. One
-    ``StageRef`` per distinct reference text, one tuple per path."""
+def _scan(
+    text: str, file: str, fold: bool = True, line: int = 1
+) -> tuple[list[_Token], dict[int, Decl]]:
+    """The tokens of ``text``, its first line numbered ``line``, ending with
+    the eof token. With ``fold``, each folded shape is cut to its keyword
+    token, and its declaration is kept by the position of that token: for an
+    event head, an ``EventDecl`` without items. A shape that names a reserved
+    word, or puts one inside a stage reference, gives its tokens instead, as
+    the token path sees them. One ``StageRef`` per distinct reference text,
+    one tuple per path."""
     refs: dict[str, StageRef] = {}
     paths: dict[str, tuple[str, ...]] = {}
     new = tuple.__new__  # the records' generated __new__ would add a frame each
 
-    def ref(text: str) -> StageRef:
+    def ref(text: str) -> StageRef | None:
         stage = refs.get(text)
         if stage is None:
             head, _, kind = text.rpartition(".")
-            path = paths.get(head) or paths.setdefault(head, tuple(head.split(".")))
+            path = paths.get(head)
+            if path is None:
+                path = tuple(head.split("."))
+                if not RESERVED_WORDS.isdisjoint(path):
+                    return None
+                paths[head] = path
             stage = refs[text] = new(StageRef, (path, STAGE_KINDS[kind]))
         return stage
 
     tokens: list[_Token] = []
     folded: dict[int, Decl] = {}
-    line, line_start, bol = 1, 0, True
+    line_start, bol = 0, True
     for m in _scan_re(fold).finditer(text):
         kind = m.lastgroup
         if kind in _FOLDED:
-            first = m.start(kind) - line_start + 1
-            span = new(SourceSpan, (file, line, first, line, m.end(kind) - line_start))
-            if kind == "thingdecl":
-                word, decl = "thing", new(ThingDecl, (m.group("name"), span))
-            else:
+            start, stop = m.span(kind)
+            first = start - line_start + 1
+            span = new(SourceSpan, (file, line, first, line, stop - line_start))
+            if kind == "edge":
                 thing, src, dst = m.group("thing", "src", "dst")
                 src, dst = ref(src), ref(dst)
-                if thing is None:
+                if src is None or dst is None or thing in RESERVED_WORDS:
+                    decl = None
+                elif thing is None:
                     word, decl = "trigger", new(TriggerDecl, (src, dst, span))
                 else:
                     word, decl = "flow", new(FlowDecl, (thing, src, dst, span))
-            folded[len(tokens)] = decl
-            tokens.append(new(_Token, ("kw", word, line, first, first + len(word) - 1, True)))
+            elif kind == "thingdecl":
+                word, name = "thing", m.group("name")
+                decl = None if name in RESERVED_WORDS else new(ThingDecl, (name, span))
+            elif kind == "leaf":
+                word, name = "machine", m.group("machine")
+                decl = None if name in RESERVED_WORDS else new(MachineDecl, (name, (), span))
+            elif kind == "head":  # the event's body is still to come
+                word, (name, perpetual) = "event", m.group("event", "perpetual")
+                decl = None if name in RESERVED_WORDS else new(
+                    EventDecl, (name, perpetual is not None, (), span))
+            else:  # a chronology block: the match's last line holds its "}"
+                word, block = kind, m.group(kind)
+                edges = re.findall(r"(?m)^[ \t\r]*(\w+)[ \t\r]*->[ \t\r]*(\w+)", block)
+                close = text.rfind("\n", start, stop) + 1
+                span = new(SourceSpan, (file, line, first, line + block.count("\n"), stop - close))
+                decl = new(ChronologyDecl, (tuple(edges), span)) if RESERVED_WORDS.isdisjoint(
+                    chain.from_iterable(edges)) else None
+            if decl is not None:
+                folded[len(tokens)] = decl
+                tokens.append(new(_Token, ("kw", word, line, first, first + len(word) - 1, True)))
+            else:  # a reserved word as a name: the token path's tokens
+                tokens += _scan(m.group(), file, False, line)[0][:-1]
+            if kind == "chronology":
+                line, line_start = span.end_line, close
             bol = False
         elif kind is not None:  # None: a blank or comment-only line
             start, stop = m.span(kind)
@@ -202,7 +256,7 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
 class _Parser:
     def __init__(self, tokens: list[_Token], folded: dict[int, Decl], file: str):
         self.tokens = tokens
-        self.folded = folded  # the top level and event bodies take these whole
+        self.folded = folded  # taken whole where the token path builds the same
         self.file = file
         self.pos = 0
         self.open = 0  # blocks the current item has opened and not closed
@@ -231,10 +285,17 @@ class _Parser:
             tok = self.tokens[self.pos - 1]
             decl = self.folded.get(self.pos - 1)
             if decl is not None:
-                # a folded line ends in the thing name or a stage kind
-                last = decl.name if type(decl) is ThingDecl else decl.dst.kind._value_
-                end = decl.span.end_col
-                tok = tok._replace(col=end - len(last) + 1, end_col=end)
+                # a folded line ends in a thing or machine name, a stage kind or
+                # an event head's "{"; a chronology block in its "}"
+                kind, end = type(decl), decl.span
+                if kind is ThingDecl or kind is MachineDecl:
+                    size = len(decl.name)
+                elif kind is FlowDecl or kind is TriggerDecl:
+                    size = len(decl.dst.kind._value_)
+                else:
+                    size = 1
+                tok = tok._replace(line=end.end_line, col=end.end_col - size + 1,
+                                   end_col=end.end_col)
         self.diagnostics.append(
             Diagnostic("E001", "error", self.span_of(tok), f"syntax error: {message}")
         )
@@ -291,7 +352,7 @@ class _Parser:
             self.resync()
         while True:
             decl = self.folded.get(self.pos)
-            if decl is not None:
+            if decl is not None and type(decl) is not EventDecl:  # parse_event takes a head
                 self.decls.append(decl)
                 self.pos += 1
                 continue
@@ -326,16 +387,21 @@ class _Parser:
         # Open blocks wait on an explicit stack, so nesting depth is unbounded.
         blocks: list[tuple[_Token, _Token, list[MachineDecl]]] = []
         while True:
-            start = self.advance()
-            tok = self.expect("ident", "machine name")
-            if tok is None:
-                return None
-            if self.peek().kind == "{":
-                self.advance()
-                blocks.append((start, tok, []))
-                self.open += 1
+            leaf = self.folded.get(self.pos)  # a folded leaf line, inside a block
+            if leaf is None:
+                start = self.advance()
+                tok = self.expect("ident", "machine name")
+                if tok is None:
+                    return None
+                if self.peek().kind == "{":
+                    self.advance()
+                    blocks.append((start, tok, []))
+                    self.open += 1
+                else:
+                    leaf = MachineDecl(tok.text, (), self.span_of(start, tok))
             else:
-                leaf = MachineDecl(tok.text, (), self.span_of(start, tok))
+                self.pos += 1
+            if leaf is not None:
                 if not blocks:
                     return leaf
                 blocks[-1][2].append(leaf)
@@ -409,15 +475,19 @@ class _Parser:
 
     def parse_event(self) -> EventDecl | None:
         start = self.advance()
-        name = self.expect("ident", "event name")
-        if name is None:
-            return None
-        perpetual = False
-        if self.peek().kind == "kw" and self.peek().text == "perpetual":
-            self.advance()
-            perpetual = True
-        if self.expect("{") is None:
-            return None
+        head = self.folded.get(self.pos - 1)
+        if head is not None:  # a folded head line: name, "perpetual" and "{"
+            name, perpetual = head.name, head.perpetual
+        else:
+            tok = self.expect("ident", "event name")
+            if tok is None:
+                return None
+            name, perpetual = tok.text, False
+            if self.peek().kind == "kw" and self.peek().text == "perpetual":
+                self.advance()
+                perpetual = True
+            if self.expect("{") is None:
+                return None
         self.open = 1
         items: list[object] = []
         while True:
@@ -430,7 +500,7 @@ class _Parser:
                 self.error_here("unterminated event block, expected '}'")
                 return None
             decl = self.folded.get(self.pos)
-            if decl is not None and tok.text != "thing":
+            if decl is not None and tok.text in ("flow", "trigger"):
                 self.pos += 1
                 items.append(decl)
             elif tok.kind == "kw" and tok.text == "node":
@@ -450,7 +520,7 @@ class _Parser:
                     f"found {tok.text!r}"
                 )
                 return None
-        return EventDecl(name.text, perpetual, tuple(items), self.span_of(start, end))
+        return EventDecl(name, perpetual, tuple(items), self.span_of(start, end))
 
     def parse_chronology(self) -> ChronologyDecl | None:
         start = self.advance()

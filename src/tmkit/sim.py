@@ -225,20 +225,22 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
     choices: list[tuple[str, str]] = []
     gates: list[tuple[str, bool]] = []
     max_steps = 100
+    refs: dict[str, StageRef] = {}  # each distinct reference text, parsed once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        where = f"{filename}:{lineno}"
         if parts[0] == "inject" and len(parts) == 4 and parts[3].startswith("@"):
             try:
-                ref = parse_stage_ref(parts[2])
+                ref = refs.get(parts[2])
+                if ref is None:
+                    ref = refs[parts[2]] = parse_stage_ref(parts[2])
                 at = int(parts[3][1:])
             except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from None
+                raise ScenarioError(f"{filename}:{lineno}: {exc}") from None
             if at < 1:
-                raise ScenarioError(f"{where}: injection step must be >= 1")
+                raise ScenarioError(f"{filename}:{lineno}: injection step must be >= 1")
             injections.append(Injection(parts[1], ref, at))
         elif parts[0] == "choose" and len(parts) == 3:
             choices.append((parts[1], parts[2]))
@@ -248,11 +250,12 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
             try:
                 max_steps = int(parts[1])
             except ValueError:
-                raise ScenarioError(f"{where}: max_steps needs an integer") from None
+                raise ScenarioError(f"{filename}:{lineno}: max_steps needs an integer") from None
             if max_steps < 1:
-                raise ScenarioError(f"{where}: max_steps must be >= 1")
+                raise ScenarioError(f"{filename}:{lineno}: max_steps must be >= 1")
         else:
-            raise ScenarioError(f"{where}: unrecognized scenario line: {raw.strip()!r}")
+            raise ScenarioError(
+                f"{filename}:{lineno}: unrecognized scenario line: {raw.strip()!r}")
     return Scenario(tuple(injections), tuple(choices), tuple(gates), max_steps)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmkit.dsl
-from tmkit.core import ThingDecl
+from tmkit.core import ChronologyDecl, EventDecl, MachineDecl, ThingDecl
 from tmkit.dsl import SourceSpan, _Parser, _scan, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
@@ -439,6 +439,14 @@ def test_scan_makes_one_regex_match_per_token_on_a_relay():
     assert matches <= tokens, (matches, tokens)
 
 
+def test_scan_folds_a_relay_to_at_most_5000_tokens():
+    # Leaf machine lines, event heads and the chronology block are one token
+    # each, as flow, trigger and thing lines are: 7,208 tokens when only those
+    # three folded, 4,809 now.
+    tokens, _ = _scan(bench_workloads().relay(400).models["relay"], "d.tm")
+    assert len(tokens) <= 5000, len(tokens)
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_scan_matches_only_tokens_and_blank_or_comment_lines_on_the_corpus(name):
     text = corpus_path(f"{name}.tm").read_text()
@@ -483,9 +491,9 @@ def test_deep_machine_nesting_has_no_recursion_limit():
 
 
 # -- folded lines ------------------------------------------------------------
-# parse folds each complete flow, trigger and thing line into one token. The
-# token path (unfolded _scan and the token parser alone) is the reference it
-# must match.
+# parse folds each complete flow, trigger, thing and leaf machine line, each
+# event head line and each chronology block into one token. The token path
+# (unfolded _scan and the token parser alone) is the reference it must match.
 
 
 def _outcome(text: str) -> tuple[list, str | None]:
@@ -496,12 +504,17 @@ def _outcome(text: str) -> tuple[list, str | None]:
 
 def _paths_agree(text: str) -> tuple[list, str | None, int]:
     """Both paths' diagnostics and canonical text, once checked equal, and
-    the number of folded lines; the folded token stream is checked against
-    ``_lex``'s with each folded line cut to its keyword."""
+    the number of folded shapes. The folded token stream is checked against
+    ``_lex``'s with each folded line or block cut to its keyword, and the
+    token parser's output on the two streams against each other."""
     tokens, folded = _scan(text, "d.tm")
-    lines = {tokens[at].line for at in folded}
-    assert tokens == [tok for tok in _lex(text)
-                      if tok.line not in lines or tok.bol or tok.kind == "eof"]
+    keywords = {tokens[at][2:4] for at in folded}  # (line, col)
+    lines = {line for decl in folded.values()
+             for line in range(decl.span.start_line, decl.span.end_line + 1)}
+    lexed = _lex(text)
+    assert tokens == [tok for tok in lexed
+                      if tok.line not in lines or tok[2:4] in keywords or tok.kind == "eof"]
+    assert _Parser(tokens, folded, "d.tm").parse() == _Parser(lexed, {}, "d.tm").parse()
     outcome = _outcome(text)
     with mock.patch.object(tmkit.dsl, "_scan", lambda text, file: _scan(text, file, False)):
         assert _outcome(text) == outcome
@@ -579,6 +592,7 @@ def test_folded_lines_parse_like_tokens_on_seeded_line_mutations():
     "flow x a.create -> a.release", "  flow x a.release -> a.transfer",
     "trigger a.release ~> a.process", "chronology {", "e -> e", "flow thing a.create -> a.release",
     "flow x a.create ~> a.release", "trigger a.release -> a.process",
+    "machine b", "event e perpetual {", "chronology {\n  e -> f\n}", "  e -> f",
 )), max_size=30))
 def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
     _paths_agree("".join(fragments))
@@ -611,6 +625,42 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         ("event e {\n  thing y",
          "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'thing'",
          (5, 3, 5, 7)),
+        # a reserved word as a machine, event or chronology name
+        ("machine node\n",
+         "syntax error: expected machine name, found 'node'", (4, 9, 4, 12)),
+        ("machine b {\n  machine release\n}\n",
+         "syntax error: expected machine name, found 'release'", (5, 11, 5, 17)),
+        ("event create perpetual {\n}\n",
+         "syntax error: expected event name, found 'create'", (4, 7, 4, 12)),
+        ("event e {\n}\nchronology {\n  e -> flow  # c\n}\n",
+         "syntax error: expected event name, found 'flow'", (7, 8, 7, 11)),
+        # "machine b" opens a block whose "{" follows a newline or a comment line
+        ("machine b\n{\n  machine node\n}\n",
+         "syntax error: expected machine name, found 'node'", (6, 11, 6, 14)),
+        ("machine b  # c\n# note\n\n  {\n  machine node\n}\n",
+         "syntax error: expected machine name, found 'node'", (8, 11, 8, 14)),
+        # a whole event on one line does not fold
+        ("flow x a.create -> a.process\nevent e { node a.create }\n"
+         "event e { node a.create }\n",
+         "duplicate event name 'e'", (6, 1, 6, 25)),
+        # a chronology edge split across two lines, and a block that ends the
+        # input without a newline: the span runs from the keyword to the "}"
+        ("flow x a.create -> a.process\nevent e { node a.create }\n"
+         "chronology {\n  e ->\n  e\n}\n",
+         "chronology cycle: e -> e", (6, 1, 9, 1)),
+        ("flow x a.create -> a.process\nevent e { node a.create }\n"
+         "chronology {\n  # only\n\n  e -> e # loop\n  }",
+         "chronology cycle: e -> e", (6, 1, 10, 3)),
+        # an unterminated machine block that ends on a folded leaf, and an
+        # unterminated event right after a folded head
+        ("machine b {\n  machine c  # open",
+         "syntax error: unterminated machine block, expected '}'", (5, 11, 5, 11)),
+        ("event e perpetual {  # open\n",
+         "syntax error: unterminated event block, expected '}'", (4, 19, 4, 19)),
+        # a leaf machine line inside an event body is still an error
+        ("event e {\n  machine b\n}\n",
+         "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'machine'",
+         (5, 3, 5, 9)),
     ],
 )
 def test_folded_line_edge_cases_parse_like_tokens(text, message, where):
@@ -625,9 +675,23 @@ def test_comments_crlf_and_tabs_still_fold():
             "\tflow\tx a.create\t->\ta.release # c\r\n"
             "trigger a.release ~>a.process#c\r\n")
     diagnostics, canonical, folded = _paths_agree(text)
-    assert (diagnostics, folded) == ([], 3)
+    assert (diagnostics, folded) == ([], 4)
     assert canonical == ("model m\nthing x\nmachine a\nflow x a.create -> a.release\n"
                          "trigger a.release ~> a.process\n")
+
+
+def test_each_folded_shape_is_one_token():
+    text = ("model m\nthing x\nmachine a\nflow x a.create -> a.process\n"
+            "trigger a.process ~> a.release\nevent e perpetual {  # head\n"
+            "  flow x a.create -> a.process\n}\nchronology {\n  e -> f\n\n  # c\n  f -> e\n}")
+    tokens, folded = _scan(text, "d.tm")
+    assert [(tok.text, tok.line) for tok in tokens] == [
+        ("model", 1), ("m", 1), ("thing", 2), ("machine", 3), ("flow", 4), ("trigger", 5),
+        ("event", 6), ("flow", 7), ("}", 8), ("chronology", 9), ("", 14)]
+    assert folded[3] == MachineDecl("a", (), SourceSpan("d.tm", 3, 1, 3, 9))
+    assert folded[6] == EventDecl("e", True, (), SourceSpan("d.tm", 6, 1, 6, 19))
+    assert folded[9] == ChronologyDecl((("e", "f"), ("f", "e")), SourceSpan("d.tm", 9, 1, 14, 1))
+    _paths_agree(text)
 
 
 def test_parse_makes_one_stage_ref_per_reference_text():

@@ -17,7 +17,13 @@ import tmkit.events
 import tmkit.render
 import tmkit.sim
 
-from helpers import CORPUS_NAMES, corpus_path, load_corpus_model, load_corpus_scenario
+from helpers import (
+    CORPUS_NAMES,
+    bench_workloads,
+    corpus_path,
+    load_corpus_model,
+    load_corpus_scenario,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 GC_SCHEDULE = Path(__file__).resolve().parents[1] / "scripts" / "gc_schedule.py"
@@ -96,6 +102,18 @@ def test_parse_does_not_reparse_stage_references(monkeypatch):
     assert calls == []
 
 
+def test_load_scenario_parses_each_injection_reference_once(monkeypatch):
+    # flood injects at env.transfer on each of its 300 steps.
+    calls = []
+    parse_ref = tmkit.sim.parse_stage_ref
+    monkeypatch.setattr(
+        tmkit.sim, "parse_stage_ref", lambda text: calls.append(text) or parse_ref(text)
+    )
+    scenario = tmkit.sim.load_scenario(bench_workloads().flood().sims[0].scenario)
+    assert len(scenario.injections) == 300
+    assert calls == ["env.transfer"]
+
+
 # The command each name that the traced benchmark rebinds on tmkit.cli serves.
 _TRACED_COMMANDS = {
     "parse": ["validate", "reservoir.tm"],
@@ -168,6 +186,11 @@ def test_stage_pairs_times_every_front_end_stage():
                                         "render_chronology", "emit", "simulate", "format_trace",
                                         "step_loop"]
     assert all(float(x) > 0 for row in rows for x in row[1:])
+    # each side's token and folded-declaration counts, on a line of their own
+    counts = re.findall(r"^relay n=20 _scan: parent (\d+) tokens, (\d+) folded; "
+                        r"change (\d+) tokens, (\d+) folded$", proc.stdout, re.M)
+    assert len(counts) == 1 and counts[0][:2] == counts[0][2:], proc.stdout
+    assert 0 < int(counts[0][1]) < int(counts[0][0])
 
 
 def _cli_pairs_rows(*options: str) -> tuple[str, list[tuple]]:
