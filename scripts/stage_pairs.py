@@ -12,8 +12,9 @@ perfbench/workloads.py (imported, not edited), seed 0. On the relay model of
 ``serialize``, ``render_static``, ``render_events`` and
 ``render_chronology``, and ``emit``, the emit block perfbench times
 (``serialize``, the three views, then ``coverage``) on one model. On the
-flood model and scenario, at perfbench's size, they are ``simulate``, ``format_trace``
-and ``step_loop`` (``init_state`` and a ``step`` per macro-step). Each
+relay scenario they are ``simulate`` and ``step_loop`` (``init_state`` and a
+``step`` per macro-step); on the flood model and scenario, at perfbench's
+size, ``simulate``, ``format_trace`` and ``step_loop``. Each
 stage's input is made outside its timed call, so ``validate`` runs on a
 fresh model each time, each emitter on a freshly parsed model whose
 ``Model.stages`` is already built, ``emit`` on a freshly parsed model, as
@@ -24,9 +25,9 @@ declaration count for the relay text, so that a front-end change shows its
 count delta beside its timings.
 The script exits non-zero if the two sides' emitter bytes (``render_events``
 also on a fresh model that runs it before ``render_static``), flood trace
-bytes or flood step-loop entries (as text) differ, or the trace bytes of the relay
-scenario or of any of the 8 corpus scenarios (read from PARENT_SRC's corpus),
-which run events to completion and take choices and gates.
+bytes, relay or flood step-loop entries (as text) differ, or the trace bytes of
+the relay scenario or of any of the 8 corpus scenarios (read from PARENT_SRC's
+corpus), which run events to completion and take choices and gates.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -56,6 +57,7 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 
 FILE = "<relay>"
 FLOOD = "<flood>"
+RELAY_SIM = ("simulate", "step_loop")  # the simulator stages timed on relay, too
 
 
 def load(src: Path, name: str):
@@ -136,22 +138,22 @@ def stage_calls(tmkit, text: str) -> dict:
     return calls
 
 
-def sim_calls(tmkit, text: str, scenario_text: str) -> dict:
-    """Per simulator stage on flood, a function that makes its input and
-    returns the timed call."""
+def sim_calls(tmkit, text: str, scenario_text: str, file: str) -> dict:
+    """Per simulator stage on a model's source text, read as ``file``, and a
+    scenario, a function that makes its input and returns the timed call."""
     dsl, sim = tmkit.dsl, tmkit.sim
     scenario = sim.load_scenario(scenario_text)
 
     def simulate():
-        model = dsl.parse(text, FLOOD).model
+        model = dsl.parse(text, file).model
         return lambda: sim.simulate(model, scenario)
 
     def format_trace():
-        trace = sim.simulate(dsl.parse(text, FLOOD).model, scenario)
+        trace = sim.simulate(dsl.parse(text, file).model, scenario)
         return lambda: sim.format_trace(trace)
 
     def step_loop():
-        model = dsl.parse(text, FLOOD).model
+        model = dsl.parse(text, file).model
 
         def run():
             state, entries = sim.init_state(model, scenario), []
@@ -214,7 +216,10 @@ def main(argv: list[str] | None = None) -> int:
     sides, outputs, counts = {}, {}, []
     for label, src in (("parent", args.parent), ("change", args.change)):
         tmkit = load(src, f"tmkit_{label}")
-        sides[label] = stage_calls(tmkit, text) | sim_calls(tmkit, flood_text, flood_scenario)
+        relay_sim = sim_calls(tmkit, text, relay.sims[0].scenario, FILE)
+        sides[label] = (stage_calls(tmkit, text)
+                        | {f"relay {stage}": relay_sim[stage] for stage in RELAY_SIM}
+                        | sim_calls(tmkit, flood_text, flood_scenario, FLOOD))
         tokens, folded = tmkit.dsl._scan(text, FILE)
         counts.append(f"{label} {len(tokens)} tokens, {len(folded)} folded")
         model = tmkit.dsl.parse(text, FILE).model
@@ -225,22 +230,24 @@ def main(argv: list[str] | None = None) -> int:
         outputs[label]["render_events before render_static"] = (
             tmkit.render.render_events(fresh).text)
         outputs[label]["flood trace"] = sides[label]["format_trace"]()()
-        outputs[label]["flood step loop"] = "".join(
-            "\t".join(map(str, entry)) + "\n" for entry in sides[label]["step_loop"]()())
+        for workload, loop in (("relay", "relay step_loop"), ("flood", "step_loop")):
+            outputs[label][f"{workload} step loop"] = "".join(
+                "\t".join(map(str, entry)) + "\n" for entry in sides[label][loop]()())
         outputs[label].update((name, trace_text(tmkit, *run)) for name, run in runs.items())
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")
     medians = measure(sides, args.calls)
     print(f"relay n={args.n} _scan: {'; '.join(counts)}")
-    titles = {"_scan": f"relay n={args.n}", "simulate": f"flood {workloads.FLOOD_MACHINES} "
-              f"machines, {workloads.FLOOD_STEPS} steps"}
+    titles = {"_scan": f"relay n={args.n}", "relay simulate": f"relay n={args.n} scenario",
+              "simulate": f"flood {workloads.FLOOD_MACHINES} machines, "
+              f"{workloads.FLOOD_STEPS} steps"}
     for stage, m in medians.items():
         if stage in titles:
             print(f"{titles[stage]}, {args.calls} alternating calls per stage and side, "
                   "median ms")
             print(f"{'stage':<17} {'parent':>9} {'change':>9} {'change/parent':>14}")
-        print(f"{stage:<17} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
+        print(f"{stage.split()[-1]:<17} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
               f"{m['change'] / m['parent']:>14.3f}")
     return 0
 

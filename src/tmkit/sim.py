@@ -67,8 +67,10 @@ a state with the same model object resumes its engine. Copies, pickles and
 a state with another model object rebuilds the engine, at a cost of its
 tokens and events. Building an engine is where a scenario is checked, so a
 rebuilt one refuses what ``init_state`` refuses. A
-snapshot copies, in C, the live tokens' pointers and the fired events'
-timing pairs, each built once.
+snapshot builds one instance dict, in one write that skips ``SimState``'s
+``__init__``, and copies, in C, the live tokens' pointers and the fired
+events' timing pairs. Each pair is built once, when its event fires: a
+one-shot event ends in that step or the run raises, so its pair is final.
 
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
@@ -236,9 +238,12 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
                 ref = refs.get(parts[2])
                 if ref is None:
                     ref = refs[parts[2]] = parse_stage_ref(parts[2])
-                at = int(parts[3][1:])
             except ValueError as exc:
                 raise ScenarioError(f"{filename}:{lineno}: {exc}") from None
+            at = _decimal(parts[3][1:])
+            if at is None:
+                raise ScenarioError(
+                    f"{filename}:{lineno}: injection step needs decimal digits: {parts[3]!r}")
             if at < 1:
                 raise ScenarioError(f"{filename}:{lineno}: injection step must be >= 1")
             injections.append(Injection(parts[1], ref, at))
@@ -247,16 +252,27 @@ def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
         elif parts[0] == "gate" and len(parts) == 3 and parts[2] in ("true", "false"):
             gates.append((parts[1], parts[2] == "true"))
         elif parts[0] == "max_steps" and len(parts) == 2:
-            try:
-                max_steps = int(parts[1])
-            except ValueError:
-                raise ScenarioError(f"{filename}:{lineno}: max_steps needs an integer") from None
+            max_steps = _decimal(parts[1])
+            if max_steps is None:
+                raise ScenarioError(
+                    f"{filename}:{lineno}: max_steps needs decimal digits: {parts[1]!r}")
             if max_steps < 1:
                 raise ScenarioError(f"{filename}:{lineno}: max_steps must be >= 1")
         else:
             raise ScenarioError(
                 f"{filename}:{lineno}: unrecognized scenario line: {raw.strip()!r}")
     return Scenario(tuple(injections), tuple(choices), tuple(gates), max_steps)
+
+
+def _decimal(text: str) -> int | None:
+    """``text`` as a number in ASCII decimal digits, or None. ``int`` alone
+    would also read a sign, ``_`` separators and other scripts' digits."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return None
 
 
 class _Engine:
@@ -348,8 +364,14 @@ class _Engine:
     # -- state snapshot ------------------------------------------------------
 
     def snapshot(self, quiescent: bool) -> SimState:
-        """The state after this step, holding a handle that lets ``step`` resume here."""
-        state = SimState(
+        """The state after this step, holding a handle that lets ``step`` resume here.
+
+        The state skips ``SimState.__init__``: one write fills its instance
+        dict with the fields, in declaration order as ``__init__`` stores
+        them, so that it pickles the same, and then the handle.
+        """
+        state = object.__new__(SimState)
+        vars(state).update(  # the handle is no field: outside repr, == and hash
             scenario=self.scenario,
             step_no=self.step_no,
             tokens=tuple(self.tokens.values()),
@@ -357,8 +379,8 @@ class _Engine:
             choice_taken=tuple(self.taken.values()),
             timings=tuple(self.timings.values()),
             quiescent=quiescent,
+            _engine=self,
         )
-        vars(state)["_engine"] = self  # not a field: outside init, repr, == and hash
         return state
 
     # -- helpers -------------------------------------------------------------
@@ -463,7 +485,10 @@ class _Engine:
                     else:
                         continue
                 self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
-                self.timings[event.name] = (event.name, EventTiming(received_at=self.step_no))
+                # a one-shot event ends in this step or the run raises, so its
+                # final pair is stored now, once
+                released = None if event.perpetual else self.step_no
+                self.timings[event.name] = (event.name, EventTiming(self.step_no, released))
                 for j in self.successors.pop(event.name, ()):
                     self.waiting[j] -= 1
                     if not self.waiting[j]:
@@ -484,7 +509,6 @@ class _Engine:
                     "E402", f"event '{event.name}' did not run to completion", event.name
                 ))
             self.emit("event_end", event.name, "")
-            self.timings[event.name] = (event.name, EventTiming(self.step_no, self.step_no))
         return (
             len(self.entries) == before
             and self.step_no >= self.last_injection
@@ -506,11 +530,12 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
 
     A state that ``init_state`` or ``step`` returned and that has not been
     stepped yet continues the engine that made it, so a step costs a step of
-    ``simulate`` plus the snapshot. Any other state (an older one, a copy, a
-    replaced one, or one paired with another model object) gives the same
-    result from an engine rebuilt from the state. A rebuilt engine checks
-    the state's scenario as ``init_state`` does and raises
-    :class:`ScenarioError` on the same lines.
+    ``simulate`` plus the snapshot: one instance dict and two copies in C,
+    of the live tokens' pointers and of the fired events' timing pairs. Any
+    other state (an older one, a copy, a replaced one, or one paired with
+    another model object) gives the same result from an engine rebuilt from
+    the state. A rebuilt engine checks the state's scenario as
+    ``init_state`` does and raises :class:`ScenarioError` on the same lines.
     """
     if state.quiescent:
         return state, []

@@ -210,6 +210,16 @@ def test_sim_unknown_injected_thing_is_exit_three(tmp_path, capsys):
     assert err == "error: injection of unknown thing 'y'\n"
 
 
+def test_sim_step_in_other_digits_is_exit_three(tmp_path, capsys):
+    scenario = tmp_path / "signed.scn"
+    scenario.write_text("inject water env.transfer @+1\nmax_steps 5\n")
+    status = run(["sim", str(corpus_path("reservoir.tm")), "--scenario", str(scenario)])
+    assert status == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {scenario}:1: injection step needs decimal digits: '@+1'\n"
+
+
 def test_sim_unconsumed_choice_is_a_warning_on_stderr(tmp_path, capsys):
     scenario = tmp_path / "padded.scn"
     scenario.write_text(corpus_path("kant_agree.scn").read_text()

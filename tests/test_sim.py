@@ -39,6 +39,7 @@ from tmkit.sim import (
     Injection,
     Scenario,
     ScenarioError,
+    SimState,
     SimulationError,
     Token,
     Trace,
@@ -104,6 +105,14 @@ def test_load_scenario_rejects_garbage():
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario("inject x a-b.transfer @1")
     assert str(excinfo.value) == "<scenario>:1: bad path segment 'a-b' in 'a-b.transfer'"
+    # a step or a step limit is ASCII decimal digits only, though int() reads more
+    for line in ("inject x env.transfer @+3", "inject x env.transfer @1_0",
+                 "inject x env.transfer @\u0663", "max_steps 1_000", "max_steps +5",
+                 "max_steps \u0661\u0660", "max_steps " + "9" * 5000,
+                 "inject x env.transfer @" + "9" * 5000):
+        with pytest.raises(ScenarioError, match=r"^s\.scn:2: (injection step|max_steps) "
+                                                r"needs decimal digits: "):
+            load_scenario(f"# plain digits\n{line}\n", "s.scn")
 
 
 def test_invalid_scenario_keys_are_hard_errors():
@@ -489,6 +498,65 @@ def test_step_snapshots_share_their_timing_pairs():
     assert len(chain[-1][0].timings) == events
     pairs = len({id(pair) for state, _ in chain for pair in state.timings})
     assert pairs <= 2 * events, f"{pairs} timing pairs for {events} events"
+
+
+def _relay(n: int) -> tuple[Model, Scenario]:
+    """The benchmark's relay of n machines and its scenario."""
+    inputs = bench_workloads().relay(n)
+    (case,) = inputs.sims
+    return parse(inputs.models[case.model]).model, load_scenario(case.scenario)
+
+
+def test_each_fired_event_builds_one_timing(monkeypatch):
+    # A one-shot event ends in the step it fires in, or the run raises, so
+    # its final pair is built once, when it fires.
+    model, scenario = _relay(40)
+    built = []
+    monkeypatch.setattr(tmkit.sim, "EventTiming",
+                        lambda *args, **kw: built.append(EventTiming(*args, **kw)) or built[-1])
+    trace = simulate(model, scenario)
+    assert len(trace.fired_events) == 40
+    assert len(built) == 40
+    assert list(trace.timings.values()) == built
+
+
+def test_a_step_loop_runs_the_state_init_once(monkeypatch):
+    # init_state builds its state through SimState.__init__; each step's
+    # snapshot fills the instance dict in one write instead.
+    model, scenario = _relay(40)
+    calls = []
+    init = SimState.__init__
+    monkeypatch.setattr(SimState, "__init__", lambda *args, **kw: calls.append(init(*args, **kw)))
+    state = init_state(model, scenario)
+    while not state.quiescent:
+        state, _ = step(model, state)
+    assert state.step_no == 41
+    assert len(calls) == 1
+
+
+def test_step_snapshots_are_twins_of_states_built_from_their_fields():
+    # A snapshot skips SimState.__init__, so it must still compare, hash,
+    # print, pickle and copy as the state __init__ builds from its fields.
+    cases = [(load_corpus_model(entry.name), load_scenario(path.read_text()))
+             for entry in corpus_list() for path in entry.scenarios]
+    assert len(cases) == 8
+    cases.append(_relay(40))
+    checked = 0
+    for model, scenario in cases:
+        state = init_state(model, scenario)
+        while True:
+            twin = SimState(**{name: getattr(state, name) for name in SimState.__match_args__})
+            assert "_engine" in vars(state) and "_engine" not in vars(twin)
+            assert state == twin and hash(state) == hash(twin)
+            assert repr(state) == repr(twin)
+            assert pickle.dumps(state) == pickle.dumps(twin)
+            copied = copy.copy(state)
+            assert vars(copied) == vars(twin) and list(vars(copied)) == list(vars(twin))
+            checked += 1
+            if state.quiescent or state.step_no >= scenario.max_steps:
+                break
+            state, _ = step(model, state)
+    assert checked > 50  # the relay chain alone has 42 states
 
 
 _PICKLE_IN_CHILD = """

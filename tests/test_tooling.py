@@ -183,8 +183,8 @@ def test_stage_pairs_times_every_front_end_stage():
     rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
     assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse",
                                         "serialize", "render_static", "render_events",
-                                        "render_chronology", "emit", "simulate", "format_trace",
-                                        "step_loop"]
+                                        "render_chronology", "emit", "simulate", "step_loop",
+                                        "simulate", "format_trace", "step_loop"]
     assert all(float(x) > 0 for row in rows for x in row[1:])
     # each side's token and folded-declaration counts, on a line of their own
     counts = re.findall(r"^relay n=20 _scan: parent (\d+) tokens, (\d+) folded; "
