@@ -19,7 +19,8 @@ stage's input is made outside its timed call, so ``validate`` runs on a
 fresh model each time, each emitter on a freshly parsed model whose
 ``Model.stages`` is already built, ``emit`` on a freshly parsed model, as
 perfbench's emit block gets it, and ``simulate`` and the step loop on a
-freshly parsed model, so that building ``Model.regions`` is timed with them.
+freshly parsed model, so that building the simulator's per-model tables
+(``sim._tables``) is timed with them.
 Before the tables it prints each side's ``_scan`` token count and folded
 declaration count for the relay text, so that a front-end change shows its
 count delta beside its timings.

@@ -195,15 +195,11 @@ class Thing:
 @frozen
 class Machine:
     """A machine node in the containment tree. ``path`` runs from the root
-    machine to this one; its id is its dotted path."""
+    machine to this one."""
 
     name: str
     path: tuple[str, ...]
     children: tuple["Machine", ...] = ()
-
-    @property
-    def id(self) -> str:
-        return ".".join(self.path)
 
 
 @frozen
@@ -304,6 +300,11 @@ class Chronology:
                 if indegree[succ] == 0:
                     order.append(succ)
         return tuple(order) if len(order) == len(self.nodes) else None
+
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        """Its E303, E106 and E302, found once per object, located by event or edge."""
+        return tuple(_chronology_diagnostics(self))
 
 
 @frozen
@@ -435,30 +436,6 @@ class _Interned(dict):
         return stage
 
 
-class _Region:
-    """What one event's region items say about running it; fixed once built.
-
-    All stages are ``_Stage`` records of the model. ``mints`` holds the
-    (thing, create stage, create entry text) triples minted when the event
-    (re-)enters, leaving create stages that are trigger destinations to their
-    trigger (``Model.spawns`` holds those texts). ``walk``
-    is the region in declaration order: (source, trigger id, destination,
-    ``"src ~> dst"``) for a trigger, and (source, thing, destinations, a
-    ``"thing: src -> dst"`` per destination) for the flows that leave one
-    stage with one thing, each group at the position of its first flow; two
-    or more destinations make a decision point. Each text is the detail of
-    every entry its item makes for that edge. ``watch`` holds the (stage,
-    thing or None) pairs whose occupation gives the event work.
-    """
-
-    __slots__ = ("mints", "walk", "watch")
-
-    def __init__(self, mints: tuple, walk: tuple, watch: tuple) -> None:
-        self.mints = mints
-        self.walk = walk
-        self.watch = watch
-
-
 @frozen
 class Model:
     """The static TM graph plus attached events and chronology.
@@ -492,10 +469,6 @@ class Model:
     @cached_property
     def machines_by_path(self) -> dict[tuple[str, ...], Machine]:
         return {m.path: m for m in self.machines}
-
-    @cached_property
-    def things_by_name(self) -> dict[str, Thing]:
-        return {t.name: t for t in self.things}
 
     @cached_property
     def flows_by_id(self) -> dict[str, FlowEdge]:
@@ -532,56 +505,6 @@ class Model:
             stages[t.src]  # a trigger source is a stage even with no flows
             stages[t.dst].triggered = True
         return dict(stages)
-
-    @cached_property
-    def stages_by_text(self) -> dict[str, _Stage]:
-        return {stage.text: stage for stage in self.stages.values()}
-
-    @cached_property
-    def regions(self) -> tuple[_Region, ...]:
-        """Per event, parallel to ``events``, its region as the simulator runs
-        it. The model must validate: an item's edge id must name an edge."""
-        stages, regions = self.stages, []
-        for event in self.events:
-            mints: dict[tuple[str, _Stage, str], None] = {}
-            walk: dict[tuple, list[_Stage] | None] = {}  # a flow group: its dsts
-            watch: dict[tuple[_Stage, str | None], None] = {}
-            for item in event.items:
-                if isinstance(item, RegionFlow):
-                    edge = self.flows_by_id[item.edge_id]
-                    src = stages[edge.src]
-                    watch[src, edge.thing] = None
-                    walk.setdefault((src, edge.thing), []).append(stages[edge.dst])
-                    if src.kind == "create" and not src.triggered:
-                        text = f"{edge.thing} @ {src.text} via {event.name}"
-                        mints[edge.thing, src, text] = None
-                elif isinstance(item, RegionTrigger):
-                    trigger = self.triggers_by_id[item.edge_id]
-                    src = stages[trigger.src]
-                    watch[src, None] = None
-                    dst = stages[trigger.dst]
-                    walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
-                elif item.ref in stages:  # no flow reaches a stage no edge touches
-                    watch[stages[item.ref], None] = None
-            parts = tuple(
-                key if dsts is None  # a trigger: the key is the item
-                else (*key, tuple(dsts), tuple(f"{key[1]}: {key[0].text} -> {d.text}"
-                                               for d in dsts))
-                for key, dsts in walk.items()
-            )
-            regions.append(_Region(tuple(mints), parts, tuple(watch)))
-        return tuple(regions)
-
-    @cached_property
-    def spawns(self) -> dict[str, tuple[str, ...]]:
-        """Per trigger onto a create stage, the create entry text of each thing
-        it mints there, in the order of the stage's ``outs``."""
-        stages, spawns = self.stages, {}
-        for t in self.triggers:
-            dst = stages[t.dst]
-            if dst.kind == "create":
-                spawns[t.id] = tuple(f"{thing} @ {dst.text} via {t.id}" for thing in dst.outs)
-        return spawns
 
     @cached_property
     def _validation(self) -> dict[bool, tuple[Diagnostic, ...]]:
@@ -640,7 +563,7 @@ def resolve(model: Model, path: str) -> StageRef | Machine:
     if segments and segments[-1] in STAGE_KINDS:
         ref, msg = _resolve_ref(path, model.machines_by_path)
         if ref is None:
-            raise PathError(_error("E101", msg or f"unresolved path '{path}'", path))
+            raise PathError(_error("E101", msg, path))
         return ref
     if path == ENV_NAME:
         return _ENV_MACHINE
@@ -771,21 +694,21 @@ def _check_event_decl(
     return Event(decl.name, decl.perpetual, tuple(items))
 
 
-def _chronology_diagnostics(chronology: Chronology, span: object | None = None) -> list[Diagnostic]:
+def _chronology_diagnostics(chronology: Chronology) -> list[Diagnostic]:
     """E303 and E106 per bad edge; one E302 per cyclic component, if the peel leaves nodes."""
     diags: list[Diagnostic] = []
     nodes = set(chronology.nodes)
     kept: dict[tuple[str, str], None] = {}  # each edge between nodes, once
     for a, b in chronology.edges:
         if a not in nodes or b not in nodes:
-            diags += [_unknown_event(n, span or n) for n in (a, b) if n not in nodes]
+            diags += [_unknown_event(n) for n in (a, b) if n not in nodes]
             continue
         if (a, b) in kept:
             diags.append(
                 _error(
                     "E106",
                     f"duplicate chronology edge '{a} -> {b}'",
-                    span or f"{a} -> {b}",
+                    f"{a} -> {b}",
                 )
             )
             continue
@@ -807,14 +730,14 @@ def _chronology_diagnostics(chronology: Chronology, span: object | None = None) 
                 _error(
                     "E302",
                     "chronology cycle: " + " -> ".join(path),
-                    span or path[0],
+                    path[0],
                 )
             )
     return diags
 
 
-def _unknown_event(name: str, location: object) -> Diagnostic:
-    return _error("E303", f"unknown event '{name}' in chronology", location)
+def _unknown_event(name: str) -> Diagnostic:
+    return _error("E303", f"unknown event '{name}' in chronology", name)
 
 
 def _components(
@@ -917,7 +840,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
             return ref
         out, msg = _resolve_ref(ref, machines_by_path)
         if out is None:
-            diags.append(_error("E101", msg or str(ref), span or str(ref)))
+            diags.append(_error("E101", msg, span or str(ref)))
         else:
             resolved.add(out)
         return out
@@ -986,7 +909,9 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
                 _error("E106", "duplicate chronology block", extra.span or "chronology")
             )
         chronology = Chronology(tuple(events), tuple(chronology_decls[0].edges))
-        diags.extend(_chronology_diagnostics(chronology, chronology_decls[0].span))
+        span = chronology_decls[0].span  # the chronology's check, located at its block
+        diags += [Diagnostic(d.code, d.severity, span, d.message) if span else d
+                  for d in chronology._diagnostics]
 
     if any(d.is_error for d in diags):
         return diags
@@ -1101,9 +1026,8 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
             path = path[:-1]
     for m in model.machines:
         if m.path not in touched_prefixes:
-            diags.append(
-                _warning("W202", f"machine '{m.id}' has no incident edges", m.id)
-            )
+            text = ".".join(m.path)
+            diags.append(_warning("W202", f"machine '{text}' has no incident edges", text))
     # build_model resolves every event item it makes; a hand-built one may miss
     flows, triggers = model.flows_by_id, model.triggers_by_id
     for event in model.events:
@@ -1113,8 +1037,8 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
                 flows if kind is RegionFlow else triggers
             ):
                 diags.append(_error("E301", _unknown_edge(event, item), event.name))
-    if model.chronology is not None:  # a parsed one reads the order build_model peeled
+    if model.chronology is not None:  # a parsed one reads the check build_model made
         events = {event.name for event in model.events}  # a hand-built node may be no event
-        diags += [_unknown_event(n, n) for n in model.chronology.nodes if n not in events]
-        diags += _chronology_diagnostics(model.chronology)
+        diags += [_unknown_event(n) for n in model.chronology.nodes if n not in events]
+        diags += model.chronology._diagnostics
     return diags

@@ -19,7 +19,6 @@ from .core import (
     Model,
     RegionNode,
     _check_event_decl,
-    _chronology_diagnostics,
 )
 
 __all__ = [
@@ -79,7 +78,7 @@ def validate_chronology(model: Model) -> list[Diagnostic]:
     """
     if model.chronology is None:
         return []
-    return _chronology_diagnostics(model.chronology)
+    return list(model.chronology._diagnostics)
 
 
 def coverage(model: Model) -> CoverageReport:

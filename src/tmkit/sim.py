@@ -46,18 +46,18 @@ did not. After an idle step ``simulate`` sets the step number to the step
 before the next injection, or to ``max_steps``. ``step`` still runs one
 macro-step per call.
 
-Cost follows the work done, not the size of the run. Each region item's
-entry text and each create text is formatted once per model
-(``Model.regions``, ``Model.spawns``) or engine (once per distinct
-injection), and every entry that uses one shares that string. Live tokens
-are indexed by stage, so a region pass reads only a flow group's source
-bucket, in mint order, not arrival order, passing over tokens of other
-things. A pass calls no Python function except to mint or to take a choice,
-and a hop or a mint builds only its entry and its token. A ready frontier
-counts each unfired event's unfired predecessors, so a step sweeps, in
-declaration order, only the fired perpetual events and the unfired events
-whose predecessors have all fired; an event unlocked in step s is swept from
-step s+1.
+Cost follows the work done, not the size of the run. Every entry text is
+formatted in this module. Each region item's entry text and each create text
+is formatted once per model object (``_tables``, kept in its instance dict)
+or engine (once per distinct injection), and every entry that uses one
+shares that string. Live tokens are indexed by stage, so a region pass reads
+only a flow group's source bucket, in mint order, not arrival order, passing
+over tokens of other things. A pass calls no Python function except to mint
+or to take a choice, and a hop or a mint builds only its entry and its
+token. A ready frontier counts each unfired event's unfired predecessors, so
+a step sweeps, in declaration order, only the fired perpetual events and the
+unfired events whose predecessors have all fired; an event unlocked in step
+s is swept from step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``init_state`` or
@@ -89,10 +89,10 @@ from .core import (
     Diagnostic,
     ENV_NAME,
     Model,
+    RegionFlow,
+    RegionTrigger,
     StageKind,
     StageRef,
-    _Interned,
-    _Region,
     _Stage,
     _error,
     _paused,
@@ -275,13 +275,89 @@ def _decimal(text: str) -> int | None:
     return None
 
 
+class _Region:
+    """What one event's region items say about running it; fixed once built.
+
+    All stages are ``_Stage`` records of the model. ``mints`` holds the
+    (thing, create stage, create entry text) triples minted when the event
+    (re-)enters, leaving create stages that are trigger destinations to their
+    trigger (``_tables`` holds those texts). ``walk`` is the region in
+    declaration order: (source, trigger id, destination, ``"src ~> dst"``) for
+    a trigger, and (source, thing, destinations, a ``"thing: src -> dst"`` per
+    destination) for the flows that leave one stage with one thing, each group
+    at the position of its first flow; two or more destinations make a
+    decision point. Each text is the detail of every entry its item makes for
+    that edge. ``watch`` holds the (stage, thing or None) pairs whose
+    occupation gives the event work.
+    """
+
+    __slots__ = ("mints", "walk", "watch")
+
+    def __init__(self, mints: tuple, walk: tuple, watch: tuple) -> None:
+        self.mints = mints
+        self.walk = walk
+        self.watch = watch
+
+
+def _tables(model: Model) -> tuple:
+    """The tables a run reads, built once per model object and kept in its
+    instance dict: per event, parallel to ``events``, its ``_Region``; per
+    trigger onto a create stage, the create entry text of each thing it mints
+    there, in the order of the stage's ``outs``; the stage records by text; and
+    the thing names. The model must validate: an item's edge id must name an
+    edge. Racing threads keep the first of equal tables."""
+    cache = vars(model)
+    if "_sim_tables" in cache:
+        return cache["_sim_tables"]
+    stages, regions = model.stages, []
+    for event in model.events:
+        mints: dict[tuple[str, _Stage, str], None] = {}
+        walk: dict[tuple, list[_Stage] | None] = {}  # a flow group: its dsts
+        watch: dict[tuple[_Stage, str | None], None] = {}
+        for item in event.items:
+            if isinstance(item, RegionFlow):
+                edge = model.flows_by_id[item.edge_id]
+                src = stages[edge.src]
+                watch[src, edge.thing] = None
+                walk.setdefault((src, edge.thing), []).append(stages[edge.dst])
+                if src.kind == "create" and not src.triggered:
+                    text = f"{edge.thing} @ {src.text} via {event.name}"
+                    mints[edge.thing, src, text] = None
+            elif isinstance(item, RegionTrigger):
+                trigger = model.triggers_by_id[item.edge_id]
+                src = stages[trigger.src]
+                watch[src, None] = None
+                dst = stages[trigger.dst]
+                walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
+            elif item.ref in stages:  # no flow reaches a stage no edge touches
+                watch[stages[item.ref], None] = None
+        parts = tuple(
+            key if dsts is None  # a trigger: the key is the item
+            else (*key, tuple(dsts), tuple(f"{key[1]}: {key[0].text} -> {d.text}"
+                                           for d in dsts))
+            for key, dsts in walk.items()
+        )
+        regions.append(_Region(tuple(mints), parts, tuple(watch)))
+    spawns = {}
+    for t in model.triggers:
+        dst = stages[t.dst]
+        if dst.kind == "create":
+            spawns[t.id] = tuple(f"{thing} @ {dst.text} via {t.id}" for thing in dst.outs)
+    by_text = {stage.text: stage for stage in stages.values()}
+    tables = (tuple(regions), spawns, by_text, {t.name for t in model.things})
+    return cache.setdefault("_sim_tables", tables)
+
+
 class _Engine:
     """Mutable state of one run, resumable from a SimState.
 
+    ``regions`` and ``spawns`` are the model's ``_tables``, read once.
     ``timings`` maps each fired event, in firing order, to the timing pair its
     snapshots share; ``tokens`` maps live token ids to tokens, in mint order.
     ``at`` indexes the live tokens by stage record, each bucket keyed by mint
-    rank; a stage no edge touches gets one record per engine, in ``untouched``.
+    rank. A stage no edge touches gets a fresh record, ``_Stage(ref)``, per
+    token the engine starts with and per distinct injection there: no pass,
+    watch or snapshot reads its bucket.
     ``sweep`` holds the declaration positions of the events a step visits:
     fired perpetual events and unfired events whose predecessors all fired.
     """
@@ -290,7 +366,7 @@ class _Engine:
         """Check the state's scenario against the model (ScenarioError) and resolve it."""
         self.model = model
         self.scenario = scenario = state.scenario
-        stages = model.stages_by_text
+        self.regions, self.spawns, stages, things = _tables(model)
         self.choices: dict[str, list[str]] = {}
         for key, branch in scenario.choices:
             outs = stages[key].outs.values() if key in stages else ()
@@ -307,7 +383,6 @@ class _Engine:
             if key not in stages or not stages[key].triggered:
                 raise ScenarioError(f"gate '{key}' does not name a trigger destination")
             self.gates.setdefault(key, value)  # the first line for a gate wins
-        self.untouched = _Interned()
         self.injections: dict[int, list[tuple[str, _Stage, str]]] = {}
         # each distinct (thing, path, kind) is checked and resolved once, first-seen;
         # as plain tuples they run no StageRef ==
@@ -317,13 +392,13 @@ class _Engine:
                 raise ScenarioError("injection step must be >= 1")
             key = (inj.thing, *inj.ref)
             if key not in mints:
-                if inj.thing not in model.things_by_name:
+                if inj.thing not in things:
                     raise ScenarioError(f"injection of unknown thing '{inj.thing}'")
                 if key[1:] != ((ENV_NAME,), StageKind.TRANSFER):
                     raise ScenarioError(
                         f"injections enter at '{ENV_NAME}.transfer', got '{inj.ref}'"
                     )
-                stage = stages.get(str(inj.ref)) or self.untouched[inj.ref]
+                stage = stages.get(str(inj.ref)) or _Stage(inj.ref)
                 mints[key] = (inj.thing, stage, f"{inj.thing} @ {stage.text} via injection")
             self.injections.setdefault(inj.step, []).append(mints[key])
         if scenario.max_steps < 1:
@@ -333,7 +408,7 @@ class _Engine:
         self.ranks = count()
         for token in state.tokens:
             self.tokens[token.id] = token
-            stage = model.stages.get(token.at) or self.untouched[token.at]
+            stage = model.stages.get(token.at) or _Stage(token.at)
             self.at.setdefault(stage, {})[next(self.ranks)] = token
         self.next_token = state.next_token
         self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
@@ -440,7 +515,7 @@ class _Engine:
                         continue
                 entries.append(new(TraceEntry, (step_no, "trigger", label, detail)))
                 if dsts.kind == "create":
-                    for thing, text in zip(dsts.outs, self.model.spawns[label]):
+                    for thing, text in zip(dsts.outs, self.spawns[label]):
                         self.mint(thing, dsts, text)
                 continue
             # a flow group: label is its thing and detail has a text per dst;
@@ -475,7 +550,7 @@ class _Engine:
         # swept from the next one: its predecessor fired before that step.
         for i in sorted(self.sweep):
             event = self.model.events[i]
-            region = self.model.regions[i]
+            region = self.regions[i]
             if event.name not in self.timings:  # fired events here are perpetual
                 if not region.mints:  # work needs a token at a watched stage
                     for stage, thing in region.watch:

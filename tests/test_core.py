@@ -184,7 +184,7 @@ def _mistake(rng: random.Random, model: Model, mistake: str):
     used = [str(ref) for ref in model.stages]
     thing = rng.choice(model.things).name
     if mistake == "untouched stage":
-        untouched = [f"{m.id}.{kind}" for m in model.machines for kind in StageKind
+        untouched = [f"{'.'.join(m.path)}.{kind}" for m in model.machines for kind in StageKind
                      if StageRef(m.path, kind) not in model.stages]
         return "E301", NodeItemDecl(rng.choice(untouched)), True
     if mistake == "missing edge":

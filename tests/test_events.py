@@ -507,6 +507,24 @@ def test_validate_refuses_a_hand_built_chronology(edge, diagnostic):
             refuse()
 
 
+def test_each_chronology_is_checked_once(monkeypatch):
+    # build_model checks the chronology it builds, and validate reads that
+    # check; validate_chronology reads it too and returns a list of its own.
+    calls = []
+    check = core._chronology_diagnostics
+    monkeypatch.setattr(core, "_chronology_diagnostics",
+                        lambda *args: calls.append(args) or check(*args))
+    model = parse(corpus_path("murderer.tm").read_text()).model
+    validate(model, lax=True)
+    assert validate_chronology(model) == []
+    assert len(calls) == 1
+    chron = model.chronology
+    broken = replace(model, chronology=Chronology(chron.nodes, (*chron.edges, ("e2", "e1"))))
+    validate_chronology(broken).clear()
+    assert codes(validate_chronology(broken)) == codes(validate(broken)) == ["E302"]
+    assert len(calls) == 2
+
+
 def test_validate_refuses_a_hand_built_chronology_node_that_is_no_event():
     # with the node, the edge names no unknown end, so only the node is reported
     model = load_corpus_model("murderer")

@@ -33,7 +33,9 @@ from tmkit.core import (
     build_model,
     validate,
 )
-from tmkit.dsl import parse
+from tmkit.dsl import parse, serialize
+from tmkit.events import coverage
+from tmkit.render import render_chronology, render_events, render_static
 from tmkit.sim import (
     EventTiming,
     Injection,
@@ -43,6 +45,7 @@ from tmkit.sim import (
     SimulationError,
     Token,
     Trace,
+    _tables,
     conforms,
     format_trace,
     init_state,
@@ -306,16 +309,22 @@ def test_a_fanout_group_moves_at_its_first_flow():
 
 def test_the_region_table_is_built_once_per_model(monkeypatch):
     built = 0
-    real_init = tmkit.core._Region.__init__
+    real_init = tmkit.sim._Region.__init__
 
     def counting_init(self, *args):
         nonlocal built
         built += 1
         real_init(self, *args)
 
-    monkeypatch.setattr(tmkit.core._Region, "__init__", counting_init)
+    monkeypatch.setattr(tmkit.sim._Region, "__init__", counting_init)
     model = load_corpus_model("murderer")
-    assert built == 0
+    # the static checks and views read no simulator table
+    validate(model, lax=True)
+    serialize(model)
+    for view in (render_static, render_events, render_chronology):
+        view(model)
+    coverage(model)
+    assert built == 0 and "_sim_tables" not in vars(model)
     scenario = load_corpus_scenario("murderer_truth")
     simulate(model, scenario)
     state = init_state(model, scenario)
@@ -1222,7 +1231,7 @@ def _distinct_hop_and_trigger_details(steps: int) -> tuple[int, int]:
     trace = simulate(model, scenario)  # alive while the ids are taken
     kinds = {"trigger", "process", "release", "transfer", "receive"}
     details = {id(e.detail) for e in trace.entries if e.kind in kinds}
-    return len(details), sum(len(region.walk) for region in model.regions)
+    return len(details), sum(len(region.walk) for region in _tables(model)[0])
 
 
 def test_hop_and_trigger_entries_share_their_region_items_detail():
@@ -1252,7 +1261,7 @@ def test_simulate_makes_fewer_python_calls_than_entries():
     flood = bench_workloads().flood(20, 75, 0)
     model = parse(flood.models["flood"]).model
     scenario = load_scenario(flood.sims[0].scenario)
-    model.regions  # built once per model, outside the count
+    _tables(model)  # built once per model, outside the count
     calls = 0
 
     def profile(frame, event, arg):
@@ -1318,7 +1327,7 @@ def test_simulate_resolves_each_injection_once_and_files_mints_inline():
     flood = bench_workloads().flood(20, 75, 0)
     model = parse(flood.models["flood"]).model
     scenario = load_scenario(flood.sims[0].scenario)
-    model.regions  # built once per model, outside the count
+    _tables(model)  # built once per model, outside the count
     calls = dict.fromkeys(("is_env", "stage", "_eq", "place"), 0)
 
     def profile(frame, event, arg):
@@ -1545,7 +1554,7 @@ def _sparse_case(seed: int) -> tuple[Model, Scenario]:
     assert isinstance(model, Model), [str(d) for d in model]
     lines = [f"inject {rng.choice(things)} env.transfer @{rng.randint(1, 2000)}"
              for _ in range(rng.randint(0, 4))]
-    for text, stage in model.stages_by_text.items():
+    for text, stage in _tables(model)[2].items():
         branches = [dst for dsts in stage.outs.values() if len(dsts) >= 2 for dst in dsts]
         lines += [f"choose {text} {rng.choice(branches)}"
                   for _ in range(rng.randint(0, 6) if branches else 0)]

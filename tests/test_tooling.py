@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -44,6 +45,26 @@ def test_every_traced_name_exists(monkeypatch):
     missing = [f"{m.__name__}.{attr}" for m, attr, _ in targets if not hasattr(m, attr)]
     assert targets
     assert missing == []
+
+
+def test_each_cached_table_of_the_model_is_read_by_core_or_two_other_modules():
+    # core.py is compiled by every tm command: a table of core.Model that one
+    # other module alone reads, such as the simulator's, lives in that module.
+    package = Path(tmkit.core.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    model = next(node for node in trees["core.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "Model")
+    tables = [node.name for node in model.body if isinstance(node, ast.FunctionDef)
+              and any(ast.unparse(d) == "cached_property" for d in node.decorator_list)]
+    readers = {
+        name: {file for file, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == name
+               and isinstance(node.ctx, ast.Load)}
+        for name in tables
+    }
+    lone = [name for name, files in readers.items() if "core.py" not in files and len(files) < 2]
+    assert "stages" in tables
+    assert lone == []
 
 
 def test_simulate_validates_and_initialises_once(monkeypatch):
