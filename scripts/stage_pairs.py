@@ -28,7 +28,9 @@ The script exits non-zero if the two sides' emitter bytes (``render_events``
 also on a fresh model that runs it before ``render_static``), flood trace
 bytes, relay or flood step-loop entries (as text) differ, or the trace bytes of
 the relay scenario or of any of the 8 corpus scenarios (read from PARENT_SRC's
-corpus), which run events to completion and take choices and gates.
+corpus), which run events to completion and take choices and gates, or each
+step's ``SimState.tokens`` (as text) in a step loop over the relay, flood or
+corpus scenarios.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -176,6 +178,22 @@ def trace_text(tmkit, text: str, scenario_text: str) -> str:
     return sim.format_trace(sim.simulate(model, sim.load_scenario(scenario_text)))
 
 
+def token_text(tmkit, text: str, scenario_text: str) -> str:
+    """Each step's live tokens (``SimState.tokens``), one line per step of a
+    step loop over a scenario on a model's source text."""
+    sim = tmkit.sim
+    model = tmkit.dsl.parse(text, FILE).model
+    scenario = sim.load_scenario(scenario_text)
+    state, lines = sim.init_state(model, scenario), []
+    for _ in range(scenario.max_steps):
+        state, _ = sim.step(model, state)
+        lines.append(f"{state.step_no}\t" + " ".join(
+            f"{t.id}:{t.thing}@{t.at}" for t in state.tokens))
+        if state.quiescent:
+            break
+    return "\n".join(lines)
+
+
 def timed(make) -> float:
     call = make()
     gc.collect()
@@ -209,11 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     relay = workloads.relay(args.n)
     text = relay.models["relay"]
     corpus = workloads.corpus(args.parent / "tmkit" / "corpus")
-    runs = {"relay trace": (text, relay.sims[0].scenario)}
-    runs.update((f"{case.name} trace", (corpus.models[case.model], case.scenario))
-                for case in corpus.sims)
+    runs = {"relay": (text, relay.sims[0].scenario)}
+    runs.update((case.name, (corpus.models[case.model], case.scenario)) for case in corpus.sims)
     flood = workloads.flood()
     flood_text, flood_scenario = flood.models["flood"], flood.sims[0].scenario
+    stepped = runs | {"flood": (flood_text, flood_scenario)}
     sides, outputs, counts = {}, {}, []
     for label, src in (("parent", args.parent), ("change", args.change)):
         tmkit = load(src, f"tmkit_{label}")
@@ -234,7 +252,10 @@ def main(argv: list[str] | None = None) -> int:
         for workload, loop in (("relay", "relay step_loop"), ("flood", "step_loop")):
             outputs[label][f"{workload} step loop"] = "".join(
                 "\t".join(map(str, entry)) + "\n" for entry in sides[label][loop]()())
-        outputs[label].update((name, trace_text(tmkit, *run)) for name, run in runs.items())
+        outputs[label].update((f"{name} trace", trace_text(tmkit, *run))
+                              for name, run in runs.items())
+        outputs[label].update((f"{name} step tokens", token_text(tmkit, *run))
+                              for name, run in stepped.items())
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")

@@ -47,17 +47,17 @@ before the next injection, or to ``max_steps``. ``step`` still runs one
 macro-step per call.
 
 Cost follows the work done, not the size of the run. Every entry text is
-formatted in this module. Each region item's entry text and each create text
-is formatted once per model object (``_tables``, kept in its instance dict)
-or engine (once per distinct injection), and every entry that uses one
-shares that string. Live tokens are indexed by stage, so a region pass reads
-only a flow group's source bucket, in mint order, not arrival order, passing
-over tokens of other things. A pass calls no Python function except to mint
-or to take a choice, and a hop or a mint builds only its entry and its
-token. A ready frontier counts each unfired event's unfired predecessors, so
-a step sweeps, in declaration order, only the fired perpetual events and the
-unfired events whose predecessors have all fired; an event unlocked in step
-s is swept from step s+1.
+formatted in this module. Each region item's entry text and each create text is
+formatted once per model object (``_tables``, kept in its instance dict) or
+engine (once per distinct injection), and every entry that uses one shares that
+string. A live token is its (id, thing) pair, made at mint and indexed by
+stage, so a region pass reads only a flow group's source bucket, in mint order,
+not arrival order, passing over tokens of other things. A pass calls no Python
+function except to mint or to take a choice, and a hop builds only its entry. A
+ready frontier counts each unfired event's unfired predecessors, so a step
+sweeps, in declaration order, only the fired perpetual events and the unfired
+events whose predecessors have all fired; an event unlocked in step s is swept
+from step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``init_state`` or
@@ -65,12 +65,13 @@ handle from the state it steps, so only a state that ``init_state`` or
 a state with the same model object resumes its engine. Copies, pickles and
 ``replace``d states hold no handle; stepping one of them, an older state, or
 a state with another model object rebuilds the engine, at a cost of its
-tokens and events. Building an engine is where a scenario is checked, so a
-rebuilt one refuses what ``init_state`` refuses. A
-snapshot builds one instance dict, in one write that skips ``SimState``'s
-``__init__``, and copies, in C, the live tokens' pointers and the fired
-events' timing pairs. Each pair is built once, when its event fires: a
-one-shot event ends in that step or the run raises, so its pair is final.
+tokens and events, and refuses what ``init_state(lax=True)`` refuses.
+``Token`` records are made only for snapshots: a snapshot applies the step's
+logged mints and hops to the engine's ``Token`` per live id, then builds one
+instance dict, in one write that skips ``SimState``'s ``__init__``, and
+copies, in C, the live tokens' pointers and the fired events' timing pairs.
+Each pair is built once, when its event fires: a one-shot event ends in that
+step or the run raises, so its pair is final.
 
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import count
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from ._frozen import factory, frozen
@@ -121,7 +122,7 @@ __all__ = [
 ]
 
 _MAX_PASSES = 10_000  # defensive bound for run-to-completion of one event
-_thing = attrgetter("thing")
+_thing = itemgetter(1)  # of a live token's (id, thing) pair
 
 
 class ScenarioError(ValueError):
@@ -353,11 +354,12 @@ class _Engine:
 
     ``regions`` and ``spawns`` are the model's ``_tables``, read once.
     ``timings`` maps each fired event, in firing order, to the timing pair its
-    snapshots share; ``tokens`` maps live token ids to tokens, in mint order.
-    ``at`` indexes the live tokens by stage record, each bucket keyed by mint
-    rank. A stage no edge touches gets a fresh record, ``_Stage(ref)``, per
-    token the engine starts with and per distinct injection there: no pass,
-    watch or snapshot reads its bucket.
+    snapshots share. ``at`` holds the live tokens' (id, thing) pairs by stage
+    record, each bucket keyed by mint rank; ``moves`` logs this step's mints
+    and hops as (pair, stage or None for an exit), which a snapshot applies to
+    ``tokens``, the ``Token`` per live id in mint order. A stage no edge
+    touches gets a fresh record, ``_Stage(ref)``, per token the engine starts
+    with and per distinct injection there: no pass or watch reads its bucket.
     ``sweep`` holds the declaration positions of the events a step visits:
     fired perpetual events and unfired events whose predecessors all fired.
     """
@@ -404,12 +406,13 @@ class _Engine:
         if scenario.max_steps < 1:
             raise ScenarioError("max_steps must be >= 1")
         self.tokens: dict[str, Token] = {}
-        self.at: dict[_Stage, dict[int, Token]] = {}
+        self.at: dict[_Stage, dict[int, tuple[str, str]]] = {}
+        self.moves: list[tuple[tuple[str, str], _Stage | None]] = []
         self.ranks = count()
         for token in state.tokens:
             self.tokens[token.id] = token
             stage = model.stages.get(token.at) or _Stage(token.at)
-            self.at.setdefault(stage, {})[next(self.ranks)] = token
+            self.at.setdefault(stage, {})[next(self.ranks)] = (token.id, token.thing)
         self.next_token = state.next_token
         self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
         self.last_injection = max(self.injections, default=0)
@@ -441,15 +444,22 @@ class _Engine:
     def snapshot(self, quiescent: bool) -> SimState:
         """The state after this step, holding a handle that lets ``step`` resume here.
 
-        The state skips ``SimState.__init__``: one write fills its instance
-        dict with the fields, in declaration order as ``__init__`` stores
-        them, so that it pickles the same, and then the handle.
+        It applies ``moves`` to ``tokens`` (a ``Token`` per mint and hop) and
+        skips ``SimState.__init__``: one write fills its instance dict with the
+        fields, in declaration order as ``__init__`` stores them, so that it
+        pickles the same, and then the handle.
         """
+        tokens = self.tokens
+        for (token_id, thing), dst in self.moves:
+            if dst is None:
+                del tokens[token_id]
+            else:
+                tokens[token_id] = tuple.__new__(Token, (token_id, thing, dst.ref))
         state = object.__new__(SimState)
         vars(state).update(  # the handle is no field: outside repr, == and hash
             scenario=self.scenario,
             step_no=self.step_no,
-            tokens=tuple(self.tokens.values()),
+            tokens=tuple(tokens.values()),
             next_token=self.next_token,
             choice_taken=tuple(self.taken.values()),
             timings=tuple(self.timings.values()),
@@ -467,12 +477,13 @@ class _Engine:
         """Mint a token of the thing at the stage; ``text`` is its create entry's detail."""
         token_id = f"tok{self.next_token}"
         self.next_token += 1
-        token = self.tokens[token_id] = tuple.__new__(Token, (token_id, thing, stage.ref))
+        pair = (token_id, thing)
+        self.moves.append((pair, stage))
         rank, at = next(self.ranks), self.at
         if stage in at:
-            at[stage][rank] = token
+            at[stage][rank] = pair
         else:
-            at[stage] = {rank: token}
+            at[stage] = {rank: pair}
         self.entries.append(tuple.__new__(TraceEntry, (self.step_no, "create", token_id, text)))
 
     def choose(self, src: _Stage, dsts: tuple, details: tuple) -> tuple[_Stage, str]:
@@ -496,7 +507,7 @@ class _Engine:
 
     def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
         """One declaration-order pass over the region. True if it emitted."""
-        entries, tokens, at, gates = self.entries, self.tokens, self.at, self.gates
+        entries, moves, at, gates = self.entries, self.moves, self.at, self.gates
         step_no, new = self.step_no, tuple.__new__  # a record's __new__ would add a frame
         before = len(entries)
         for src, label, dsts, detail in region.walk:
@@ -522,20 +533,20 @@ class _Engine:
             # its tokens move in mint order, whatever their arrival
             dst, text, fan = dsts[0], detail[0], len(dsts) > 1
             for rank in sorted(bucket):
-                if bucket[rank].thing != label:
+                if bucket[rank][1] != label:
                     continue
                 if fan:
                     dst, text = self.choose(src, dsts, detail)
-                token = bucket.pop(rank)
-                entries.append(new(TraceEntry, (step_no, dst.kind, token.id, text)))
-                if dst.env:
-                    del tokens[token.id]
+                pair = bucket.pop(rank)
+                entries.append(new(TraceEntry, (step_no, dst.kind, pair[0], text)))
+                if dst.env:  # the token leaves the system
+                    moves.append((pair, None))
                     continue
-                moved = tokens[token.id] = new(Token, (token.id, label, dst.ref))
+                moves.append((pair, dst))
                 if dst in at:
-                    at[dst][rank] = moved
+                    at[dst][rank] = pair
                 else:
-                    at[dst] = {rank: moved}
+                    at[dst] = {rank: pair}
         return len(entries) > before
 
     # -- one macro-step ----------------------------------------------------------
@@ -543,6 +554,7 @@ class _Engine:
     def run_step(self) -> bool:
         """Run one macro-step; return whether the run is now quiescent."""
         self.step_no += 1
+        self.moves.clear()  # only the snapshot after this step reads them
         before = len(self.entries)
         for thing, stage, text in self.injections.get(self.step_no, ()):
             self.mint(thing, stage, text)
@@ -605,12 +617,12 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
 
     A state that ``init_state`` or ``step`` returned and that has not been
     stepped yet continues the engine that made it, so a step costs a step of
-    ``simulate`` plus the snapshot: one instance dict and two copies in C,
-    of the live tokens' pointers and of the fired events' timing pairs. Any
-    other state (an older one, a copy, a replaced one, or one paired with
-    another model object) gives the same result from an engine rebuilt from
-    the state. A rebuilt engine checks the state's scenario as
-    ``init_state`` does and raises :class:`ScenarioError` on the same lines.
+    ``simulate`` plus the snapshot: a ``Token`` per mint and hop, one instance
+    dict and two copies in C, of the live tokens' pointers and of the fired
+    events' timing pairs. Any other state (an older one, a copy, a replaced
+    one, or one paired with another model object) gives the same result from
+    an engine rebuilt from the state, which first refuses the model or the
+    scenario with the error ``init_state(model, scenario, lax=True)`` raises.
     """
     if state.quiescent:
         return state, []
@@ -618,6 +630,7 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     # gets the engine; the other rebuilds.
     engine = vars(state).pop("_engine", None)
     if engine is None or engine.model is not model:
+        _require_no_errors(validate(model, lax=True))
         engine = _Engine(model, state)
     engine.entries = []  # each call's entries are its own
     quiescent = engine.run_step()
@@ -671,9 +684,11 @@ def _simulate(model: Model, scenario: Scenario, lax: bool) -> Trace:
 
 def format_trace(trace: Trace) -> str:
     """Byte-stable text form: one tab-separated entry per line."""
-    lines = [
-        f"{e.step}\t{e.kind}\t{e.subject}\t{e.detail}" for e in trace.entries
-    ]
+    lines, last, head = [], object(), ""
+    for step_no, kind, subject, detail in trace.entries:
+        if step_no is not last:  # a run's entries share their step's object
+            last, head = step_no, f"{step_no}\t"
+        lines.append(f"{head}{kind}\t{subject}\t{detail}")
     lines.append(f"terminated={trace.terminated}")
     return "\n".join(lines) + "\n"
 

@@ -24,6 +24,7 @@ from tmkit.core import (
     Event,
     EventDecl,
     FlowDecl,
+    MachineDecl,
     Model,
     RegionFlow,
     RegionNode,
@@ -45,6 +46,7 @@ from tmkit.sim import (
     SimulationError,
     Token,
     Trace,
+    TraceEntry,
     _tables,
     conforms,
     format_trace,
@@ -613,6 +615,32 @@ def test_an_equal_reparsed_model_steps_like_a_fresh_engine():
         state, entries = step(twin if i % 2 else model, state)
         alternating.append((state, entries))
     assert alternating == _step_chain(model, start, 25)
+
+
+def test_a_rebuilt_engine_refuses_the_model_init_state_refuses():
+    murderer = load_corpus_model("murderer")
+    ghost = replace(murderer, events=(Event("ghost", items=(RegionFlow("f999"),)),),
+                    chronology=None)
+    with pytest.raises(ValueError) as refused:
+        init_state(ghost, Scenario(), lax=True)
+    with pytest.raises(ValueError) as stepped:
+        step(ghost, init_state(murderer, Scenario()))
+    assert type(stepped.value) is type(refused.value)
+    assert str(stepped.value) == str(refused.value) and "E301" in str(refused.value)
+    # the check is lax: a model only lax validation admits still steps when rebuilt
+    shortcut = build_model("shortcut", [
+        ThingDecl("water"), MachineDecl("tank"), MachineDecl("processor"),
+        FlowDecl("water", "env.transfer", "tank.process"),
+        FlowDecl("water", "tank.process", "processor.receive"),
+        EventDecl("pour", items=(FlowDecl("water", "env.transfer", "tank.process"),
+                                 FlowDecl("water", "tank.process", "processor.receive"))),
+    ])
+    assert {d.code for d in validate(shortcut) if d.is_error} == {"E103"}
+    state = init_state(shortcut, load_scenario("inject water env.transfer @1\n"), lax=True)
+    resumed, entries = step(shortcut, state)
+    assert step(shortcut, copy.copy(state)) == (resumed, entries)
+    assert [e.kind for e in entries] == ["create", "event_start", "process", "receive",
+                                         "event_end"]
 
 
 @pytest.mark.parametrize(
@@ -1413,6 +1441,108 @@ def test_a_token_at_an_untouched_stage_is_kept_by_a_replaced_state():
     state, entries = step(model, replace(state, tokens=(parked,), next_token=10))
     assert [(e.kind, e.subject) for e in entries] == [("create", "tok10")]
     assert state.tokens == (parked, Token("tok10", "x", StageRef(("env",), StageKind.TRANSFER)))
+
+
+_HOPS = {"process", "release", "transfer", "receive"}
+
+
+def _replay(live: dict[str, tuple[str, str]], entries) -> None:
+    """Apply entries to ``live`` (token id -> (thing, stage text), in mint order)
+    from their texts alone: a create places its subject at the stage its detail
+    names, a hop moves it to the ``-> dst`` stage and one onto env.transfer
+    removes it."""
+    for e in entries:
+        if e.kind == "create":
+            thing, rest = e.detail.split(" @ ", 1)
+            live[e.subject] = (thing, rest.split(" via ", 1)[0])
+        elif e.kind in _HOPS:
+            dst = e.detail.rsplit(" -> ", 1)[1]
+            if dst == "env.transfer":
+                del live[e.subject]
+            else:
+                live[e.subject] = (live[e.subject][0], dst)
+
+
+def _oracle_runs() -> list[tuple[str, Model, str]]:
+    runs = [(entry.name, load_corpus_model(entry.name), path.read_text())
+            for entry in corpus_list() for path in entry.scenarios]
+    assert len(runs) == 8
+    workloads = bench_workloads()
+    for name, inputs in (("relay", workloads.relay(40)), ("flood", workloads.flood(20, 75))):
+        runs.append((name, parse(inputs.models[name]).model, inputs.sims[0].scenario))
+    two = "inject x env.transfer @1\ninject x env.transfer @1\n"
+    runs += [
+        ("detour", parse(_DETOUR_MODEL).model,
+         two + "choose a.transfer mid.transfer\nchoose a.transfer sink.transfer\n"),
+        ("fanout", parse(_FANOUT_AFTER_DETOUR_MODEL).model,
+         two + "choose a.transfer mid.transfer\nchoose a.transfer hub.transfer\n"
+         "choose hub.transfer p.transfer\nchoose hub.transfer q.transfer\n"),
+        ("shared", parse(_MIXED_BUCKET_MODEL).model,
+         "inject x env.transfer @1\ninject y env.transfer @1\ninject x env.transfer @1\n"
+         "inject y env.transfer @2\nmax_steps 2\n"),
+    ]
+    return runs
+
+
+def test_each_snapshot_holds_the_tokens_its_entries_replay_to():
+    # An oracle independent of the engine's token index: the live tokens
+    # after every step are what the step's entries, read as text, say.
+    for name, model, scenario_text in _oracle_runs():
+        scenario = load_scenario(scenario_text)
+        state, live, moved = init_state(model, scenario), {}, 0
+        for _ in range(scenario.max_steps):
+            state, entries = step(model, state)
+            _replay(live, entries)
+            moved += sum(e.kind in _HOPS for e in entries)
+            assert [(t.id, t.thing, str(t.at)) for t in state.tokens] == [
+                (token_id, *at) for token_id, at in live.items()
+            ], (name, state.step_no)
+            if state.quiescent:
+                break
+        assert moved, name
+
+
+def test_simulate_builds_a_tuple_per_entry_and_no_token_per_hop():
+    # A hop moves its token's (id, thing) pair and builds only its entry:
+    # tuple.__new__ runs once per entry (records skip their generated
+    # __new__), and the Token records are left to step's snapshots.
+    flood = bench_workloads().flood(20, 75, 0)
+    model = parse(flood.models["flood"]).model
+    scenario = load_scenario(flood.sims[0].scenario)
+    _tables(model)  # built once per model, outside the count
+    new = tuple.__new__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call" and arg is new
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = simulate(model, scenario)
+    finally:
+        sys.setprofile(previous)
+    creates = sum(e.kind == "create" for e in trace.entries)
+    assert creates == 75 and len(trace.entries) > 1000
+    assert calls <= len(trace.entries) + creates, f"{calls} for {len(trace.entries)} entries"
+
+
+def test_format_trace_gives_the_per_entry_formulas_bytes():
+    big, twin = int("9" * 30), int("9" * 30)
+    assert big == twin and big is not twin
+    cases = [
+        [3, 2, 2, 1],  # steps that go down
+        [1, 1.0, True, 1, True, 1.0],  # equal steps that format apart
+        [big, twin, big, 7, twin],  # equal large ints that are distinct objects
+        [],
+    ]
+    for steps in cases:
+        entries = tuple(TraceEntry(s, "create", f"tok{i}", "x @ env.transfer via injection")
+                        for i, s in enumerate(steps))
+        trace = Trace(entries=entries, fired_events=(), terminated="step_limit")
+        expected = "".join(f"{e.step}\t{e.kind}\t{e.subject}\t{e.detail}\n" for e in entries)
+        assert format_trace(trace) == expected + "terminated=step_limit\n"
 
 
 def test_choice_entries_match_consumed_choices():
