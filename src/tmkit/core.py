@@ -276,13 +276,6 @@ class Chronology:
     edges: tuple[tuple[str, str], ...]
 
     @cached_property
-    def predecessor_map(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            out.setdefault(b, []).append(a)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def order(self) -> tuple[str, ...] | None:
         """One topological order, peeled once per object, or None if cyclic."""
         indegree = {n: 0 for n in self.nodes}
@@ -734,6 +727,13 @@ def _chronology_diagnostics(chronology: Chronology) -> list[Diagnostic]:
                 )
             )
     return diags
+
+
+def _respects(chronology: Chronology, sequence) -> bool:
+    """Whether every edge that ends at an event of the sequence starts at an earlier one."""
+    position = {name: i for i, name in enumerate(sequence)}
+    return all(a in position and position[a] < position[b]
+               for a, b in chronology.edges if b in position)
 
 
 def _unknown_event(name: str) -> Diagnostic:

@@ -19,6 +19,7 @@ from .core import (
     Model,
     RegionNode,
     _check_event_decl,
+    _respects,
 )
 
 __all__ = [
@@ -110,11 +111,7 @@ def is_linear_extension(chronology: Chronology, sequence) -> bool:
         raise ValueError("sequence must be a permutation of the chronology nodes")
     if chronology.order is None:
         return False
-    position = {node: i for i, node in enumerate(seq)}
-    for before, after in chronology.edges:
-        if position[before] >= position[after]:
-            return False
-    return True
+    return _respects(chronology, seq)
 
 
 def topological_order(chronology: Chronology) -> list[str] | None:

@@ -99,6 +99,7 @@ from .core import (
     _paused,
     _record,
     _require_no_errors,
+    _respects,
     parse_stage_ref,
     validate,
 )
@@ -418,26 +419,19 @@ class _Engine:
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
-        chronology = model.chronology
-        preds = chronology.predecessor_map if chronology is not None else {}
-        self.sweep: set[int] = set()
+        fired, events = self.timings, model.events
+        self.unfired = sum(not e.perpetual and e.name not in fired for e in events)
         self.waiting: dict[int, int] = {}  # unfired predecessors of a blocked event
         self.successors: dict[str, list[int]] = {}  # events each unfired one blocks
-        self.unfired = 0  # non-perpetual events that have not fired
-        for i, event in enumerate(model.events):
-            if event.name in self.timings:
-                if event.perpetual:
-                    self.sweep.add(i)
-                continue
-            if not event.perpetual:
-                self.unfired += 1
-            blockers = [p for p in preds.get(event.name, ()) if p not in self.timings]
-            for p in blockers:
-                self.successors.setdefault(p, []).append(i)
-            if blockers:
-                self.waiting[i] = len(blockers)
-            else:
-                self.sweep.add(i)
+        index = {e.name: i for i, e in enumerate(events)}  # validate: each node is an event
+        for a, b in model.chronology.edges if model.chronology is not None else ():
+            if a not in fired and b not in fired:
+                j = index[b]
+                self.successors.setdefault(a, []).append(j)
+                self.waiting[j] = self.waiting.get(j, 0) + 1
+        # built after the edges: a set keeps its table after discards, and sorted() walks it
+        self.sweep = {i for i, e in enumerate(events)
+                      if i not in self.waiting and (e.perpetual or e.name not in fired)}
 
     # -- state snapshot ------------------------------------------------------
 
@@ -705,9 +699,4 @@ def conforms(trace: Trace, chronology: Chronology) -> bool:
     for name in trace.fired_events:
         if name not in nodes:
             raise ValueError(f"unknown event id '{name}' in trace")
-    position = {name: i for i, name in enumerate(trace.fired_events)}
-    for name in trace.fired_events:
-        for pred in chronology.predecessor_map.get(name, ()):
-            if pred not in position or position[pred] >= position[name]:
-                return False
-    return True
+    return _respects(chronology, trace.fired_events)

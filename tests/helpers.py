@@ -7,6 +7,7 @@ import gc
 import importlib.util
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from tmkit.core import (
     build_model,
 )
 from tmkit.dsl import parse
-from tmkit.sim import Scenario, load_scenario
+from tmkit.sim import Scenario, _tables, load_scenario
 
 CORPUS_NAMES = ("reservoir", "kant_ci", "murderer", "islamic")
 
@@ -69,25 +70,26 @@ def bench_workloads():
     return module
 
 
-def collector_runs(run) -> list[tuple[int, bool]]:
+def collector_runs(run) -> list[tuple[tuple[int, ...], bool]]:
     """``run()`` three times: with the collector as it stands, after the
     caller's ``gc.disable()`` and after its ``gc.set_threshold(0)``. For each,
-    the collections started during the call and whether the collector was
-    enabled after it; the caller's settings are put back in between."""
+    the generation of each collection started during the call and whether
+    the collector was enabled after it; the caller's settings are put back
+    in between."""
 
-    def counted() -> tuple[int, bool]:
-        started = 0
+    def counted() -> tuple[tuple[int, ...], bool]:
+        started: list[int] = []
 
         def hook(phase, info):
-            nonlocal started
-            started += phase == "start"
+            if phase == "start":
+                started.append(info["generation"])
 
         gc.callbacks.append(hook)
         try:
             run()
         finally:
             gc.callbacks.remove(hook)
-        return started, gc.isenabled()
+        return tuple(started), gc.isenabled()
 
     gc.collect()
     runs = [counted()]
@@ -416,6 +418,59 @@ def perpetual_relay(machines: int, steps: int) -> tuple[Model, Scenario]:
     ]
     scenario.append(f"max_steps {steps}")
     return result.model, load_scenario("\n".join(scenario) + "\n")
+
+
+def sparse_case(seed: int) -> tuple[Model, str]:
+    """A ``random_valid_model`` with an event that takes injected tokens in,
+    and the text of a scenario of a few injections far apart and a few choices
+    at each decision point. The model's own events are made one-shot: a
+    perpetual event that mints keeps every step busy, and its trace can grow
+    with the square of the steps."""
+    name, decls = random_valid_decls(seed)
+    decls = [d._replace(perpetual=False) if isinstance(d, EventDecl) else d for d in decls]
+    rng = random.Random(f"sparse{seed}")
+    flows = [d for d in decls if isinstance(d, FlowDecl)]
+    things = [d.name for d in decls if isinstance(d, ThingDecl)]
+    # env.transfer may pass on only the thing that flows into it, if any
+    into_env = {f.thing for f in flows if f.dst == "env.transfer"}
+    entering = [t for t in things if not into_env or into_env == {t}]
+    entries = []
+    for thing in entering:
+        first = next(f.src for f in flows if f.thing == thing).split(".")[0]
+        entries.append(FlowDecl(thing, "env.transfer", f"{first}.transfer"))
+    if entries:
+        decls = [*decls, *entries, EventDecl("arrive", rng.random() < 0.5, tuple(entries))]
+    model = build_model(name, decls)
+    assert isinstance(model, Model), [str(d) for d in model]
+    lines = [f"inject {rng.choice(things)} env.transfer @{rng.randint(1, 2000)}"
+             for _ in range(rng.randint(0, 4))]
+    for text, stage in _tables(model)[2].items():
+        branches = [dst for dsts in stage.outs.values() if len(dsts) >= 2 for dst in dsts]
+        lines += [f"choose {text} {rng.choice(branches)}"
+                  for _ in range(rng.randint(0, 6) if branches else 0)]
+    lines.append(f"max_steps {rng.randint(1, 3000)}")
+    return model, "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Renaming, for metamorphic relations: every user name in a model or
+# scenario text becomes ``qNNNN``, and the outputs are mapped back.
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KEYWORDS = RESERVED_WORDS | {"env", "inject", "choose", "gate", "max_steps", "true", "false"}
+
+
+def renaming(texts, reverse: bool = False) -> dict[str, str]:
+    """Each word of the texts that is no keyword of the model or scenario
+    language, mapped to ``qNNNN``, numbered in the words' sort order or, with
+    ``reverse``, in reverse sort order."""
+    words = {w for text in texts for w in _WORD.findall(text)} - _KEYWORDS
+    return {w: f"q{i:04d}" for i, w in enumerate(sorted(words, reverse=reverse))}
+
+
+def renamed(text: str, names: dict[str, str]) -> str:
+    """The text with each word that ``names`` maps replaced by its new name."""
+    return _WORD.sub(lambda m: names.get(m[0], m[0]), text)
 
 
 # ---------------------------------------------------------------------------

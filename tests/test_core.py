@@ -36,7 +36,7 @@ from tmkit.core import (
 )
 from tmkit.dsl import SourceSpan, parse, serialize
 from tmkit.render import render_events, render_static
-from tmkit.sim import Scenario, simulate
+from tmkit.sim import Scenario, SimulationError, simulate
 
 from helpers import (
     CORPUS_NAMES,
@@ -85,6 +85,17 @@ def test_flow_into_create_is_exactly_one_e104():
     )
     assert isinstance(result, list)
     assert codes(result) == ["E104"]
+
+
+def test_a_flow_into_create_is_no_edge_so_an_event_naming_it_is_e301():
+    flow = FlowDecl("water", "tank.process", "tank.create")
+    result = build_model(
+        "bad", [ThingDecl("water"), MachineDecl("tank"), flow, EventDecl("fill", items=(flow,))]
+    )
+    assert [(d.code, d.message) for d in result] == [
+        ("E104", "flow into create stage 'tank.create'"),
+        ("E301", "event 'fill': no flow 'water tank.process -> tank.create' in the model"),
+    ]
 
 
 def test_unresolved_path_is_e101():
@@ -265,6 +276,14 @@ def test_env_machine_name_is_reserved():
     assert codes(result) == ["E106"]
 
 
+@pytest.mark.parametrize("head", ["machine a\nmachine a", "machine env"])
+def test_a_refused_machine_is_one_e106_and_its_subtree_is_not_walked(head):
+    # the repeated child would be a second E106 if the refused block were walked
+    result = parse(f"model m\n{head} {{\n  machine b\n  machine b\n}}\n")
+    assert result.model is None
+    assert codes(result.diagnostics) == ["E106"]
+
+
 def test_malformed_identifiers_are_rejected_outright():
     with pytest.raises(ValueError):
         build_model("has space", [])
@@ -346,6 +365,17 @@ def test_same_thing_trigger_is_w201():
     diags = validate(model)
     assert codes(diags) == ["W201"]
     assert not diags[0].is_error
+
+
+def test_a_trigger_source_no_flow_touches_is_a_stage_of_its_machine():
+    # W201's check and the static view both read the trigger source's stage
+    result = parse(
+        "model m\nthing x\nmachine a\nmachine b\n"
+        "flow x a.create -> a.release\ntrigger b.process ~> a.process\n"
+    )
+    assert result.diagnostics == []
+    cluster_b = render_static(result.model).text.split('subgraph "cluster_b" {')[1].split("}")[0]
+    assert '"b.process" [label="process"];' in cluster_b
 
 
 def test_thing_identity_break_is_e105():
@@ -501,6 +531,15 @@ def test_resolve_env_transfer_is_reserved():
     ref = resolve(model, "env.transfer")
     assert isinstance(ref, StageRef)
     assert ref.is_env
+
+
+@pytest.mark.parametrize("error_type", [PathError, SimulationError])
+def test_an_error_with_a_diagnostic_reads_as_it(error_type):
+    diagnostic = Diagnostic("E101", "error", "a.b", "unresolved path 'a.b'")
+    # its one argument is the diagnostic's text, so its repr reads the message
+    # too; str alone would pass without the super().__init__ call
+    error = error_type(diagnostic)
+    assert (str(error), error.args) == (str(diagnostic), (str(diagnostic),))
 
 
 def test_resolve_unknown_segment_is_e101():

@@ -143,7 +143,7 @@ def test_long_chronology_chain_builds():
     result = parse(_chain_model_text(2000))
     assert result.model is not None, result.diagnostics[:3]
     assert len(result.model.chronology.edges) == 1999
-    assert result.model.chronology.predecessor_map["e1999"] == ("e1998",)
+    assert ("e1998", "e1999") in result.model.chronology.edges
 
 
 def test_long_chronology_cycle_is_one_e302():

@@ -66,7 +66,7 @@ from helpers import (
     load_corpus_model,
     load_corpus_scenario,
     perpetual_relay,
-    random_valid_decls,
+    sparse_case,
 )
 
 
@@ -194,6 +194,17 @@ def test_a_create_trigger_mints_its_things_in_out_flow_order():
     trace = simulate(model, load_scenario("inject x env.transfer @1\n"))
     mints = [e.detail for e in trace.entries if e.kind == "create" and "via t1" in e.detail]
     assert mints == ["b @ gen.create via t1", "a @ gen.create via t1"]
+
+
+def test_an_event_mints_its_entry_things_in_declaration_order_not_name_order():
+    model = parse(
+        "model m\nthing zed\nthing abe\nmachine m\n"
+        "flow zed m.create -> m.release\nflow abe m.create -> m.process\n"
+        "event e {\n  flow zed m.create -> m.release\n  flow abe m.create -> m.process\n}\n"
+    ).model
+    mints = [(e.subject, e.detail) for e in simulate(model, Scenario()).entries
+             if e.kind == "create"]
+    assert mints == [("tok1", "zed @ m.create via e"), ("tok2", "abe @ m.create via e")]
 
 
 # -- region walk ------------------------------------------------------------
@@ -1167,6 +1178,17 @@ def test_an_event_fires_the_step_after_its_predecessor():
     assert fired == [("first",), ("first", "second")]
 
 
+def test_the_ready_frontier_of_a_long_chain_is_a_small_set():
+    # Each step sorts the frontier, and a set keeps its table after discards:
+    # one filled with every event and then cut down would be walked whole.
+    lines = ["model chain", "thing x", "machine m", "flow x m.create -> m.release"]
+    lines += [f"event e{i} {{ flow x m.create -> m.release }}" for i in range(400)]
+    edges = [f"  e{i} -> e{i + 1}" for i in range(399)]
+    model = parse("\n".join([*lines, "chronology {", *edges, "}"]) + "\n").model
+    engine = vars(init_state(model, Scenario()))["_engine"]
+    assert engine.sweep == {0} and sys.getsizeof(engine.sweep) == sys.getsizeof({0})
+
+
 def test_stepping_a_perpetual_gated_relay_reproduces_simulate():
     model, scenario = perpetual_relay(20, 60)
     trace = simulate(model, scenario)
@@ -1328,14 +1350,14 @@ def test_simulate_leaves_no_reference_cycles():
 
 def test_simulate_pauses_the_collector_and_restores_it():
     # Unpaused, a flood simulate makes 20 collections, none of which frees
-    # anything (the test above). One young collection may follow a call that
-    # allocated past the threshold.
+    # anything (the test above). The call allocates past the threshold, so
+    # one young collection follows it.
     flood = bench_workloads().flood()
     model = parse(flood.models["flood"]).model
     scenario = load_scenario(flood.sims[0].scenario)
-    (collections, enabled), *rest = collector_runs(lambda: simulate(model, scenario))
-    assert collections <= 1 and enabled
-    assert rest == [(0, False), (0, True)]  # the caller's disable and threshold 0 hold
+    (generations, enabled), *rest = collector_runs(lambda: simulate(model, scenario))
+    assert generations == (1,) and enabled
+    assert rest == [((), False), ((), True)]  # the caller's disable and threshold 0 hold
     # an error inside the call restores the collector too
     with pytest.raises(SimulationError, match="does not match a region flow"):
         simulate(parse(_REGION_BRANCH_MODEL).model,
@@ -1660,38 +1682,6 @@ def test_simulate_skips_idle_steps(model_text, scenario, entries, terminated, ca
         assert len(ran) == calls
 
 
-def _sparse_case(seed: int) -> tuple[Model, Scenario]:
-    """A ``random_valid_model`` with an event that takes injected tokens in,
-    and a scenario of a few injections far apart and a few choices at each
-    decision point. The model's own events are made one-shot: a perpetual
-    event that mints keeps every step busy, and its trace can grow with the
-    square of the steps."""
-    name, decls = random_valid_decls(seed)
-    decls = [d._replace(perpetual=False) if isinstance(d, EventDecl) else d for d in decls]
-    rng = random.Random(f"sparse{seed}")
-    flows = [d for d in decls if isinstance(d, FlowDecl)]
-    things = [d.name for d in decls if isinstance(d, ThingDecl)]
-    # env.transfer may pass on only the thing that flows into it, if any
-    into_env = {f.thing for f in flows if f.dst == "env.transfer"}
-    entering = [t for t in things if not into_env or into_env == {t}]
-    entries = []
-    for thing in entering:
-        first = next(f.src for f in flows if f.thing == thing).split(".")[0]
-        entries.append(FlowDecl(thing, "env.transfer", f"{first}.transfer"))
-    if entries:
-        decls = [*decls, *entries, EventDecl("arrive", rng.random() < 0.5, tuple(entries))]
-    model = build_model(name, decls)
-    assert isinstance(model, Model), [str(d) for d in model]
-    lines = [f"inject {rng.choice(things)} env.transfer @{rng.randint(1, 2000)}"
-             for _ in range(rng.randint(0, 4))]
-    for text, stage in _tables(model)[2].items():
-        branches = [dst for dsts in stage.outs.values() if len(dsts) >= 2 for dst in dsts]
-        lines += [f"choose {text} {rng.choice(branches)}"
-                  for _ in range(rng.randint(0, 6) if branches else 0)]
-    lines.append(f"max_steps {rng.randint(1, 3000)}")
-    return model, load_scenario("\n".join(lines) + "\n")
-
-
 def _simulated(model: Model, scenario: Scenario):
     try:
         trace = simulate(model, scenario)
@@ -1726,7 +1716,8 @@ def test_simulate_with_idle_steps_skipped_equals_a_full_step_loop(monkeypatch):
     monkeypatch.setattr(tmkit.sim, "_MAX_PASSES", 50)
     idle = 0  # runs with an idle stretch: a step with no entry before the last step
     for seed in range(300):
-        model, scenario = _sparse_case(seed)
+        model, scenario_text = sparse_case(seed)
+        scenario = load_scenario(scenario_text)
         simulated = _simulated(model, scenario)
         assert simulated == _stepped(model, scenario), seed
         if simulated[0] == "error":

@@ -48,13 +48,15 @@ def test_every_traced_name_exists(monkeypatch):
 
 
 def test_each_cached_table_of_the_model_is_read_by_core_or_two_other_modules():
-    # core.py is compiled by every tm command: a table of core.Model that one
-    # other module alone reads, such as the simulator's, lives in that module.
+    # core.py is compiled by every tm command: a table of core.Model or of
+    # core.Chronology that one other module alone reads, such as the
+    # simulator's, lives in that module.
     package = Path(tmkit.core.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
-    model = next(node for node in trees["core.py"].body
-                 if isinstance(node, ast.ClassDef) and node.name == "Model")
-    tables = [node.name for node in model.body if isinstance(node, ast.FunctionDef)
+    classes = [node for node in trees["core.py"].body
+               if isinstance(node, ast.ClassDef) and node.name in ("Model", "Chronology")]
+    tables = [node.name for cls in classes for node in cls.body
+              if isinstance(node, ast.FunctionDef)
               and any(ast.unparse(d) == "cached_property" for d in node.decorator_list)]
     readers = {
         name: {file for file, tree in trees.items() for node in ast.walk(tree)
@@ -63,7 +65,7 @@ def test_each_cached_table_of_the_model_is_read_by_core_or_two_other_modules():
         for name in tables
     }
     lone = [name for name, files in readers.items() if "core.py" not in files and len(files) < 2]
-    assert "stages" in tables
+    assert {"stages", "order"} <= set(tables)
     assert lone == []
 
 
