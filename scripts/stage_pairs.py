@@ -11,16 +11,17 @@ perfbench/workloads.py (imported, not edited), seed 0. On the relay model of
 ``build_model``, ``validate``, the whole ``parse``, the emitters
 ``serialize``, ``render_static``, ``render_events`` and
 ``render_chronology``, and ``emit``, the emit block perfbench times
-(``serialize``, the three views, then ``coverage``) on one model. On the
+(``serialize``, the three views, then ``coverage``) on one model, and
+``tables``, the simulator's per-model tables (``sim._tables``). On the
 relay scenario they are ``simulate`` and ``step_loop`` (``init_state`` and a
 ``step`` per macro-step); on the flood model and scenario, at perfbench's
 size, ``simulate``, ``format_trace`` and ``step_loop``. Each
 stage's input is made outside its timed call, so ``validate`` runs on a
 fresh model each time, each emitter on a freshly parsed model whose
 ``Model.stages`` is already built, ``emit`` on a freshly parsed model, as
-perfbench's emit block gets it, and ``simulate`` and the step loop on a
-freshly parsed model, so that building the simulator's per-model tables
-(``sim._tables``) is timed with them.
+perfbench's emit block gets it, and ``tables``, ``simulate`` and the step
+loop on a freshly parsed model, so that building the simulator's tables is
+timed with ``simulate`` and the step loop.
 Before the tables it prints each side's ``_scan`` token count and folded
 declaration count for the relay text, so that a front-end change shows its
 count delta beside its timings.
@@ -38,9 +39,12 @@ collector runs before each timed call. Where a side's ``parse`` and
 ``simulate`` pause the cyclic collector while they run, their rows run
 paused, and the ``_scan``, ``parser``, ``build_model``, ``validate`` and
 ``step_loop`` rows do not: the four front-end rows then no longer sum to
-``parse``. The process is pinned to one CPU where
-the platform allows it. The script prints each stage's median in milliseconds
-per side and the change's median over the parent's. Standard library only.
+``parse``. The ``tables`` row runs paused, as ``simulate`` builds the tables.
+The process is pinned to one CPU where the platform allows it. The script
+prints each stage's median in milliseconds per side, the change's median
+over the parent's, the calls the change won and the parent's interquartile
+range over its median (inclusive quartiles): a ratio that moves less than
+that spread says little. Standard library only.
 """
 
 from __future__ import annotations
@@ -129,6 +133,17 @@ def stage_calls(tmkit, text: str) -> dict:
         model = dsl.parse(text, FILE).model
         return lambda: emit_block(tmkit, model)
 
+    def tables():
+        model = dsl.parse(text, FILE).model
+
+        def build():
+            gc.disable()  # as simulate builds them
+            try:
+                return tmkit.sim._tables(model)
+            finally:
+                gc.enable()
+        return build
+
     calls = {
         "_scan": lambda: lambda: dsl._scan(text, FILE),
         "parser": parser,
@@ -138,6 +153,7 @@ def stage_calls(tmkit, text: str) -> dict:
     }
     calls.update((name, emitter(emit)) for name, emit in emitters(tmkit).items())
     calls["emit"] = emit
+    calls["tables"] = tables
     return calls
 
 
@@ -202,8 +218,8 @@ def timed(make) -> float:
     return perf_counter() - t0
 
 
-def measure(sides: dict[str, dict], calls: int) -> dict[str, dict[str, float]]:
-    """Median seconds per stage and side, the sides alternating call by call."""
+def measure(sides: dict[str, dict], calls: int) -> dict[str, dict[str, list[float]]]:
+    """Seconds of each call per stage and side, the sides alternating call by call."""
     labels = list(sides)
     samples = {stage: {label: [] for label in sides} for stage in sides[labels[0]]}
     for i in range(calls):
@@ -211,8 +227,17 @@ def measure(sides: dict[str, dict], calls: int) -> dict[str, dict[str, float]]:
         for stage in samples:
             for label in order:
                 samples[stage][label].append(timed(sides[label][stage]))
-    return {stage: {label: statistics.median(s) for label, s in by_side.items()}
-            for stage, by_side in samples.items()}
+    return samples
+
+
+def row(stage: str, parent: list[float], change: list[float]) -> str:
+    """A stage's medians in ms, their ratio, the calls the change won and the
+    parent's interquartile range over its median."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, p, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c = statistics.median(change)
+    return (f"{stage:<17} {p * 1e3:>9.2f} {c * 1e3:>9.2f} {c / p:>14.3f} "
+            f"{wins:>4}/{len(parent)} {(q3 - q1) / p:>15.3f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -259,18 +284,18 @@ def main(argv: list[str] | None = None) -> int:
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")
-    medians = measure(sides, args.calls)
+    samples = measure(sides, args.calls)
     print(f"relay n={args.n} _scan: {'; '.join(counts)}")
     titles = {"_scan": f"relay n={args.n}", "relay simulate": f"relay n={args.n} scenario",
               "simulate": f"flood {workloads.FLOOD_MACHINES} machines, "
               f"{workloads.FLOOD_STEPS} steps"}
-    for stage, m in medians.items():
+    for stage, by_side in samples.items():
         if stage in titles:
             print(f"{titles[stage]}, {args.calls} alternating calls per stage and side, "
                   "median ms")
-            print(f"{'stage':<17} {'parent':>9} {'change':>9} {'change/parent':>14}")
-        print(f"{stage.split()[-1]:<17} {m['parent'] * 1e3:>9.2f} {m['change'] * 1e3:>9.2f} "
-              f"{m['change'] / m['parent']:>14.3f}")
+            print(f"{'stage':<17} {'parent':>9} {'change':>9} {'change/parent':>14} "
+                  f"{'won':>{5 + len(str(args.calls))}} {'parent IQR/med':>15}")
+        print(row(stage.split()[-1], by_side["parent"], by_side["change"]))
     return 0
 
 

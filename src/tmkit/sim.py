@@ -80,8 +80,8 @@ and may be shared freely.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import count
-from operator import itemgetter
+from itertools import count, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from ._frozen import factory, frozen
@@ -290,7 +290,8 @@ class _Region:
     at the position of its first flow; two or more destinations make a
     decision point. Each text is the detail of every entry its item makes for
     that edge. ``watch`` holds the (stage, thing or None) pairs whose
-    occupation gives the event work.
+    occupation gives the event work. ``_tables`` builds all three in one pass
+    over the event's items.
     """
 
     __slots__ = ("mints", "walk", "watch")
@@ -307,44 +308,43 @@ def _tables(model: Model) -> tuple:
     trigger onto a create stage, the create entry text of each thing it mints
     there, in the order of the stage's ``outs``; the stage records by text; and
     the thing names. The model must validate: an item's edge id must name an
-    edge. Racing threads keep the first of equal tables."""
+    edge. One pass over an event's items builds each walk item as its final
+    tuple (a flow group's is rebuilt when a later flow joins it), calling no
+    Python function per item, group or spawn. Racing threads keep the first of
+    equal tables."""
     cache = vars(model)
     if "_sim_tables" in cache:
         return cache["_sim_tables"]
-    stages, regions = model.stages, []
+    stages, flows, triggers, regions = model.stages, model.flows_by_id, model.triggers_by_id, []
     for event in model.events:
-        mints: dict[tuple[str, _Stage, str], None] = {}
-        walk: dict[tuple, list[_Stage] | None] = {}  # a flow group: its dsts
-        watch: dict[tuple[_Stage, str | None], None] = {}
+        mints, walk, watch = [], {}, {}  # walk: an item per flow group or trigger id
         for item in event.items:
-            if isinstance(item, RegionFlow):
-                edge = model.flows_by_id[item.edge_id]
-                src = stages[edge.src]
-                watch[src, edge.thing] = None
-                walk.setdefault((src, edge.thing), []).append(stages[edge.dst])
-                if src.kind == "create" and not src.triggered:
-                    text = f"{edge.thing} @ {src.text} via {event.name}"
-                    mints[edge.thing, src, text] = None
-            elif isinstance(item, RegionTrigger):
-                trigger = model.triggers_by_id[item.edge_id]
-                src = stages[trigger.src]
+            if type(item) is RegionFlow:
+                edge = flows[item.edge_id]
+                src, dst, thing = stages[edge.src], stages[edge.dst], edge.thing
+                text = f"{thing}: {src.text} -> {dst.text}"
+                key = src, thing
+                group = walk.get(key)
+                if group is None:  # the group's first flow
+                    walk[key] = (src, thing, (dst,), (text,))
+                    watch[key] = None
+                    if src.kind == "create" and not src.triggered:
+                        mints.append((thing, src, f"{thing} @ {src.text} via {event.name}"))
+                else:  # a later flow joins it: a decision point
+                    walk[key] = (src, thing, group[2] + (dst,), group[3] + (text,))
+            elif type(item) is RegionTrigger:
+                trigger = triggers[item.edge_id]
+                src, dst = stages[trigger.src], stages[trigger.dst]
                 watch[src, None] = None
-                dst = stages[trigger.dst]
-                walk[src, trigger.id, dst, f"{src.text} ~> {dst.text}"] = None
+                walk[trigger.id] = (src, trigger.id, dst, f"{src.text} ~> {dst.text}")
             elif item.ref in stages:  # no flow reaches a stage no edge touches
                 watch[stages[item.ref], None] = None
-        parts = tuple(
-            key if dsts is None  # a trigger: the key is the item
-            else (*key, tuple(dsts), tuple(f"{key[1]}: {key[0].text} -> {d.text}"
-                                           for d in dsts))
-            for key, dsts in walk.items()
-        )
-        regions.append(_Region(tuple(mints), parts, tuple(watch)))
+        regions.append(_Region(tuple(mints), tuple(walk.values()), tuple(watch)))
     spawns = {}
     for t in model.triggers:
         dst = stages[t.dst]
-        if dst.kind == "create":
-            spawns[t.id] = tuple(f"{thing} @ {dst.text} via {t.id}" for thing in dst.outs)
+        if dst.kind == "create":  # a text per thing it mints, joined in C
+            spawns[t.id] = tuple(map(add, dst.outs, repeat(f" @ {dst.text} via {t.id}")))
     by_text = {stage.text: stage for stage in stages.values()}
     tables = (tuple(regions), spawns, by_text, {t.name for t in model.things})
     return cache.setdefault("_sim_tables", tables)
@@ -363,6 +363,8 @@ class _Engine:
     with and per distinct injection there: no pass or watch reads its bucket.
     ``sweep`` holds the declaration positions of the events a step visits:
     fired perpetual events and unfired events whose predecessors all fired.
+    A set keeps its table after discards, so a step that leaves the sweep
+    under a quarter of the most it held at a step's end rebuilds it.
     """
 
     def __init__(self, model: Model, state: SimState):
@@ -432,6 +434,7 @@ class _Engine:
         # built after the edges: a set keeps its table after discards, and sorted() walks it
         self.sweep = {i for i, e in enumerate(events)
                       if i not in self.waiting and (e.perpetual or e.name not in fired)}
+        self.widest = len(self.sweep)  # the most it held at a step's end since it was built
 
     # -- state snapshot ------------------------------------------------------
 
@@ -590,6 +593,11 @@ class _Engine:
                     "E402", f"event '{event.name}' did not run to completion", event.name
                 ))
             self.emit("event_end", event.name, "")
+        sweep = self.sweep
+        if len(sweep) > self.widest:
+            self.widest = len(sweep)
+        elif len(sweep) * 4 < self.widest:  # rebuilt, so that sorted() walks a small table
+            self.sweep, self.widest = set(sweep), len(sweep)
         return (
             len(self.entries) == before
             and self.step_no >= self.last_injection

@@ -3,17 +3,29 @@
 A relation needs no second implementation of what it checks. Renaming: give
 every user name of a model and its scenario a new name, in the names' sort
 order or in reverse, simulate, and map the trace back; it must equal the
-original run's trace, warnings and errors byte for byte.
+original run's trace, warnings and errors byte for byte. Time shift: when
+a model makes no entry without its scenario's injections, moving every
+injection and ``max_steps`` 1000 steps later moves every entry and timing
+1000 steps later and changes nothing else.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 import tmkit.sim
 from tmkit.cli import corpus_list
 from tmkit.dsl import parse, serialize
-from tmkit.sim import SimulationError, format_trace, load_scenario, simulate
+from tmkit.sim import (
+    EventTiming,
+    SimulationError,
+    Trace,
+    format_trace,
+    load_scenario,
+    simulate,
+)
 
 from helpers import renamed, renaming, sparse_case
 
@@ -55,3 +67,51 @@ def test_a_renamed_sparse_run_maps_back_to_the_run(monkeypatch, reverse):
         model_text = serialize(model)
         expected = _run(model_text, scenario_text)
         assert _renamed_run(model_text, scenario_text, reverse) == expected, seed
+
+
+SHIFT = 1000
+
+
+def _outcome(model, scenario):
+    """A run's trace, or its simulation error's text."""
+    try:
+        return simulate(model, scenario)
+    except SimulationError as exc:
+        return f"error: {exc}"
+
+
+def _idle_alone(model, scenario) -> bool:
+    """Whether the model makes no entry in step 1 without the scenario's
+    injections; an idle step changes nothing, so every later one is idle too."""
+    outcome = _outcome(model, replace(scenario, injections=(), max_steps=1))
+    return isinstance(outcome, Trace) and not outcome.entries
+
+
+def _shifted_back(model, scenario):
+    """The outcome of the run with every injection and ``max_steps`` SHIFT
+    steps later, with its entries' steps and timings moved SHIFT back."""
+    later = tuple(replace(i, step=i.step + SHIFT) for i in scenario.injections)
+    trace = _outcome(model, replace(scenario, injections=later,
+                                    max_steps=scenario.max_steps + SHIFT))
+    if not isinstance(trace, Trace):
+        return trace
+    timings = {name: EventTiming(t.received_at - SHIFT,
+                                 None if t.released_at is None else t.released_at - SHIFT)
+               for name, t in trace.timings.items()}
+    entries = tuple(e._replace(step=e.step - SHIFT) for e in trace.entries)
+    return replace(trace, entries=entries, timings=timings)
+
+
+def test_a_run_shifted_later_is_the_run_shifted(monkeypatch):
+    # seed 20 raises E402 on both sides; fewer passes keep it quick
+    monkeypatch.setattr(tmkit.sim, "_MAX_PASSES", 50)
+    cases = [(parse(m.read_text()).model, load_scenario(s.read_text())) for m, s in CORPUS_RUNS]
+    cases += [(model, load_scenario(text)) for model, text in map(sparse_case, range(300))]
+    checked = 0
+    for i, (model, scenario) in enumerate(cases):
+        # every corpus model fires an event in step 1 with no injection, so
+        # only sparse seeds qualify
+        if scenario.injections and _idle_alone(model, scenario):
+            assert _shifted_back(model, scenario) == _outcome(model, scenario), i
+            checked += 1
+    assert checked == 90

@@ -1189,6 +1189,20 @@ def test_the_ready_frontier_of_a_long_chain_is_a_small_set():
     assert engine.sweep == {0} and sys.getsizeof(engine.sweep) == sys.getsizeof({0})
 
 
+def test_the_ready_frontier_after_a_burst_of_one_shot_events_is_a_small_set():
+    # 400 unchained one-shot events mint at entry, fire in step 1 and leave
+    # the frontier; the perpetual event stays. The set is rebuilt, not kept
+    # at the table it grew to, which each later step's sorted() would walk.
+    lines = ["model burst", "thing x", "machine m", "flow x m.create -> m.release"]
+    lines += [f"event e{i} {{ flow x m.create -> m.release }}" for i in range(400)]
+    lines.append("event p perpetual { flow x m.create -> m.release }")
+    model = parse("\n".join(lines) + "\n").model
+    state, entries = step(model, init_state(model, Scenario()))
+    assert sum(e.kind == "event_end" for e in entries) == 400
+    engine = vars(state)["_engine"]
+    assert engine.sweep == {400} and sys.getsizeof(engine.sweep) == sys.getsizeof({0})
+
+
 def test_stepping_a_perpetual_gated_relay_reproduces_simulate():
     model, scenario = perpetual_relay(20, 60)
     trace = simulate(model, scenario)
@@ -1325,6 +1339,29 @@ def test_simulate_makes_fewer_python_calls_than_entries():
     finally:
         sys.setprofile(previous)
     assert calls < len(trace.entries), f"{calls} Python calls for {len(trace.entries)} entries"
+
+
+def test_tables_make_fewer_python_calls_than_region_items():
+    # One pass over an event's items builds each walk item as its final
+    # tuple: no generator or comprehension runs per item, flow group or
+    # spawn, so the calls left are per event (its _Region) and per model.
+    model = parse(bench_workloads().relay(100).models["relay"]).model
+    model.flows_by_id, model.triggers_by_id, model.stages  # cached model tables, outside
+    items = sum(len(event.items) for event in model.events)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _tables(model)
+    finally:
+        sys.setprofile(previous)
+    assert items == 402
+    assert calls < items, f"{calls} Python calls for {items} region items"
 
 
 def test_simulate_leaves_no_reference_cycles():

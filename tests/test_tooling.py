@@ -203,12 +203,15 @@ def test_stage_pairs_times_every_front_end_stage():
     proc = subprocess.run([sys.executable, str(STAGE_PAIRS), src, src, "--n", "20",
                            "--calls", "5"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+)$", proc.stdout, re.M)
+    rows = re.findall(r"^(\S+) +([\d.]+) +([\d.]+) +([\d.]+) +(\d+)/(\d+) +([\d.]+)$",
+                      proc.stdout, re.M)
     assert [row[0] for row in rows] == ["_scan", "parser", "build_model", "validate", "parse",
                                         "serialize", "render_static", "render_events",
-                                        "render_chronology", "emit", "simulate", "step_loop",
-                                        "simulate", "format_trace", "step_loop"]
-    assert all(float(x) > 0 for row in rows for x in row[1:])
+                                        "render_chronology", "emit", "tables", "simulate",
+                                        "step_loop", "simulate", "format_trace", "step_loop"]
+    assert all(float(x) > 0 for row in rows for x in row[1:4])
+    # beside the medians: the calls the change won, and the parent's IQR/median
+    assert all(int(row[4]) <= int(row[5]) == 5 and float(row[6]) >= 0 for row in rows)
     # each side's token and folded-declaration counts, on a line of their own
     counts = re.findall(r"^relay n=20 _scan: parent (\d+) tokens, (\d+) folded; "
                         r"change (\d+) tokens, (\d+) folded$", proc.stdout, re.M)
