@@ -68,10 +68,12 @@ a state with another model object rebuilds the engine, at a cost of its
 tokens and events, and refuses what ``init_state(lax=True)`` refuses.
 ``Token`` records are made only for snapshots: a snapshot applies the step's
 logged mints and hops to the engine's ``Token`` per live id, then builds one
-instance dict, in one write that skips ``SimState``'s ``__init__``, and
-copies, in C, the live tokens' pointers and the fired events' timing pairs.
-Each pair is built once, when its event fires: a one-shot event ends in that
-step or the run raises, so its pair is final.
+instance dict, in one write that skips ``SimState``'s ``__init__``, with one
+copy in C, of the live tokens' pointers. Each fired event's timing pair is
+built once, when its event fires: a one-shot event ends in that step or the
+run raises, so its pair is final. The engine appends it to a log of fired
+events, and a snapshot's timings are a prefix of that log, shared until read:
+the tuple is built on the first read of ``SimState.timings``.
 
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
@@ -80,7 +82,7 @@ and may be shared freely.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -214,9 +216,28 @@ class SimState:
     quiescent: bool = False
 
     def __getstate__(self) -> dict:
-        # pickles and copies leave the engine handle behind, so that only a
-        # state that init_state or step returned can resume its engine
-        return {k: v for k, v in vars(self).items() if k != "_engine"}
+        # pickles and copies hold the fields alone, in declaration order: they
+        # leave the engine handle behind, so that only a state that init_state
+        # or step returned can resume its engine, and the shared event log
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+
+class _FiredPrefix:
+    """``SimState.timings`` of a step snapshot: the first ``n`` pairs of its
+    engine's append-only log of fired events, kept in the instance dict as
+    ``_fired`` (log, n). The tuple is built on the first read and stored as
+    the field, which an instance's dict then serves; on the class it is the
+    default, ``()``."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return ()
+        fields = vars(state)
+        log, n = fields["_fired"]
+        return fields.setdefault("timings", tuple(islice(log, n)))
+
+
+SimState.timings = _FiredPrefix()  # after @frozen, which reads the default
 
 
 def load_scenario(text: str, filename: str = "<scenario>") -> Scenario:
@@ -354,13 +375,15 @@ class _Engine:
     """Mutable state of one run, resumable from a SimState.
 
     ``regions`` and ``spawns`` are the model's ``_tables``, read once.
-    ``timings`` maps each fired event, in firing order, to the timing pair its
-    snapshots share. ``at`` holds the live tokens' (id, thing) pairs by stage
-    record, each bucket keyed by mint rank; ``moves`` logs this step's mints
-    and hops as (pair, stage or None for an exit), which a snapshot applies to
-    ``tokens``, the ``Token`` per live id in mint order. A stage no edge
-    touches gets a fresh record, ``_Stage(ref)``, per token the engine starts
-    with and per distinct injection there: no pass or watch reads its bucket.
+    ``timings`` maps each fired event, in firing order, to its timing pair;
+    ``fired`` is the same pairs as an append-only list, whose prefixes the
+    snapshots share until their timings are read. ``at`` holds the live
+    tokens' (id, thing) pairs by stage record, each bucket keyed by mint rank;
+    ``moves`` logs this step's mints and hops as (pair, stage or None for an
+    exit), which a snapshot applies to ``tokens``, the ``Token`` per live id
+    in mint order. A stage no edge touches gets a fresh record, ``_Stage(ref)``,
+    per token the engine starts with and per distinct injection there: no pass
+    or watch reads its bucket.
     ``sweep`` holds the declaration positions of the events a step visits:
     fired perpetual events and unfired events whose predecessors all fired.
     A set keeps its table after discards, so a step that leaves the sweep
@@ -417,7 +440,8 @@ class _Engine:
             stage = model.stages.get(token.at) or _Stage(token.at)
             self.at.setdefault(stage, {})[next(self.ranks)] = (token.id, token.thing)
         self.next_token = state.next_token
-        self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
+        self.fired: list[tuple[str, EventTiming]] = list(state.timings)
+        self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in self.fired}
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
@@ -443,8 +467,10 @@ class _Engine:
 
         It applies ``moves`` to ``tokens`` (a ``Token`` per mint and hop) and
         skips ``SimState.__init__``: one write fills its instance dict with the
-        fields, in declaration order as ``__init__`` stores them, so that it
-        pickles the same, and then the handle.
+        fields but ``timings``, with one copy in C, of the live tokens'
+        pointers, then ``fired`` and its length, the prefix it shares until
+        its timings are read, and the handle. ``__getstate__`` reads the
+        fields in declaration order, so it pickles as ``__init__`` builds it.
         """
         tokens = self.tokens
         for (token_id, thing), dst in self.moves:
@@ -459,8 +485,8 @@ class _Engine:
             tokens=tuple(tokens.values()),
             next_token=self.next_token,
             choice_taken=tuple(self.taken.values()),
-            timings=tuple(self.timings.values()),
             quiescent=quiescent,
+            _fired=(self.fired, len(self.fired)),  # the timings, built when read
             _engine=self,
         )
         return state
@@ -572,7 +598,8 @@ class _Engine:
                 # a one-shot event ends in this step or the run raises, so its
                 # final pair is stored now, once
                 released = None if event.perpetual else self.step_no
-                self.timings[event.name] = (event.name, EventTiming(self.step_no, released))
+                pair = self.timings[event.name] = (event.name, EventTiming(self.step_no, released))
+                self.fired.append(pair)
                 for j in self.successors.pop(event.name, ()):
                     self.waiting[j] -= 1
                     if not self.waiting[j]:
@@ -620,8 +647,9 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     A state that ``init_state`` or ``step`` returned and that has not been
     stepped yet continues the engine that made it, so a step costs a step of
     ``simulate`` plus the snapshot: a ``Token`` per mint and hop, one instance
-    dict and two copies in C, of the live tokens' pointers and of the fired
-    events' timing pairs. Any other state (an older one, a copy, a replaced
+    dict and one copy in C, of the live tokens' pointers. Its timings are
+    shared with the engine's log of fired events until read; the first read
+    copies them. Any other state (an older one, a copy, a replaced
     one, or one paired with another model object) gives the same result from
     an engine rebuilt from the state, which first refuses the model or the
     scenario with the error ``init_state(model, scenario, lax=True)`` raises.

@@ -581,6 +581,67 @@ def test_step_snapshots_are_twins_of_states_built_from_their_fields():
     assert checked > 50  # the relay chain alone has 42 states
 
 
+def test_unread_step_snapshots_are_twins_of_states_built_from_their_fields():
+    # A snapshot builds its timings on their first read. Each operation runs
+    # on snapshots no one has read yet, and a chain stepped in lockstep gives
+    # the twin built from the fields.
+    assert SimState.timings == ()
+    cases = [(load_corpus_model(entry.name), load_scenario(path.read_text()))
+             for entry in corpus_list() for path in entry.scenarios]
+    cases.append(_relay(40))
+    ops = {
+        "pickle": pickle.dumps,
+        "copy": lambda state: list(vars(copy.copy(state)).items()),
+        "deepcopy": lambda state: list(vars(copy.deepcopy(state)).items()),
+        "==": lambda state: state,
+        "hash": hash,
+        "repr": repr,
+    }
+    for model, scenario in cases:
+        for name, op in ops.items():
+            state = other = init_state(model, scenario)
+            for _ in range(min(scenario.max_steps, 60)):
+                state, _ = step(model, state)
+                other, _ = step(model, other)
+                assert "timings" not in vars(state)
+                twin = SimState(**{n: getattr(other, n) for n in SimState.__match_args__})
+                assert op(state) == op(twin), (name, state.step_no)
+                if state.quiescent:
+                    break
+
+
+def test_an_older_snapshot_reads_its_own_timings_after_its_engine_moved_on():
+    model, scenario = _relay(40)
+    states, entries = [init_state(model, scenario)], []
+    for _ in range(30):
+        state, new = step(model, states[-1])
+        states.append(state)
+        entries.append(new)
+    assert not any("timings" in vars(state) for state in states[1:])
+    for k, state in enumerate(states[:-10]):
+        prefix = [e for new in entries[:k] for e in new]
+        assert state.timings == tuple(_timings_of(prefix).items())
+        assert state.timings is state.timings  # built once, then kept
+
+
+def test_step_snapshots_hold_no_timing_pairs_until_read():
+    # Each snapshot's timings are a prefix of its engine's append-only log of
+    # fired events. A snapshot that copied them would hold a pair per fired
+    # event per step: 20,300 over relay(200)'s 201 snapshots.
+    model, scenario = _relay(200)
+    states, entries = [init_state(model, scenario)], [[]]
+    while not states[-1].quiescent:
+        state, new = step(model, states[-1])
+        len(state.tokens)  # as the benchmark's step loop reads it
+        states.append(state)
+        entries.append(entries[-1] + new)
+    assert len(states) == 202
+    held = sum(len(vars(state).get("timings", ())) for state in states)
+    assert held == 0, f"{held} timing pairs held before any read"
+    for state, prefix in zip(states, entries):
+        assert state.timings == tuple(_timings_of(prefix).items())
+
+
 _PICKLE_IN_CHILD = """
 import pickle, sys
 from helpers import load_corpus_model, load_corpus_scenario
