@@ -29,10 +29,11 @@ The script exits non-zero if the two sides' emitter bytes (``render_events``
 also on a fresh model that runs it before ``render_static``), flood trace
 bytes, relay or flood step-loop entries (as text) differ, or the trace bytes of
 the relay scenario or of any of the 8 corpus scenarios (read from PARENT_SRC's
-corpus), which run events to completion and take choices and gates, or each
-step's ``SimState.tokens`` (as text) in a step loop over the relay, flood or
-corpus scenarios, or each step's ``SimState.timings`` (as text), read from
-that loop's states after it ends.
+corpus), which run events to completion and take choices and gates, or the
+fields of each step's ``SimState`` (``step_no``, ``tokens``, ``next_token``,
+``choice_taken``, ``timings`` and ``quiescent``, as text) in a step loop over
+the relay, flood or corpus scenarios, read from that loop's states after it
+ends.
 
 For each of ``--calls`` rounds, every stage is called once per side; the
 parent goes first on even rounds and the change first on odd ones, and the
@@ -195,26 +196,28 @@ def trace_text(tmkit, text: str, scenario_text: str) -> str:
     return sim.format_trace(sim.simulate(model, sim.load_scenario(scenario_text)))
 
 
-def step_text(tmkit, text: str, scenario_text: str) -> tuple[str, str]:
-    """Each step's live tokens (``SimState.tokens``), read in a step loop over
-    a scenario on a model's source text, and its fired events' timings
-    (``SimState.timings``), read from the kept states after the loop: one line
-    per step each."""
+def step_text(tmkit, text: str, scenario_text: str) -> str:
+    """Each state of a step loop over a scenario on a model's source text, one
+    line per step, read from the kept states after the loop: ``step_no``,
+    ``tokens``, ``next_token``, ``choice_taken``, ``timings`` and
+    ``quiescent``."""
     sim = tmkit.sim
     model = tmkit.dsl.parse(text, FILE).model
     scenario = sim.load_scenario(scenario_text)
-    state, lines, states = sim.init_state(model, scenario), [], []
+    state, states = sim.init_state(model, scenario), []
     for _ in range(scenario.max_steps):
         state, _ = sim.step(model, state)
-        lines.append(f"{state.step_no}\t" + " ".join(
-            f"{t.id}:{t.thing}@{t.at}" for t in state.tokens))
         states.append(state)
         if state.quiescent:
             break
-    timings = (f"{state.step_no}\t" + " ".join(
-        f"{name}:{t.received_at}-{t.released_at}" for name, t in state.timings)
+    return "\n".join(
+        "\t".join((str(state.step_no),
+                   " ".join(f"{t.id}:{t.thing}@{t.at}" for t in state.tokens),
+                   str(state.next_token), str(state.choice_taken),
+                   " ".join(f"{name}:{t.received_at}-{t.released_at}"
+                            for name, t in state.timings),
+                   str(state.quiescent)))
         for state in states)
-    return "\n".join(lines), "\n".join(timings)
 
 
 def timed(make) -> float:
@@ -286,10 +289,8 @@ def main(argv: list[str] | None = None) -> int:
                 "\t".join(map(str, entry)) + "\n" for entry in sides[label][loop]()())
         outputs[label].update((f"{name} trace", trace_text(tmkit, *run))
                               for name, run in runs.items())
-        for name, run in stepped.items():
-            tokens, timings = step_text(tmkit, *run)
-            outputs[label][f"{name} step tokens"] = tokens
-            outputs[label][f"{name} step timings"] = timings
+        outputs[label].update((f"{name} step states", step_text(tmkit, *run))
+                              for name, run in stepped.items())
     for name, out in outputs["parent"].items():
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")

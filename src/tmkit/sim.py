@@ -56,8 +56,9 @@ not arrival order, passing over tokens of other things. A pass calls no Python
 function except to mint or to take a choice, and a hop builds only its entry. A
 ready frontier counts each unfired event's unfired predecessors, so a step
 sweeps, in declaration order, only the fired perpetual events and the unfired
-events whose predecessors have all fired; an event unlocked in step s is swept
-from step s+1.
+events whose predecessors have all fired. The frontier is a sorted list that a
+step rebuilds as it walks it, sorting only when a firing unlocked events; an
+event unlocked in step s is swept from step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``init_state`` or
@@ -71,9 +72,10 @@ logged mints and hops to the engine's ``Token`` per live id, then builds one
 instance dict, in one write that skips ``SimState``'s ``__init__``, with one
 copy in C, of the live tokens' pointers. Each fired event's timing pair is
 built once, when its event fires: a one-shot event ends in that step or the
-run raises, so its pair is final. The engine appends it to a log of fired
-events, and a snapshot's timings are a prefix of that log, shared until read:
-the tuple is built on the first read of ``SimState.timings``.
+run raises, so its pair is final. The engine's map of fired events to their
+pairs only grows, in firing order, and a snapshot's timings are a prefix of its
+values, shared until read: the tuple is built on the first read of
+``SimState.timings``.
 
 The engine is single-threaded by contract; traces and models are immutable
 and may be shared freely.
@@ -223,18 +225,18 @@ class SimState:
 
 
 class _FiredPrefix:
-    """``SimState.timings`` of a step snapshot: the first ``n`` pairs of its
-    engine's append-only log of fired events, kept in the instance dict as
-    ``_fired`` (log, n). The tuple is built on the first read and stored as
-    the field, which an instance's dict then serves; on the class it is the
-    default, ``()``."""
+    """``SimState.timings`` of a step snapshot: the first ``n`` pairs in its
+    engine's ``timings``, which only grows, kept in the instance dict as
+    ``_fired`` (timings, n). The tuple is built on the first read and stored
+    as the field, which an instance's dict then serves; on the class it is
+    the default, ``()``."""
 
     def __get__(self, state, owner=None):
         if state is None:
             return ()
         fields = vars(state)
-        log, n = fields["_fired"]
-        return fields.setdefault("timings", tuple(islice(log, n)))
+        fired, n = fields["_fired"]
+        return fields.setdefault("timings", tuple(islice(fired.values(), n)))
 
 
 SimState.timings = _FiredPrefix()  # after @frozen, which reads the default
@@ -375,19 +377,18 @@ class _Engine:
     """Mutable state of one run, resumable from a SimState.
 
     ``regions`` and ``spawns`` are the model's ``_tables``, read once.
-    ``timings`` maps each fired event, in firing order, to its timing pair;
-    ``fired`` is the same pairs as an append-only list, whose prefixes the
-    snapshots share until their timings are read. ``at`` holds the live
+    ``timings`` maps each fired event, in firing order, to its timing pair,
+    stored once when it fires; the snapshots share prefixes of its values
+    until their timings are read. ``at`` holds the live
     tokens' (id, thing) pairs by stage record, each bucket keyed by mint rank;
     ``moves`` logs this step's mints and hops as (pair, stage or None for an
     exit), which a snapshot applies to ``tokens``, the ``Token`` per live id
     in mint order. A stage no edge touches gets a fresh record, ``_Stage(ref)``,
     per token the engine starts with and per distinct injection there: no pass
     or watch reads its bucket.
-    ``sweep`` holds the declaration positions of the events a step visits:
-    fired perpetual events and unfired events whose predecessors all fired.
-    A set keeps its table after discards, so a step that leaves the sweep
-    under a quarter of the most it held at a step's end rebuilds it.
+    ``sweep`` holds the declaration positions of the events a step visits, in
+    ascending order: fired perpetual events and unfired events whose
+    predecessors all fired.
     """
 
     def __init__(self, model: Model, state: SimState):
@@ -440,8 +441,7 @@ class _Engine:
             stage = model.stages.get(token.at) or _Stage(token.at)
             self.at.setdefault(stage, {})[next(self.ranks)] = (token.id, token.thing)
         self.next_token = state.next_token
-        self.fired: list[tuple[str, EventTiming]] = list(state.timings)
-        self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in self.fired}
+        self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
@@ -455,10 +455,8 @@ class _Engine:
                 j = index[b]
                 self.successors.setdefault(a, []).append(j)
                 self.waiting[j] = self.waiting.get(j, 0) + 1
-        # built after the edges: a set keeps its table after discards, and sorted() walks it
-        self.sweep = {i for i, e in enumerate(events)
-                      if i not in self.waiting and (e.perpetual or e.name not in fired)}
-        self.widest = len(self.sweep)  # the most it held at a step's end since it was built
+        self.sweep = [i for i, e in enumerate(events)
+                      if i not in self.waiting and (e.perpetual or e.name not in fired)]
 
     # -- state snapshot ------------------------------------------------------
 
@@ -468,7 +466,7 @@ class _Engine:
         It applies ``moves`` to ``tokens`` (a ``Token`` per mint and hop) and
         skips ``SimState.__init__``: one write fills its instance dict with the
         fields but ``timings``, with one copy in C, of the live tokens'
-        pointers, then ``fired`` and its length, the prefix it shares until
+        pointers, then ``timings`` and its length, the prefix it shares until
         its timings are read, and the handle. ``__getstate__`` reads the
         fields in declaration order, so it pickles as ``__init__`` builds it.
         """
@@ -486,7 +484,7 @@ class _Engine:
             next_token=self.next_token,
             choice_taken=tuple(self.taken.values()),
             quiescent=quiescent,
-            _fired=(self.fired, len(self.fired)),  # the timings, built when read
+            _fired=(self.timings, len(self.timings)),  # the timings, built when read
             _engine=self,
         )
         return state
@@ -581,9 +579,9 @@ class _Engine:
         before = len(self.entries)
         for thing, stage, text in self.injections.get(self.step_no, ()):
             self.mint(thing, stage, text)
-        # sorted() copies the sweep, so an event unlocked in this step is
-        # swept from the next one: its predecessor fired before that step.
-        for i in sorted(self.sweep):
+        # the next step's sweep, so an event unlocked in this one waits for it
+        kept, unlocked = [], []
+        for i in self.sweep:
             event = self.model.events[i]
             region = self.regions[i]
             if event.name not in self.timings:  # fired events here are perpetual
@@ -593,23 +591,23 @@ class _Engine:
                         if bucket and (thing is None or thing in map(_thing, bucket.values())):
                             break
                     else:
+                        kept.append(i)
                         continue
                 self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
                 # a one-shot event ends in this step or the run raises, so its
                 # final pair is stored now, once
                 released = None if event.perpetual else self.step_no
-                pair = self.timings[event.name] = (event.name, EventTiming(self.step_no, released))
-                self.fired.append(pair)
+                self.timings[event.name] = (event.name, EventTiming(self.step_no, released))
                 for j in self.successors.pop(event.name, ()):
                     self.waiting[j] -= 1
                     if not self.waiting[j]:
-                        self.sweep.add(j)
+                        unlocked.append(j)
             for thing, stage, text in region.mints:
                 self.mint(thing, stage, text)
             if event.perpetual:
+                kept.append(i)
                 self.run_pass(region, set())
                 continue
-            self.sweep.discard(i)
             self.unfired -= 1
             spent: set[str] = set()
             for _ in range(_MAX_PASSES):
@@ -620,11 +618,10 @@ class _Engine:
                     "E402", f"event '{event.name}' did not run to completion", event.name
                 ))
             self.emit("event_end", event.name, "")
-        sweep = self.sweep
-        if len(sweep) > self.widest:
-            self.widest = len(sweep)
-        elif len(sweep) * 4 < self.widest:  # rebuilt, so that sorted() walks a small table
-            self.sweep, self.widest = set(sweep), len(sweep)
+        if unlocked:  # they may precede kept events in declaration order
+            kept += unlocked
+            kept.sort()
+        self.sweep = kept
         return (
             len(self.entries) == before
             and self.step_no >= self.last_injection
@@ -648,7 +645,7 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     stepped yet continues the engine that made it, so a step costs a step of
     ``simulate`` plus the snapshot: a ``Token`` per mint and hop, one instance
     dict and one copy in C, of the live tokens' pointers. Its timings are
-    shared with the engine's log of fired events until read; the first read
+    shared with the engine's map of fired events until read; the first read
     copies them. Any other state (an older one, a copy, a replaced
     one, or one paired with another model object) gives the same result from
     an engine rebuilt from the state, which first refuses the model or the

@@ -6,17 +6,23 @@ order or in reverse, simulate, and map the trace back; it must equal the
 original run's trace, warnings and errors byte for byte. Time shift: when
 a model makes no entry without its scenario's injections, moving every
 injection and ``max_steps`` 1000 steps later moves every entry and timing
-1000 steps later and changes nothing else.
+1000 steps later and changes nothing else. Round trip: the model that
+``serialize`` then ``parse`` give runs as the model does. Restated
+chronology: the same precedence, its edges shuffled and each missing edge
+``a -> c`` that ``a -> b`` and ``b -> c`` imply appended, runs as the model
+does.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
 import tmkit.sim
 from tmkit.cli import corpus_list
+from tmkit.core import Chronology
 from tmkit.dsl import parse, serialize
 from tmkit.sim import (
     EventTiming,
@@ -115,3 +121,40 @@ def test_a_run_shifted_later_is_the_run_shifted(monkeypatch):
             assert _shifted_back(model, scenario) == _outcome(model, scenario), i
             checked += 1
     assert checked == 90
+
+
+def _cases():
+    """The 8 corpus runs, then ``sparse_case`` seeds 0-299, as (model, scenario)."""
+    cases = [(parse(m.read_text()).model, load_scenario(s.read_text())) for m, s in CORPUS_RUNS]
+    return cases + [(model, load_scenario(text)) for model, text in map(sparse_case, range(300))]
+
+
+def test_a_serialized_and_reparsed_model_runs_as_the_model(monkeypatch):
+    # seed 20 raises E402 on both sides; fewer passes keep it quick
+    monkeypatch.setattr(tmkit.sim, "_MAX_PASSES", 50)
+    for i, (model, scenario) in enumerate(_cases()):
+        again = parse(serialize(model)).model
+        assert again is not None, i
+        assert _outcome(again, scenario) == _outcome(model, scenario), i
+
+
+def _restated(chronology: Chronology, rng: random.Random) -> Chronology:
+    """The chronology with its edges shuffled, then each edge ``a -> c`` that
+    two of them imply and none states appended: the same precedence."""
+    edges = list(chronology.edges)
+    rng.shuffle(edges)
+    implied = {(a, d) for a, b in edges for c, d in edges if b == c}
+    edges += sorted(implied - set(edges))
+    return replace(chronology, edges=tuple(edges))
+
+
+def test_a_restated_chronology_runs_as_the_chronology(monkeypatch):
+    monkeypatch.setattr(tmkit.sim, "_MAX_PASSES", 50)
+    checked = 0
+    for i, (model, scenario) in enumerate(_cases()):
+        if model.chronology is None or not model.chronology.edges:
+            continue
+        restated = replace(model, chronology=_restated(model.chronology, random.Random(i)))
+        assert _outcome(restated, scenario) == _outcome(model, scenario), i
+        checked += 1
+    assert checked == 78

@@ -1247,7 +1247,7 @@ def test_the_ready_frontier_of_a_long_chain_is_a_small_set():
     edges = [f"  e{i} -> e{i + 1}" for i in range(399)]
     model = parse("\n".join([*lines, "chronology {", *edges, "}"]) + "\n").model
     engine = vars(init_state(model, Scenario()))["_engine"]
-    assert engine.sweep == {0} and sys.getsizeof(engine.sweep) == sys.getsizeof({0})
+    assert engine.sweep == [0] and sys.getsizeof(engine.sweep) <= sys.getsizeof([None] * 4)
 
 
 def test_the_ready_frontier_after_a_burst_of_one_shot_events_is_a_small_set():
@@ -1261,7 +1261,23 @@ def test_the_ready_frontier_after_a_burst_of_one_shot_events_is_a_small_set():
     state, entries = step(model, init_state(model, Scenario()))
     assert sum(e.kind == "event_end" for e in entries) == 400
     engine = vars(state)["_engine"]
-    assert engine.sweep == {400} and sys.getsizeof(engine.sweep) == sys.getsizeof({0})
+    assert engine.sweep == [400] and sys.getsizeof(engine.sweep) <= sys.getsizeof([None] * 4)
+
+
+def test_events_unlocked_together_are_swept_in_declaration_order():
+    # e0 unlocks e16 and e9 in that order, the order its edges are listed;
+    # step 2 must still sweep them by declaration position.
+    lines = ["model unlock", "thing x", "machine m", "flow x m.create -> m.release"]
+    lines += [f"event e{i} {{ flow x m.create -> m.release }}" for i in range(17)]
+    lines += ["chronology {", "  e0 -> e16", "  e0 -> e9", "}"]
+    model = parse("\n".join(lines) + "\n").model
+    starts = [e.subject for e in simulate(model, Scenario()).entries
+              if e.step == 2 and e.kind == "event_start"]
+    assert starts == ["e9", "e16"]
+    state = init_state(model, Scenario())
+    for _ in range(2):
+        state, entries = step(model, state)
+    assert [e.subject for e in entries if e.kind == "event_start"] == ["e9", "e16"]
 
 
 def test_stepping_a_perpetual_gated_relay_reproduces_simulate():
