@@ -50,15 +50,16 @@ Cost follows the work done, not the size of the run. Every entry text is
 formatted in this module. Each region item's entry text and each create text is
 formatted once per model object (``_tables``, kept in its instance dict) or
 engine (once per distinct injection), and every entry that uses one shares that
-string. A live token is its (id, thing) pair, made at mint and indexed by
-stage, so a region pass reads only a flow group's source bucket, in mint order,
-not arrival order, passing over tokens of other things. A pass calls no Python
-function except to mint or to take a choice, and a hop builds only its entry. A
-ready frontier counts each unfired event's unfired predecessors, so a step
-sweeps, in declaration order, only the fired perpetual events and the unfired
-events whose predecessors have all fired. The frontier is a sorted list that a
-step rebuilds as it walks it, sorting only when a firing unlocked events; an
-event unlocked in step s is swept from step s+1.
+string. A step reads of an event only its run record, which ``_tables`` builds.
+A live token is its (id, thing) pair, made at mint and indexed by stage, so a
+region pass reads only a flow group's source bucket, in mint order, not arrival
+order, passing over tokens of other things. A pass calls no Python function
+except to mint or to take a choice, and a hop builds only its entry. A ready
+frontier counts each unfired event's unfired predecessors, so a step sweeps, in
+declaration order, only the fired perpetual events and the unfired events whose
+predecessors have all fired. The frontier is a sorted list that a step rebuilds
+as it walks it, sorting only when a firing unlocked events; an event unlocked in
+step s is swept from step s+1.
 
 A snapshot holds a handle to the engine that made it, and ``step`` takes the
 handle from the state it steps, so only a state that ``init_state`` or
@@ -300,45 +301,31 @@ def _decimal(text: str) -> int | None:
     return None
 
 
-class _Region:
-    """What one event's region items say about running it; fixed once built.
-
-    All stages are ``_Stage`` records of the model. ``mints`` holds the
-    (thing, create stage, create entry text) triples minted when the event
-    (re-)enters, leaving create stages that are trigger destinations to their
-    trigger (``_tables`` holds those texts). ``walk`` is the region in
-    declaration order: (source, trigger id, destination, ``"src ~> dst"``) for
-    a trigger, and (source, thing, destinations, a ``"thing: src -> dst"`` per
-    destination) for the flows that leave one stage with one thing, each group
-    at the position of its first flow; two or more destinations make a
-    decision point. Each text is the detail of every entry its item makes for
-    that edge. ``watch`` holds the (stage, thing or None) pairs whose
-    occupation gives the event work. ``_tables`` builds all three in one pass
-    over the event's items.
-    """
-
-    __slots__ = ("mints", "walk", "watch")
-
-    def __init__(self, mints: tuple, walk: tuple, watch: tuple) -> None:
-        self.mints = mints
-        self.walk = walk
-        self.watch = watch
-
-
 def _tables(model: Model) -> tuple:
     """The tables a run reads, built once per model object and kept in its
-    instance dict: per event, parallel to ``events``, its ``_Region``; per
+    instance dict: per event, parallel to ``events``, its run record; per
     trigger onto a create stage, the create entry text of each thing it mints
     there, in the order of the stage's ``outs``; the stage records by text; and
     the thing names. The model must validate: an item's edge id must name an
-    edge. One pass over an event's items builds each walk item as its final
-    tuple (a flow group's is rebuilt when a later flow joins it), calling no
-    Python function per item, group or spawn. Racing threads keep the first of
-    equal tables."""
+    edge. A run record, fixed once built, is the plain tuple (name, perpetual,
+    mints, walk, watch), whose stages are ``_Stage`` records of the model.
+    ``mints`` holds the (thing, create stage, create entry text) triples minted
+    when the event (re-)enters, leaving create stages that are trigger
+    destinations to their trigger. ``walk`` is the region in declaration order:
+    (source, trigger id, destination, ``"src ~> dst"``) for a trigger, and
+    (source, thing, destinations, a ``"thing: src -> dst"`` per destination)
+    for the flows that leave one stage with one thing, each group at the
+    position of its first flow; two or more destinations make a decision point.
+    Each text is the detail of every entry its item makes for that edge.
+    ``watch`` holds the (stage, thing or None) pairs whose occupation gives the
+    event work. One pass over an event's items builds all three, each walk item
+    as its final tuple (a flow group's is rebuilt when a later flow joins it),
+    calling no Python function per item, group or spawn. Racing threads keep
+    the first of equal tables."""
     cache = vars(model)
     if "_sim_tables" in cache:
         return cache["_sim_tables"]
-    stages, flows, triggers, regions = model.stages, model.flows_by_id, model.triggers_by_id, []
+    stages, flows, triggers, records = model.stages, model.flows_by_id, model.triggers_by_id, []
     for event in model.events:
         mints, walk, watch = [], {}, {}  # walk: an item per flow group or trigger id
         for item in event.items:
@@ -362,21 +349,23 @@ def _tables(model: Model) -> tuple:
                 walk[trigger.id] = (src, trigger.id, dst, f"{src.text} ~> {dst.text}")
             elif item.ref in stages:  # no flow reaches a stage no edge touches
                 watch[stages[item.ref], None] = None
-        regions.append(_Region(tuple(mints), tuple(walk.values()), tuple(watch)))
+        records.append((event.name, event.perpetual, tuple(mints), tuple(walk.values()),
+                        tuple(watch)))
     spawns = {}
     for t in model.triggers:
         dst = stages[t.dst]
         if dst.kind == "create":  # a text per thing it mints, joined in C
             spawns[t.id] = tuple(map(add, dst.outs, repeat(f" @ {dst.text} via {t.id}")))
     by_text = {stage.text: stage for stage in stages.values()}
-    tables = (tuple(regions), spawns, by_text, {t.name for t in model.things})
+    tables = (tuple(records), spawns, by_text, {t.name for t in model.things})
     return cache.setdefault("_sim_tables", tables)
 
 
 class _Engine:
     """Mutable state of one run, resumable from a SimState.
 
-    ``regions`` and ``spawns`` are the model's ``_tables``, read once.
+    ``events`` (a run record per event) and ``spawns`` are the model's
+    ``_tables``, read once; ``model`` only names the model it was built for.
     ``timings`` maps each fired event, in firing order, to its timing pair,
     stored once when it fires; the snapshots share prefixes of its values
     until their timings are read. ``at`` holds the live
@@ -395,7 +384,7 @@ class _Engine:
         """Check the state's scenario against the model (ScenarioError) and resolve it."""
         self.model = model
         self.scenario = scenario = state.scenario
-        self.regions, self.spawns, stages, things = _tables(model)
+        self.events, self.spawns, stages, things = _tables(model)
         self.choices: dict[str, list[str]] = {}
         for key, branch in scenario.choices:
             outs = stages[key].outs.values() if key in stages else ()
@@ -406,6 +395,8 @@ class _Engine:
                 raise ScenarioError(f"choice branch '{branch}' is not an outgoing flow of '{key}'")
             self.choices.setdefault(key, []).append(branch)
         taken = state.choice_taken or (0,) * len(self.choices)
+        if len(taken) != len(self.choices) or min(taken, default=0) < 0:
+            raise ValueError(f"choice_taken needs a count >= 0 per decision point: {taken!r}")
         self.taken: dict[str, int] = dict(zip(self.choices, taken))
         self.gates: dict[str, bool] = {}
         for key, value in scenario.gates:
@@ -445,18 +436,18 @@ class _Engine:
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
-        fired, events = self.timings, model.events
-        self.unfired = sum(not e.perpetual and e.name not in fired for e in events)
+        fired, events = self.timings, self.events  # each record starts (name, perpetual, ...)
+        self.unfired = sum(not r[1] and r[0] not in fired for r in events)
         self.waiting: dict[int, int] = {}  # unfired predecessors of a blocked event
         self.successors: dict[str, list[int]] = {}  # events each unfired one blocks
-        index = {e.name: i for i, e in enumerate(events)}  # validate: each node is an event
+        index = {r[0]: i for i, r in enumerate(events)}  # validate: each node is an event
         for a, b in model.chronology.edges if model.chronology is not None else ():
             if a not in fired and b not in fired:
                 j = index[b]
                 self.successors.setdefault(a, []).append(j)
                 self.waiting[j] = self.waiting.get(j, 0) + 1
-        self.sweep = [i for i, e in enumerate(events)
-                      if i not in self.waiting and (e.perpetual or e.name not in fired)]
+        self.sweep = [i for i, (name, perpetual, _, _, _) in enumerate(events)
+                      if i not in self.waiting and (perpetual or name not in fired)]
 
     # -- state snapshot ------------------------------------------------------
 
@@ -526,12 +517,12 @@ class _Engine:
 
     # -- region mechanics ------------------------------------------------------
 
-    def run_pass(self, region: _Region, spent_triggers: set[str]) -> bool:
-        """One declaration-order pass over the region. True if it emitted."""
+    def run_pass(self, walk: tuple, spent_triggers: set[str]) -> bool:
+        """One declaration-order pass over a region's walk. True if it emitted."""
         entries, moves, at, gates = self.entries, self.moves, self.at, self.gates
         step_no, new = self.step_no, tuple.__new__  # a record's __new__ would add a frame
         before = len(entries)
-        for src, label, dsts, detail in region.walk:
+        for src, label, dsts, detail in walk:
             bucket = at.get(src)
             if not bucket:
                 continue
@@ -582,42 +573,41 @@ class _Engine:
         # the next step's sweep, so an event unlocked in this one waits for it
         kept, unlocked = [], []
         for i in self.sweep:
-            event = self.model.events[i]
-            region = self.regions[i]
-            if event.name not in self.timings:  # fired events here are perpetual
-                if not region.mints:  # work needs a token at a watched stage
-                    for stage, thing in region.watch:
+            name, perpetual, mints, walk, watch = self.events[i]
+            if name not in self.timings:  # fired events here are perpetual
+                if not mints:  # work needs a token at a watched stage
+                    for stage, thing in watch:
                         bucket = self.at.get(stage)  # map scans in C, a generator in frames
                         if bucket and (thing is None or thing in map(_thing, bucket.values())):
                             break
                     else:
                         kept.append(i)
                         continue
-                self.emit("event_start", event.name, "perpetual" if event.perpetual else "")
+                self.emit("event_start", name, "perpetual" if perpetual else "")
                 # a one-shot event ends in this step or the run raises, so its
                 # final pair is stored now, once
-                released = None if event.perpetual else self.step_no
-                self.timings[event.name] = (event.name, EventTiming(self.step_no, released))
-                for j in self.successors.pop(event.name, ()):
+                released = None if perpetual else self.step_no
+                self.timings[name] = (name, EventTiming(self.step_no, released))
+                for j in self.successors.pop(name, ()):
                     self.waiting[j] -= 1
                     if not self.waiting[j]:
                         unlocked.append(j)
-            for thing, stage, text in region.mints:
+            for thing, stage, text in mints:
                 self.mint(thing, stage, text)
-            if event.perpetual:
+            if perpetual:
                 kept.append(i)
-                self.run_pass(region, set())
+                self.run_pass(walk, set())
                 continue
             self.unfired -= 1
             spent: set[str] = set()
             for _ in range(_MAX_PASSES):
-                if not self.run_pass(region, spent):
+                if not self.run_pass(walk, spent):
                     break
             else:
                 raise SimulationError(_error(
-                    "E402", f"event '{event.name}' did not run to completion", event.name
+                    "E402", f"event '{name}' did not run to completion", name
                 ))
-            self.emit("event_end", event.name, "")
+            self.emit("event_end", name, "")
         if unlocked:  # they may precede kept events in declaration order
             kept += unlocked
             kept.sort()
@@ -646,10 +636,10 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     ``simulate`` plus the snapshot: a ``Token`` per mint and hop, one instance
     dict and one copy in C, of the live tokens' pointers. Its timings are
     shared with the engine's map of fired events until read; the first read
-    copies them. Any other state (an older one, a copy, a replaced
-    one, or one paired with another model object) gives the same result from
-    an engine rebuilt from the state, which first refuses the model or the
-    scenario with the error ``init_state(model, scenario, lax=True)`` raises.
+    copies them. Any other state (an older one, a copy, a replaced one, or one
+    paired with another model object) steps alike on an engine rebuilt from it,
+    which raises what ``init_state(model, scenario, lax=True)`` raises, and
+    ValueError for a ``choice_taken`` without a count >= 0 per decision point.
     """
     if state.quiescent:
         return state, []

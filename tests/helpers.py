@@ -473,6 +473,12 @@ def renamed(text: str, names: dict[str, str]) -> str:
     return _WORD.sub(lambda m: names.get(m[0], m[0]), text)
 
 
+def prefixed(text: str, prefix: str) -> str:
+    """The text with each word that is no keyword of the model or scenario
+    language prefixed; ``env`` is a keyword, so it stays shared."""
+    return _WORD.sub(lambda m: m[0] if m[0] in _KEYWORDS else prefix + m[0], text)
+
+
 # ---------------------------------------------------------------------------
 # A region that never runs to completion: one machine's stages form a cycle,
 # so every pass of the event moves the token once more round it (E402).

@@ -10,12 +10,16 @@ injection and ``max_steps`` 1000 steps later moves every entry and timing
 ``serialize`` then ``parse`` give runs as the model does. Restated
 chronology: the same precedence, its edges shuffled and each missing edge
 ``a -> c`` that ``a -> b`` and ``b -> c`` imply appended, runs as the model
-does.
+does. Disjoint union: two runs' models, their names prefixed ``A_`` and
+``B_``, joined into one model with one chronology and their scenarios into
+one; the union's entries that name an ``A_`` element, with token ids
+renumbered by first appearance, are A's run alone.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -33,7 +37,7 @@ from tmkit.sim import (
     simulate,
 )
 
-from helpers import renamed, renaming, sparse_case
+from helpers import prefixed, renamed, renaming, sparse_case
 
 CORPUS_RUNS = [(entry.model_file, path) for entry in corpus_list() for path in entry.scenarios]
 
@@ -158,3 +162,56 @@ def test_a_restated_chronology_runs_as_the_chronology(monkeypatch):
         assert _outcome(restated, scenario) == _outcome(model, scenario), i
         checked += 1
     assert checked == 78
+
+
+def _union_parts(run, prefix: str) -> tuple[str, str, str]:
+    """A corpus run's serialized model body after its header and before its
+    chronology, its chronology's edge lines, and its scenario without its
+    ``max_steps`` line, each word prefixed."""
+    model_text, scenario_text = (prefixed(path.read_text(), prefix) for path in run)
+    body = serialize(parse(model_text).model).split("\n", 1)[1]
+    body, _, edges = body.partition("chronology {\n")
+    lines = [line for line in scenario_text.splitlines() if not line.startswith("max_steps")]
+    return body, edges.rpartition("}")[0], "\n".join(lines) + "\n"
+
+
+def _model_text(body: str, edges: str) -> str:
+    return f"model union\n{body}" + (f"chronology {{\n{edges}}}\n" if edges else "")
+
+
+_TOKEN = re.compile(r"\btok\d+\b")
+_A_NAME = re.compile(r"\bA_")
+
+
+def _renumbered(entries) -> list[tuple]:
+    """The entries with token ids renumbered by first appearance."""
+    ids: dict[str, str] = {}
+
+    def number(match: re.Match) -> str:
+        return ids.setdefault(match[0], f"tok{len(ids) + 1}")
+
+    return [(e.step, e.kind, _TOKEN.sub(number, e.subject), _TOKEN.sub(number, e.detail))
+            for e in entries]
+
+
+def test_a_disjoint_union_of_runs_projects_to_each_run():
+    # A comes first, so its edge ids are unchanged. env.transfer is one stage
+    # for every thing, so a pair where one thing flows into it and another
+    # out of it does not build (E105): 11 of the 64.
+    parts = [(_union_parts(run, "A_"), _union_parts(run, "B_")) for run in CORPUS_RUNS]
+    checked = 0
+    for i, ((a_body, a_edges, a_scenario), _) in enumerate(parts):
+        alone = simulate(parse(_model_text(a_body, a_edges)).model,
+                         load_scenario(a_scenario + "max_steps 40\n"))
+        for j, (_, (b_body, b_edges, b_scenario)) in enumerate(parts):
+            union = parse(_model_text(a_body + b_body, a_edges + b_edges))
+            if union.model is None:
+                assert {d.code for d in union.diagnostics if d.is_error} == {"E105"}
+                continue
+            scenario = load_scenario(a_scenario + b_scenario + "max_steps 40\n")
+            trace = simulate(union.model, scenario)
+            projected = [e for e in trace.entries
+                         if _A_NAME.search(e.subject) or _A_NAME.search(e.detail)]
+            assert _renumbered(projected) == _renumbered(alone.entries), (i, j)
+            checked += 1
+    assert checked == 53

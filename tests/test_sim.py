@@ -320,16 +320,7 @@ def test_a_fanout_group_moves_at_its_first_flow():
     assert trace.terminated == "quiescent"
 
 
-def test_the_region_table_is_built_once_per_model(monkeypatch):
-    built = 0
-    real_init = tmkit.sim._Region.__init__
-
-    def counting_init(self, *args):
-        nonlocal built
-        built += 1
-        real_init(self, *args)
-
-    monkeypatch.setattr(tmkit.sim._Region, "__init__", counting_init)
+def test_the_region_table_is_built_once_per_model():
     model = load_corpus_model("murderer")
     # the static checks and views read no simulator table
     validate(model, lax=True)
@@ -337,14 +328,18 @@ def test_the_region_table_is_built_once_per_model(monkeypatch):
     for view in (render_static, render_events, render_chronology):
         view(model)
     coverage(model)
-    assert built == 0 and "_sim_tables" not in vars(model)
+    assert "_sim_tables" not in vars(model)
     scenario = load_corpus_scenario("murderer_truth")
     simulate(model, scenario)
+    tables = vars(model)["_sim_tables"]
     state = init_state(model, scenario)
     for _ in range(scenario.max_steps):
         state, _ = step(model, state)
     simulate(model, scenario)
-    assert built == len(model.events) > 1
+    assert vars(model)["_sim_tables"] is tables
+    assert len(tables[0]) == len(model.events) > 1
+    # a later read returns the kept tables without building them again
+    assert line_events(tmkit.sim, lambda: _tables(model)) <= 3
 
 
 def test_a_region_node_no_edge_touches_gives_its_event_no_work():
@@ -737,6 +732,68 @@ def test_restepping_the_input_of_a_failed_step_fails_the_same_way(
     with pytest.raises(SimulationError) as again:
         step(model, state)
     assert again.value.diagnostic == first
+
+
+# a.transfer fans out to b.transfer and c.transfer, and each of those to its
+# own receive and to env.transfer: three decision points, keyed in that order
+_THREE_DECISIONS_MODEL = """\
+model fan
+thing x
+machine a
+machine b
+machine c
+flow x env.transfer -> a.transfer
+flow x a.transfer -> b.transfer
+flow x a.transfer -> c.transfer
+flow x b.transfer -> b.receive
+flow x b.transfer -> env.transfer
+flow x c.transfer -> c.receive
+flow x c.transfer -> env.transfer
+event go perpetual {
+  flow x env.transfer -> a.transfer
+  flow x a.transfer -> b.transfer
+  flow x a.transfer -> c.transfer
+  flow x b.transfer -> b.receive
+  flow x b.transfer -> env.transfer
+  flow x c.transfer -> c.receive
+  flow x c.transfer -> env.transfer
+}
+"""
+_THREE_DECISIONS_SCENARIO = """\
+inject x env.transfer @1
+inject x env.transfer @2
+choose a.transfer c.transfer
+choose a.transfer b.transfer
+choose b.transfer b.receive
+choose c.transfer c.receive
+max_steps 3
+"""
+
+
+def test_a_state_needs_a_choice_count_per_decision_point():
+    # Counts zipped onto the keys would drop the keys past a short tuple and
+    # append them as first taken: (0,) stepped once read (1, 1), charging
+    # c.transfer's choice to b.transfer.
+    model = parse(_THREE_DECISIONS_MODEL).model
+    scenario = load_scenario(_THREE_DECISIONS_SCENARIO)
+    for taken in ((0,), (0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="choice_taken") as refused:
+            step(model, SimState(scenario, choice_taken=taken))
+        assert type(refused.value) is ValueError
+    # () means that no choice has been taken, as a zero per decision point does
+    first, entries = step(model, SimState(scenario))
+    assert step(model, SimState(scenario, choice_taken=(0, 0, 0))) == (first, entries)
+    assert first.choice_taken == (1, 0, 1)
+    assert step(model, replace(first)) == step(model, first)
+
+
+def test_a_state_with_a_negative_choice_count_is_refused():
+    # An index from the end: (-1, 0, 0) took a.transfer's last choice.
+    model = parse(_THREE_DECISIONS_MODEL).model
+    scenario = load_scenario(_THREE_DECISIONS_SCENARIO)
+    with pytest.raises(ValueError, match="choice_taken") as refused:
+        step(model, SimState(scenario, choice_taken=(-1, 0, 0)))
+    assert type(refused.value) is ValueError
 
 
 def test_a_returned_entries_list_is_unchanged_by_later_steps():
@@ -1239,9 +1296,9 @@ def test_an_event_fires_the_step_after_its_predecessor():
     assert fired == [("first",), ("first", "second")]
 
 
-def test_the_ready_frontier_of_a_long_chain_is_a_small_set():
-    # Each step sorts the frontier, and a set keeps its table after discards:
-    # one filled with every event and then cut down would be walked whole.
+def test_the_ready_frontier_of_a_long_chain_is_a_small_list():
+    # Each step walks the whole ready list: one filled with every event
+    # instead of the events whose predecessors fired would be walked whole.
     lines = ["model chain", "thing x", "machine m", "flow x m.create -> m.release"]
     lines += [f"event e{i} {{ flow x m.create -> m.release }}" for i in range(400)]
     edges = [f"  e{i} -> e{i + 1}" for i in range(399)]
@@ -1250,10 +1307,10 @@ def test_the_ready_frontier_of_a_long_chain_is_a_small_set():
     assert engine.sweep == [0] and sys.getsizeof(engine.sweep) <= sys.getsizeof([None] * 4)
 
 
-def test_the_ready_frontier_after_a_burst_of_one_shot_events_is_a_small_set():
+def test_the_ready_frontier_after_a_burst_of_one_shot_events_is_a_small_list():
     # 400 unchained one-shot events mint at entry, fire in step 1 and leave
-    # the frontier; the perpetual event stays. The set is rebuilt, not kept
-    # at the table it grew to, which each later step's sorted() would walk.
+    # the frontier; the perpetual event stays. The list is rebuilt, not kept
+    # at the size it grew to, which each later step would walk.
     lines = ["model burst", "thing x", "machine m", "flow x m.create -> m.release"]
     lines += [f"event e{i} {{ flow x m.create -> m.release }}" for i in range(400)]
     lines.append("event p perpetual { flow x m.create -> m.release }")
@@ -1372,7 +1429,7 @@ def _distinct_hop_and_trigger_details(steps: int) -> tuple[int, int]:
     trace = simulate(model, scenario)  # alive while the ids are taken
     kinds = {"trigger", "process", "release", "transfer", "receive"}
     details = {id(e.detail) for e in trace.entries if e.kind in kinds}
-    return len(details), sum(len(region.walk) for region in _tables(model)[0])
+    return len(details), sum(len(walk) for _, _, _, walk, _ in _tables(model)[0])
 
 
 def test_hop_and_trigger_entries_share_their_region_items_detail():
