@@ -41,10 +41,10 @@ beside that token; a head's is an ``EventDecl`` without items. A shape that
 names a reserved word, or has one inside a stage reference, is given to the
 parser as its tokens instead. The parser takes a folded declaration only
 where the token path would build the same: every shape but a head at the
-top level, a leaf ``machine`` line inside a machine block, a ``flow`` or
-``trigger`` line in an event body, and a head in ``parse_event``. Anywhere
-else it sees the keyword token, so every diagnostic comes from the token
-path.
+top level, a leaf ``machine`` line inside a machine block, a head in
+``parse_event``, and in ``parse_body`` a ``flow`` or ``trigger`` line of an
+event body (a chronology body takes none). Anywhere else it sees the
+keyword token, so every diagnostic comes from the token path.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._frozen import frozen
 from .core import (
@@ -81,8 +81,6 @@ from .core import (
 
 __all__ = ["SourceSpan", "ParseResult", "parse", "serialize"]
 
-_ITEM_KEYWORDS = {"thing", "machine", "flow", "trigger", "event", "chronology"}
-_RESYNC_KEYWORDS = _ITEM_KEYWORDS | {"model"}
 # Items that no block holds: a line starting with one ends a block left open.
 _TOP_LEVEL_ONLY = {"thing", "event", "chronology"}
 _FOLDED = frozenset({"edge", "thingdecl", "leaf", "head", "chronology"})
@@ -306,10 +304,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "eof":
                 return
-            if tok.bol and (
-                (tok.kind == "kw" and tok.text in _RESYNC_KEYWORDS)
-                or tok.kind == "}"
-            ):
+            if tok.bol and (tok.kind == "}" or tok.kind == "kw" and tok.text in self.RESYNC):
                 return
             self.advance()
 
@@ -359,21 +354,19 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "eof":
                 break
-            if tok.kind != "kw" or tok.text not in _ITEM_KEYWORDS:
+            if tok.kind != "kw" or tok.text not in self.ITEMS:
                 self.error_here(f"expected an item keyword, found {tok.text!r}")
                 self.advance()
                 self.resync()
                 continue
-            before = len(self.diagnostics)
             self.open = 0
             decl = self.ITEMS[tok.text](self)
             if decl is not None:
                 self.decls.append(decl)
-            elif len(self.diagnostics) > before:
-                if self.open:
-                    self.close_blocks()
-                else:
-                    self.resync()
+            elif self.open:  # an item parser returns None only after an E001
+                self.close_blocks()
+            else:
+                self.resync()
         return name, self.decls, self.diagnostics
 
     def parse_thing(self) -> ThingDecl | None:
@@ -488,65 +481,60 @@ class _Parser:
                 perpetual = True
             if self.expect("{") is None:
                 return None
-        self.open = 1
-        items: list[object] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                end = self.advance()
-                self.open = 0
-                break
-            if tok.kind == "eof":
-                self.error_here("unterminated event block, expected '}'")
-                return None
-            decl = self.folded.get(self.pos)
-            if decl is not None and tok.text in ("flow", "trigger"):
-                self.pos += 1
-                items.append(decl)
-            elif tok.kind == "kw" and tok.text == "node":
-                item_start = self.advance()
-                ref = self.parse_stage_ref()
-                if ref is None:
-                    return None
-                items.append(NodeItemDecl(ref[0], self.span_of(item_start, ref[2])))
-            elif tok.kind == "kw" and tok.text in ("flow", "trigger"):
-                edge = self.parse_edge()
-                if edge is None:
-                    return None
-                items.append(edge)
-            else:
-                self.error_here(
-                    f"expected 'node', 'flow', 'trigger' or '}}' inside event, "
-                    f"found {tok.text!r}"
-                )
-                return None
-        return EventDecl(name, perpetual, tuple(items), self.span_of(start, end))
+        body = self.parse_body("event", self.parse_event_item, (FlowDecl, TriggerDecl))
+        if body is None:
+            return None
+        return EventDecl(name, perpetual, body[0], self.span_of(start, body[1]))
+
+    def parse_event_item(self) -> NodeItemDecl | FlowDecl | TriggerDecl | None:
+        tok = self.peek()
+        if tok.kind != "kw" or tok.text not in ("node", "flow", "trigger"):
+            self.error_here(
+                f"expected 'node', 'flow', 'trigger' or '}}' inside event, found {tok.text!r}"
+            )
+            return None
+        if tok.text != "node":
+            return self.parse_edge()
+        self.advance()
+        ref = self.parse_stage_ref()
+        return None if ref is None else NodeItemDecl(ref[0], self.span_of(tok, ref[2]))
 
     def parse_chronology(self) -> ChronologyDecl | None:
         start = self.advance()
         if self.expect("{") is None:
             return None
+        body = self.parse_body("chronology", self.parse_chronology_edge, ())
+        if body is None:
+            return None
+        return ChronologyDecl(body[0], self.span_of(start, body[1]))
+
+    def parse_chronology_edge(self) -> tuple[str, str] | None:
+        before = self.expect("ident", "event name")
+        if before is None or self.expect("->") is None:
+            return None
+        after = self.expect("ident", "event name")
+        return None if after is None else (before.text, after.text)
+
+    def parse_body(
+        self, what: str, entry: Callable[[], object], folds: tuple[type, ...]
+    ) -> tuple[tuple, _Token] | None:
+        """The entries of an event or chronology body up to its closing "}",
+        and that "}". A folded line whose declaration type is in ``folds`` is
+        taken whole; ``entry`` parses any other entry, or reports an E001."""
         self.open = 1
-        edges: list[tuple[str, str]] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                end = self.advance()
-                self.open = 0
-                break
+        entries = []
+        while (tok := self.peek()).kind != "}":
             if tok.kind == "eof":
-                self.error_here("unterminated chronology block, expected '}'")
+                self.error_here(f"unterminated {what} block, expected '}}'")
                 return None
-            before = self.expect("ident", "event name")
-            if before is None:
+            decl = self.folded.get(self.pos)
+            if decl is not None and type(decl) in folds:
+                self.pos += 1
+            elif (decl := entry()) is None:
                 return None
-            if self.expect("->") is None:
-                return None
-            after = self.expect("ident", "event name")
-            if after is None:
-                return None
-            edges.append((before.text, after.text))
-        return ChronologyDecl(tuple(edges), self.span_of(start, end))
+            entries.append(decl)
+        self.open = 0
+        return tuple(entries), self.advance()
 
     # The item parsers by keyword: plain functions, so no parser holds a cycle.
     ITEMS = {
@@ -557,6 +545,7 @@ class _Parser:
         "event": parse_event,
         "chronology": parse_chronology,
     }
+    RESYNC = {"model", *ITEMS}  # the keywords at a line start that resync stops at
 
 
 def parse(text: str, filename: str = "<string>", *, lax: bool = False) -> ParseResult:

@@ -428,6 +428,11 @@ class _Engine:
         self.moves: list[tuple[tuple[str, str], _Stage | None]] = []
         self.ranks = count()
         for token in state.tokens:
+            if token.id in self.tokens:
+                raise ValueError(f"tokens hold '{token.id}' twice")
+            n = token.id[3:]
+            if token.id[:3] == "tok" and n.isdecimal() and int(n) >= state.next_token:
+                raise ValueError(f"next_token {state.next_token} is not above live '{token.id}'")
             self.tokens[token.id] = token
             stage = model.stages.get(token.at) or _Stage(token.at)
             self.at.setdefault(stage, {})[next(self.ranks)] = (token.id, token.thing)
@@ -639,7 +644,9 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     copies them. Any other state (an older one, a copy, a replaced one, or one
     paired with another model object) steps alike on an engine rebuilt from it,
     which raises what ``init_state(model, scenario, lax=True)`` raises, and
-    ValueError for a ``choice_taken`` without a count >= 0 per decision point.
+    ValueError for a ``choice_taken`` without a count >= 0 per decision point,
+    for ``tokens`` that hold one id twice, and for a live ``tok<n>`` whose n
+    is not below ``next_token``.
     """
     if state.quiescent:
         return state, []

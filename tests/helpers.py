@@ -214,6 +214,117 @@ def reference_lex(text: str) -> list[tuple[str, str, int, int, int, bool]]:
 
 
 # ---------------------------------------------------------------------------
+# Parser oracle: a recursive-descent recognizer of the README grammar, over
+# reference_lex tokens.
+
+_STAGE_KIND_WORDS = frozenset({"create", "process", "release", "transfer", "receive"})
+
+
+class _Rejected(Exception):
+    pass
+
+
+def reference_parse(text: str) -> tuple[int, int] | None:
+    """None when ``text`` is a sentence of the README grammar, else the
+    (line, col) of the token where recognizing it fails. A stage reference
+    that ends before its stage kind fails at its first token, and a "." that
+    no name follows at the token after it; a failure at the end of the input
+    sits at the token before it."""
+    tokens = reference_lex(text)
+    at = 0
+
+    def fail(index: int):
+        if tokens[index][0] == "eof" and index > 0:
+            index -= 1
+        raise _Rejected(tokens[index][2:4])
+
+    def take(kind: str, word: str | None = None) -> None:
+        nonlocal at
+        if tokens[at][0] != kind or (word is not None and tokens[at][1] != word):
+            fail(at)
+        at += 1
+
+    def keyword(words) -> str | None:
+        """The keyword at ``at``, taken, if it is one of ``words``."""
+        nonlocal at
+        kind, word = tokens[at][:2]
+        if kind == "kw" and word in words:
+            at += 1
+            return word
+        return None
+
+    def stageref() -> None:  # IDENT ("." IDENT)* "." STAGEKIND
+        nonlocal at
+        first = at
+        if tokens[at][0] != "ident":
+            fail(first)
+        while True:
+            at += 1  # past a name
+            if tokens[at][0] != ".":
+                fail(first)  # the reference ends before its stage kind
+            at += 1
+            if keyword(_STAGE_KIND_WORDS):
+                return
+            if tokens[at][0] != "ident":
+                fail(at)
+
+    def edge(thing: bool) -> None:  # flow IDENT stageref -> stageref, trigger stageref ~> stageref
+        if thing:
+            take("ident")
+        stageref()
+        take("->" if thing else "~>")
+        stageref()
+
+    def machine() -> None:  # IDENT ("{" machine* "}")?
+        nonlocal at
+        take("ident")
+        if tokens[at][0] == "{":
+            at += 1
+            while tokens[at][0] != "}":
+                take("kw", "machine")
+                machine()
+            at += 1
+
+    def event() -> None:  # IDENT "perpetual"? "{" item* "}"
+        nonlocal at
+        take("ident")
+        keyword({"perpetual"})
+        take("{")
+        while tokens[at][0] != "}":
+            word = keyword({"node", "flow", "trigger"})
+            if word is None:
+                fail(at)
+            if word == "node":
+                stageref()
+            else:
+                edge(word == "flow")
+        at += 1
+
+    def chronology() -> None:  # "{" (IDENT "->" IDENT)* "}"
+        nonlocal at
+        take("{")
+        while tokens[at][0] != "}":
+            take("ident")
+            take("->")
+            take("ident")
+        at += 1
+
+    items = {"thing": lambda: take("ident"), "machine": machine, "flow": lambda: edge(True),
+             "trigger": lambda: edge(False), "event": event, "chronology": chronology}
+    try:
+        take("kw", "model")
+        take("ident")
+        while tokens[at][0] != "eof":
+            word = keyword(items)
+            if word is None:
+                fail(at)
+            items[word]()
+    except _Rejected as rejected:
+        return rejected.args[0]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Structural equality oracle: field-walking comparison written independently
 # of the generated __eq__ it is used to check.
 

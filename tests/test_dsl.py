@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmkit.dsl
-from tmkit.core import ChronologyDecl, EventDecl, MachineDecl, ThingDecl
+from tmkit.core import STAGE_KINDS, ChronologyDecl, EventDecl, MachineDecl, ThingDecl
 from tmkit.dsl import SourceSpan, _Parser, _scan, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
@@ -27,6 +27,7 @@ from helpers import (
     models_equal,
     random_valid_model,
     reference_lex,
+    reference_parse,
 )
 from test_acceptance import MUTATIONS
 
@@ -661,6 +662,13 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         ("event e {\n  machine b\n}\n",
          "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'machine'",
          (5, 3, 5, 9)),
+        # a body takes whole only the folded lines its grammar holds: an event
+        # body its flow and trigger lines, a chronology body none
+        ("chronology {\n  flow x a.create -> a.release\n}\n",
+         "syntax error: expected event name, found 'flow'", (5, 3, 5, 6)),
+        ("event e {\n  thing y\n}\n",
+         "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'thing'",
+         (5, 3, 5, 7)),
     ],
 )
 def test_folded_line_edge_cases_parse_like_tokens(text, message, where):
@@ -692,6 +700,87 @@ def test_each_folded_shape_is_one_token():
     assert folded[6] == EventDecl("e", True, (), SourceSpan("d.tm", 6, 1, 6, 19))
     assert folded[9] == ChronologyDecl((("e", "f"), ("f", "e")), SourceSpan("d.tm", 9, 1, 14, 1))
     _paths_agree(text)
+
+
+# -- the reference parser ----------------------------------------------------
+# helpers.reference_parse recognizes the README grammar with no code of
+# tmkit.dsl: parse reports an E001 exactly when it rejects, the first one at
+# the token where it fails.
+
+
+def _continues_a_complete_reference(text: str, where: tuple[int, int]) -> bool:
+    """Whether the reference failed at a "." right after a stage kind. The
+    grammar's stage reference ends at its kind; parse reads the "." and what
+    follows as more of the same reference."""
+    tokens = reference_lex(text)
+    at = next(i for i, tok in enumerate(tokens) if tok[2:4] == where)
+    return tokens[at][0] == "." and tokens[at - 1][1] in STAGE_KINDS
+
+
+_VOCABULARY = ("thing", "machine", "flow", "trigger", "event", "chronology", "node", "perpetual",
+               "model", "create", "release", "x", "a", ".", "->", "~>", "{", "}")
+
+
+def _token_mutant(seed: int, bases: list[str]) -> str:
+    """A window of a base's lines, one to three token edits, the tokens of
+    each line joined by a space: a run of one to three tokens deleted, a
+    token replaced or preceded by a word or symbol of the language, or two
+    neighbours swapped."""
+    rng = random.Random(seed)
+    lines = bases[seed % len(bases)].split("\n")
+    at = rng.randrange(len(lines))
+    text = "\n".join(["model w"] + lines[at:at + rng.randint(2, 20)])
+    tokens = [[tok[2], tok[1]] for tok in reference_lex(text)[:-1]]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        op = rng.randrange(4)
+        if op == 0:
+            del tokens[i:i + rng.randint(1, 3)]
+        elif op == 1:
+            tokens[i][1] = rng.choice(_VOCABULARY)
+        elif op == 2:
+            tokens.insert(i, [tokens[i][0], rng.choice(_VOCABULARY)])
+        elif i + 1 < len(tokens):
+            tokens[i][1], tokens[i + 1][1] = tokens[i + 1][1], tokens[i][1]
+        if not tokens:
+            break
+    rows: dict[int, list[str]] = {}
+    for line, word in tokens:
+        rows.setdefault(line, []).append(word)
+    return "\n".join(" ".join(row) for row in rows.values())
+
+
+def test_parse_reports_an_e001_exactly_where_the_reference_parser_rejects():
+    workloads = bench_workloads()
+    bases = [corpus_path(f"{name}.tm").read_text() for name in CORPUS_NAMES]
+    relay = workloads.relay(100)
+    texts = bases + [relay.models["relay"]] + [text for text, _ in relay.broken.values()]
+    # the build-error variant drops an arrow; the other texts are sentences
+    assert [reference_parse(text) for text in texts] == [None] * 5 + [(379, 31), None]
+    bases += [workloads.relay(3).models["relay"], workloads.flood(3, 3).models["flood"]]
+    rejected = continued = 0
+    texts += [_mutant(seed, bases) for seed in range(2000)]
+    texts += [_token_mutant(seed, bases) for seed in range(2000)]
+    for text in texts:
+        where = reference_parse(text)
+        e001 = [d.location for d in parse(text, "d.tm").diagnostics if d.code == "E001"]
+        assert (where is None) == (not e001), text
+        if where is not None:
+            rejected += 1
+            if (e001[0].start_line, e001[0].start_col) != where:
+                assert _continues_a_complete_reference(text, where), (text, where, e001[0])
+                continued += 1
+    assert (rejected, continued) == (3440, 19)
+
+
+def test_a_dot_line_after_a_stage_kind_is_where_parse_and_the_reference_differ():
+    # The reference's flow ends at "release", so the "." line starts no item;
+    # parse reads "a.release.process" and reports the whole reference.
+    text = "model m\nthing x\nmachine a\nflow x a.create -> a.release\n  .process\n"
+    assert reference_parse(text) == (5, 3)
+    assert [(d.location.start_line, d.location.start_col, d.message)
+            for d in parse(text).diagnostics if d.code == "E001"] == [
+        (4, 20, "syntax error: stage kinds may only end a stage reference")]
 
 
 def test_parse_makes_one_stage_ref_per_reference_text():

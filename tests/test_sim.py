@@ -796,6 +796,31 @@ def test_a_state_with_a_negative_choice_count_is_refused():
     assert type(refused.value) is ValueError
 
 
+def test_a_state_whose_next_token_is_not_above_a_live_token_is_refused():
+    # Rebuilt from next_token=1, reservoir's second step minted a second tok1
+    # and ended with 2 tokens where the unbroken chain holds 3.
+    model = load_corpus_model("reservoir")
+    state, _ = step(model, init_state(model, load_corpus_scenario("reservoir")))
+    assert [t.id for t in state.tokens] == ["tok1", "tok2"] and state.next_token == 3
+    for next_token in (1, 2):
+        with pytest.raises(ValueError, match=f"next_token {next_token} .* 'tok") as refused:
+            step(model, replace(state, next_token=next_token))
+        assert type(refused.value) is ValueError
+    assert len(step(model, replace(state))[0].tokens) == 3
+
+
+def test_a_state_holding_a_token_twice_is_refused():
+    # Rebuilt with tok1 twice, reservoir's second step moved it twice: 26
+    # entries where the unbroken chain makes 21.
+    model = load_corpus_model("reservoir")
+    state, _ = step(model, init_state(model, load_corpus_scenario("reservoir")))
+    first, second = state.tokens
+    with pytest.raises(ValueError, match="tokens hold 'tok1' twice") as refused:
+        step(model, replace(state, tokens=(first, first, second)))
+    assert type(refused.value) is ValueError
+    assert len(step(model, replace(state))[1]) == 21
+
+
 def test_a_returned_entries_list_is_unchanged_by_later_steps():
     model, scenario = perpetual_relay(20, 30)
     chain = _step_chain(model, init_state(model, scenario), 10)
@@ -1477,8 +1502,9 @@ def test_simulate_makes_fewer_python_calls_than_entries():
 
 def test_tables_make_fewer_python_calls_than_region_items():
     # One pass over an event's items builds each walk item as its final
-    # tuple: no generator or comprehension runs per item, flow group or
-    # spawn, so the calls left are per event (its _Region) and per model.
+    # tuple: no function, generator or comprehension runs per event, item,
+    # flow group or spawn, so the calls left are per model: _tables itself and
+    # its two comprehensions.
     model = parse(bench_workloads().relay(100).models["relay"]).model
     model.flows_by_id, model.triggers_by_id, model.stages  # cached model tables, outside
     items = sum(len(event.items) for event in model.events)
