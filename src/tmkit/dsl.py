@@ -26,32 +26,35 @@ starts to resynchronize after an error. ``_scan`` makes one regex match per
 token: the match takes the spaces before the token and the spaces, comment
 and line end after it, and a blank or comment-only line is one match. Its
 unfolded mode gives the token stream. ``parse`` uses the folded mode, which
-reads most input a line or a block at a time. Six shapes fold, indented or
-not, each line with or without a trailing comment:
+reads the text a line at a time and splits each line's code into words, so
+that most input reaches the parser a line or a block at a time. Six shapes
+fold, indented or not, each line with or without a trailing comment:
 
 - a ``flow THING REF -> REF``, ``trigger REF ~> REF``, ``thing NAME`` or
-  ``machine NAME`` line, whose next token is neither a ``.`` (which would
-  continue the last reference) nor a ``{`` (which would open a block);
-- an ``event NAME {`` or ``event NAME perpetual {`` head line;
-- a whole ``chronology {`` block of one ``NAME -> NAME`` per line, blank and
-  comment lines allowed, closed by a ``}`` line.
+  ``machine NAME`` line, unless the next line that holds code starts with a
+  ``.`` (which would continue the last reference) or a ``{`` (which would
+  open a block);
+- a whole ``event NAME {`` or ``event NAME perpetual {`` block of one
+  ``node``, ``flow`` or ``trigger`` item per line, and a whole
+  ``chronology {`` block of one ``NAME -> NAME`` per line, blank and comment
+  lines allowed, each closed by a ``}`` line.
 
-Each is one match, cut to its keyword token, and its declaration is kept
-beside that token; a head's is an ``EventDecl`` without items. A shape that
-names a reserved word, or has one inside a stage reference, is given to the
-parser as its tokens instead. The parser takes a folded declaration only
-where the token path would build the same: every shape but a head at the
-top level, a leaf ``machine`` line inside a machine block, a head in
-``parse_event``, and in ``parse_body`` a ``flow`` or ``trigger`` line of an
-event body (a chronology body takes none). Anywhere else it sees the
-keyword token, so every diagnostic comes from the token path.
+Each is cut to its keyword token, and its declaration is kept beside that
+token. A shape folds only where the token path builds the same: its code is
+plain ASCII, and it names no reserved word, inside a stage reference or
+out. Any other line, including the head of an event whose body does not
+fold, goes to the token regex. The parser takes a folded declaration where
+the token path would build the same: every shape at the top level, a leaf
+``machine`` line inside a machine block, and in ``parse_body`` a ``flow`` or
+``trigger`` line of an event body (a chronology body takes none). Anywhere
+else it sees the keyword token, so every diagnostic comes from the token
+path.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from ._frozen import frozen
@@ -83,7 +86,6 @@ __all__ = ["SourceSpan", "ParseResult", "parse", "serialize"]
 
 # Items that no block holds: a line starting with one ends a block left open.
 _TOP_LEVEL_ONLY = {"thing", "event", "chronology"}
-_FOLDED = frozenset({"edge", "thingdecl", "leaf", "head", "chronology"})
 
 
 @_record
@@ -118,119 +120,28 @@ class _Token(NamedTuple):
 
 
 @cache
-def _scan_re(fold: bool) -> re.Pattern[str]:
-    """One match per token, folded shape, or blank or comment-only line.
+def _scan_re() -> re.Pattern[str]:
+    """One match per token, or per blank or comment-only line.
 
     A token takes the spaces before it and the spaces, comment and newline
     after it; any single character that starts no other token is an error
-    token. With ``fold``, one alternative per folded shape comes first, each
-    starting at a line start: a ``flow``, ``trigger``, ``thing`` or leaf
-    ``machine`` line, an ``event`` head line, or a whole ``chronology`` block.
-    A name here is any identifier: ``_scan`` checks for reserved words.
+    token.
     """
     tail = r"[ \t\r]*(?:#[^\n]*)?\n?"
-    token = (
+    return re.compile(
         r"[ \t\r]*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>->|~>|[{}.])"
         rf"|(?P<error>[^ \t\r\n#])){tail}|(?!\Z){tail}"
     )
-    if not fold:
-        return re.compile(token)
-    name = r"[A-Za-z_][A-Za-z0-9_]*"
-    ref = rf"(?:{name}\.)+(?:{'|'.join(STAGE_KINDS)})\b"
-    # The line ends at a comment or newline ...
-    eol = r"[ \t\r]*(?![^#\n])"
-    # ... and, after a name or a stage kind, the next token is not a "." that
-    # would continue the last stage reference or a "{" that would open a block.
-    end = rf"{eol}(?!(?:[ \t\r\n]|#[^\n]*(?![^\n]))*[.{{])"
-    # A line inside a chronology block: blank, a comment, or one edge.
-    edge_line = rf"[ \t\r]*(?:{name}[ \t\r]*->[ \t\r]*{name}[ \t\r]*)?(?:#[^\n]*)?\n"
-    # A lookahead and a backreference take the indentation atomically, so a
-    # line that does not fold is not backtracked through space by space. A
-    # flow names its thing and takes "->", a trigger "~>".
-    return re.compile(
-        rf"(?<![^\n])(?=(?P<indent>[ \t\r]*))(?P=indent)(?:(?:"
-        rf"(?P<edge>(?:flow[ \t\r]+(?P<thing>{name})|trigger)[ \t\r]+(?P<src>{ref})"
-        rf"[ \t\r]*(?(thing)->|~>)[ \t\r]*(?P<dst>{ref}))"
-        rf"|(?P<thingdecl>thing[ \t\r]+(?P<name>{name}))"
-        rf"|(?P<leaf>machine[ \t\r]+(?P<machine>{name}))){end}"
-        rf"|(?:(?P<head>event[ \t\r]+(?P<event>{name})(?P<perpetual>[ \t\r]+perpetual)?"
-        rf"[ \t\r]*\{{)"
-        rf"|(?P<chronology>chronology[ \t\r]*\{{[ \t\r]*(?:#[^\n]*)?\n(?:{edge_line})*"
-        rf"[ \t\r]*\}})){eol}){tail}|{token}"
-    )
 
 
-def _scan(
-    text: str, file: str, fold: bool = True, line: int = 1
-) -> tuple[list[_Token], dict[int, Decl]]:
-    """The tokens of ``text``, its first line numbered ``line``, ending with
-    the eof token. With ``fold``, each folded shape is cut to its keyword
-    token, and its declaration is kept by the position of that token: for an
-    event head, an ``EventDecl`` without items. A shape that names a reserved
-    word, or puts one inside a stage reference, gives its tokens instead, as
-    the token path sees them. One ``StageRef`` per distinct reference text,
-    one tuple per path."""
-    refs: dict[str, StageRef] = {}
-    paths: dict[str, tuple[str, ...]] = {}
+def _tokens(text: str, line: int, tokens: list[_Token]) -> None:
+    """Append the tokens of ``text``, whole lines whose first is numbered
+    ``line``, to ``tokens``."""
     new = tuple.__new__  # the records' generated __new__ would add a frame each
-
-    def ref(text: str) -> StageRef | None:
-        stage = refs.get(text)
-        if stage is None:
-            head, _, kind = text.rpartition(".")
-            path = paths.get(head)
-            if path is None:
-                path = tuple(head.split("."))
-                if not RESERVED_WORDS.isdisjoint(path):
-                    return None
-                paths[head] = path
-            stage = refs[text] = new(StageRef, (path, STAGE_KINDS[kind]))
-        return stage
-
-    tokens: list[_Token] = []
-    folded: dict[int, Decl] = {}
     line_start, bol = 0, True
-    for m in _scan_re(fold).finditer(text):
+    for m in _scan_re().finditer(text):
         kind = m.lastgroup
-        if kind in _FOLDED:
-            start, stop = m.span(kind)
-            first = start - line_start + 1
-            span = new(SourceSpan, (file, line, first, line, stop - line_start))
-            if kind == "edge":
-                thing, src, dst = m.group("thing", "src", "dst")
-                src, dst = ref(src), ref(dst)
-                if src is None or dst is None or thing in RESERVED_WORDS:
-                    decl = None
-                elif thing is None:
-                    word, decl = "trigger", new(TriggerDecl, (src, dst, span))
-                else:
-                    word, decl = "flow", new(FlowDecl, (thing, src, dst, span))
-            elif kind == "thingdecl":
-                word, name = "thing", m.group("name")
-                decl = None if name in RESERVED_WORDS else new(ThingDecl, (name, span))
-            elif kind == "leaf":
-                word, name = "machine", m.group("machine")
-                decl = None if name in RESERVED_WORDS else new(MachineDecl, (name, (), span))
-            elif kind == "head":  # the event's body is still to come
-                word, (name, perpetual) = "event", m.group("event", "perpetual")
-                decl = None if name in RESERVED_WORDS else new(
-                    EventDecl, (name, perpetual is not None, (), span))
-            else:  # a chronology block: the match's last line holds its "}"
-                word, block = kind, m.group(kind)
-                edges = re.findall(r"(?m)^[ \t\r]*(\w+)[ \t\r]*->[ \t\r]*(\w+)", block)
-                close = text.rfind("\n", start, stop) + 1
-                span = new(SourceSpan, (file, line, first, line + block.count("\n"), stop - close))
-                decl = new(ChronologyDecl, (tuple(edges), span)) if RESERVED_WORDS.isdisjoint(
-                    chain.from_iterable(edges)) else None
-            if decl is not None:
-                folded[len(tokens)] = decl
-                tokens.append(new(_Token, ("kw", word, line, first, first + len(word) - 1, True)))
-            else:  # a reserved word as a name: the token path's tokens
-                tokens += _scan(m.group(), file, False, line)[0][:-1]
-            if kind == "chronology":
-                line, line_start = span.end_line, close
-            bol = False
-        elif kind is not None:  # None: a blank or comment-only line
+        if kind is not None:  # None: a blank or comment-only line
             start, stop = m.span(kind)
             lexeme = text[start:stop]
             if kind == "word":
@@ -243,11 +154,178 @@ def _scan(
         end = m.end()
         if text[end - 1] == "\n":
             line, line_start, bol = line + 1, end, True
+
+
+_SPACES = str.maketrans("\t\r", "  ")  # the token regex's spaces besides " "
+
+
+def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[int, Decl]]:
+    """The tokens of ``text``, ending with the eof token. With ``fold``, each
+    folded shape is cut to its keyword token, and its declaration is kept by
+    the position of that token.
+
+    The folded mode reads a line at a time. A line's code, the text before
+    its ``#``, is split into words at spaces, ``->`` and ``~>`` being words
+    of their own, and the words decide its shape: a ``flow``, ``trigger``,
+    ``thing`` or leaf ``machine`` line, or an ``event`` or ``chronology``
+    head whose body lines, up to a ``}`` line, each hold one item of the
+    block or nothing. A shape folds only if its code is printable ASCII
+    besides tabs and CRs, each name is an identifier that is not reserved,
+    and each stage reference is a path of such names ending in a stage kind;
+    a single-line shape is unfolded again when the next line that holds code
+    starts with ``.`` or ``{``. A block that does not fold gives its head line
+    to the token regex and its body lines are read one by one. Runs of lines
+    that do not fold are given to the token regex. One ``StageRef`` per
+    distinct reference text, one tuple per path."""
+    tokens: list[_Token] = []
+    folded: dict[int, Decl] = {}
+    lines = text.split("\n")
+    if not fold:
+        _tokens(text, 1, tokens)
+    else:
+        refs: dict[str, StageRef | None] = {}
+        paths: dict[str, tuple[str, ...] | None] = {}
+        new = tuple.__new__
+
+        def ref(word: str) -> StageRef | None:
+            """The stage a reference word names, or None unless it is a path
+            of names that are not reserved, then a stage kind."""
+            if word in refs:
+                return refs[word]
+            head, _, kind = word.rpartition(".")
+            if head not in paths:
+                path = tuple(head.split("."))
+                paths[head] = path if all(map(str.isidentifier, path)) and \
+                    RESERVED_WORDS.isdisjoint(path) else None
+            path = paths[head]
+            stage = refs[word] = None if path is None or kind not in STAGE_KINDS else new(
+                StageRef, (path, STAGE_KINDS[kind]))
+            return stage
+
+        def split(code: str) -> list[str] | None:
+            """The words of a line's code, or None if it is not plain text:
+            ``str.split`` also splits at spaces the token regex reads as error
+            tokens, and on ASCII ``str.isidentifier`` is ``_IDENT_RE``'s test."""
+            if not code.isascii() or not (
+                    code.isprintable() or code.translate(_SPACES).isprintable()):
+                return None
+            # An arrow glued to a word is split off only if no word is one: a
+            # shape that folds holds one arrow.
+            words = code.split()
+            if ">" in code and "->" not in words and "~>" not in words:
+                return code.replace("->", " -> ").replace("~>", " ~> ").split()
+            return words
+
+        def item(code: str, words: list[str], line: int) -> Decl | None:
+            """The declaration of a line holding one ``flow``, ``trigger``,
+            ``node``, ``thing`` or ``machine`` item, or None."""
+            word, size = words[0], len(words)
+            span = new(SourceSpan, (file, line, code.find(word) + 1, line, len(code.rstrip())))
+            if word == "flow" and size == 5 and words[3] == "->":
+                thing, src, dst = words[1], words[2], words[4]
+                # a hit in refs makes no call
+                src, dst = refs.get(src) or ref(src), refs.get(dst) or ref(dst)
+                if src and dst and thing.isidentifier() and thing not in RESERVED_WORDS:
+                    return new(FlowDecl, (thing, src, dst, span))
+            elif word == "trigger" and size == 4 and words[2] == "~>":
+                src, dst = words[1], words[3]
+                src, dst = refs.get(src) or ref(src), refs.get(dst) or ref(dst)
+                if src and dst:
+                    return new(TriggerDecl, (src, dst, span))
+            elif word == "node" and size == 2:
+                src = ref(words[1])
+                return src and new(NodeItemDecl, (src, span))
+            elif size == 2 and words[1].isidentifier() and words[1] not in RESERVED_WORDS:
+                if word == "thing":
+                    return new(ThingDecl, (words[1], span))
+                if word == "machine":  # a leaf
+                    return new(MachineDecl, (words[1], (), span))
+            return None
+
+        def block(at: int, code: str, words: list[str]) -> tuple[Decl, int] | None:
+            """A whole event or chronology block whose head is line ``at``:
+            its declaration and the index of its ``}`` line, or None."""
+            word, size = words[0], len(words)
+            if word == "event":
+                name = words[1] if 3 <= size <= 4 else ""
+                if words[-1] != "{" or size == 4 and words[2] != "perpetual" or \
+                        not name.isidentifier() or name in RESERVED_WORDS:
+                    return None
+            elif words != ["chronology", "{"]:
+                return None
+            entries = []
+            for end in range(at + 1, len(lines)):
+                body = lines[end].partition("#")[0]
+                items = split(body)
+                if not items:
+                    if items is None:
+                        return None
+                    continue
+                if items[0] == "}" and len(items) == 1:
+                    span = new(SourceSpan, (file, at + 1, code.find(word) + 1,
+                                            end + 1, body.find("}") + 1))
+                    if word == "chronology":
+                        return new(ChronologyDecl, (tuple(entries), span)), end
+                    return new(EventDecl, (name, size == 4, tuple(entries), span)), end
+                if word == "chronology":
+                    edge = items[0], items[-1]
+                    if len(items) != 3 or items[1] != "->" or not all(
+                            map(str.isidentifier, edge)) or not RESERVED_WORDS.isdisjoint(edge):
+                        return None
+                    entries.append(edge)
+                elif items[0] in ("flow", "trigger", "node") and (
+                        entry := item(body, items, end + 1)) is not None:
+                    entries.append(entry)
+                else:
+                    return None
+            return None
+
+        count = len(lines)
+        at = chunk = 0  # the line read, and the first line not yet tokenized
+        last = -1  # the line of a single-line fold no line holding code has followed
+        while at < count:
+            code = lines[at].partition("#")[0]
+            words = split(code)
+            if words is not None and not words:  # a blank or comment-only line
+                if chunk == at:
+                    chunk += 1
+                at += 1
+                continue
+            if last >= 0:
+                if (words[0] if words else code.lstrip(" \t\r"))[0] in ".{":
+                    # a "." continues its last reference, a "{" opens a block
+                    tokens.pop()
+                    del folded[len(tokens)]
+                    chunk = last
+                last = -1
+            decl = end = None
+            if words:
+                word = words[0]
+                if word == "event" or word == "chronology":
+                    decl, end = block(at, code, words) or (None, None)
+                elif word != "node":
+                    decl = item(code, words, at + 1)
+            if decl is None:
+                at += 1
+                continue
+            if chunk < at:
+                _tokens("\n".join(lines[chunk:at]) + "\n", chunk + 1, tokens)
+            first = decl.span.start_col
+            folded[len(tokens)] = decl
+            tokens.append(new(_Token, ("kw", word, at + 1, first, first + len(word) - 1, True)))
+            if end is None:
+                last = at
+            else:
+                at = end
+            at = chunk = at + 1
+        if chunk < count:
+            _tokens("\n".join(lines[chunk:]), chunk + 1, tokens)
     # The eof token sits where the last line's text ends before its comment,
     # if any: no token holds a "#".
-    end = text.find("#", line_start)
-    col = (len(text) if end < 0 else end) - line_start + 1
-    tokens.append(new(_Token, ("eof", "", line, col, col, bol)))
+    code = lines[-1].partition("#")[0]
+    col = len(code) + 1
+    bol = not code.strip(" \t\r")  # no token on the last line
+    tokens.append(tuple.__new__(_Token, ("eof", "", len(lines), col, col, bol)))
     return tokens, folded
 
 
@@ -283,8 +361,8 @@ class _Parser:
             tok = self.tokens[self.pos - 1]
             decl = self.folded.get(self.pos - 1)
             if decl is not None:
-                # a folded line ends in a thing or machine name, a stage kind or
-                # an event head's "{"; a chronology block in its "}"
+                # a folded line ends in a thing or machine name or a stage
+                # kind, a folded block in its "}"
                 kind, end = type(decl), decl.span
                 if kind is ThingDecl or kind is MachineDecl:
                     size = len(decl.name)
@@ -347,7 +425,7 @@ class _Parser:
             self.resync()
         while True:
             decl = self.folded.get(self.pos)
-            if decl is not None and type(decl) is not EventDecl:  # parse_event takes a head
+            if decl is not None:
                 self.decls.append(decl)
                 self.pos += 1
                 continue
@@ -468,23 +546,18 @@ class _Parser:
 
     def parse_event(self) -> EventDecl | None:
         start = self.advance()
-        head = self.folded.get(self.pos - 1)
-        if head is not None:  # a folded head line: name, "perpetual" and "{"
-            name, perpetual = head.name, head.perpetual
-        else:
-            tok = self.expect("ident", "event name")
-            if tok is None:
-                return None
-            name, perpetual = tok.text, False
-            if self.peek().kind == "kw" and self.peek().text == "perpetual":
-                self.advance()
-                perpetual = True
-            if self.expect("{") is None:
-                return None
+        tok = self.expect("ident", "event name")
+        if tok is None:
+            return None
+        perpetual = self.peek().kind == "kw" and self.peek().text == "perpetual"
+        if perpetual:
+            self.advance()
+        if self.expect("{") is None:
+            return None
         body = self.parse_body("event", self.parse_event_item, (FlowDecl, TriggerDecl))
         if body is None:
             return None
-        return EventDecl(name, perpetual, body[0], self.span_of(start, body[1]))
+        return EventDecl(tok.text, perpetual, body[0], self.span_of(start, body[1]))
 
     def parse_event_item(self) -> NodeItemDecl | FlowDecl | TriggerDecl | None:
         tok = self.peek()

@@ -430,6 +430,8 @@ class _Engine:
         for token in state.tokens:
             if token.id in self.tokens:
                 raise ValueError(f"tokens hold '{token.id}' twice")
+            if token.thing not in things:
+                raise ValueError(f"tokens hold '{token.id}' of unknown thing '{token.thing}'")
             n = token.id[3:]
             if token.id[:3] == "tok" and n.isdecimal() and int(n) >= state.next_token:
                 raise ValueError(f"next_token {state.next_token} is not above live '{token.id}'")
@@ -437,15 +439,22 @@ class _Engine:
             stage = model.stages.get(token.at) or _Stage(token.at)
             self.at.setdefault(stage, {})[next(self.ranks)] = (token.id, token.thing)
         self.next_token = state.next_token
-        self.timings: dict[str, tuple[str, EventTiming]] = {p[0]: p for p in state.timings}
+        events = self.events  # each record starts (name, perpetual, ...)
+        index = {r[0]: i for i, r in enumerate(events)}  # validate: each node is an event
+        self.timings: dict[str, tuple[str, EventTiming]] = {}
+        for pair in state.timings:
+            if pair[0] not in index:
+                raise ValueError(f"timings name '{pair[0]}', which is no event of the model")
+            if pair[0] in self.timings:
+                raise ValueError(f"timings hold '{pair[0]}' twice")
+            self.timings[pair[0]] = pair
         self.last_injection = max(self.injections, default=0)
         self.entries: list[TraceEntry] = []
         self.step_no = state.step_no
-        fired, events = self.timings, self.events  # each record starts (name, perpetual, ...)
+        fired = self.timings
         self.unfired = sum(not r[1] and r[0] not in fired for r in events)
         self.waiting: dict[int, int] = {}  # unfired predecessors of a blocked event
         self.successors: dict[str, list[int]] = {}  # events each unfired one blocks
-        index = {r[0]: i for i, r in enumerate(events)}  # validate: each node is an event
         for a, b in model.chronology.edges if model.chronology is not None else ():
             if a not in fired and b not in fired:
                 j = index[b]
@@ -645,8 +654,9 @@ def step(model: Model, state: SimState) -> tuple[SimState, list[TraceEntry]]:
     paired with another model object) steps alike on an engine rebuilt from it,
     which raises what ``init_state(model, scenario, lax=True)`` raises, and
     ValueError for a ``choice_taken`` without a count >= 0 per decision point,
-    for ``tokens`` that hold one id twice, and for a live ``tok<n>`` whose n
-    is not below ``next_token``.
+    for ``tokens`` that hold one id twice or a token of a thing the model
+    lacks, for a live ``tok<n>`` whose n is not below ``next_token``, and for
+    ``timings`` that name an event twice or name no event of the model.
     """
     if state.quiescent:
         return state, []

@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmkit.dsl
-from tmkit.core import STAGE_KINDS, ChronologyDecl, EventDecl, MachineDecl, ThingDecl
+from tmkit.core import (
+    STAGE_KINDS,
+    ChronologyDecl,
+    EventDecl,
+    FlowDecl,
+    MachineDecl,
+    ThingDecl,
+    parse_stage_ref,
+)
 from tmkit.dsl import SourceSpan, _Parser, _scan, parse, serialize
 from tmkit.render import dot_well_formed, render_static
 
@@ -443,9 +451,24 @@ def test_scan_makes_one_regex_match_per_token_on_a_relay():
 def test_scan_folds_a_relay_to_at_most_5000_tokens():
     # Leaf machine lines, event heads and the chronology block are one token
     # each, as flow, trigger and thing lines are: 7,208 tokens when only those
-    # three folded, 4,809 now.
+    # three folded, 4,809 with these.
     tokens, _ = _scan(bench_workloads().relay(400).models["relay"], "d.tm")
     assert len(tokens) <= 5000, len(tokens)
+
+
+def test_scan_folds_a_relay_to_at_most_3000_tokens():
+    # Each event block is one token too, where its head, its item lines and
+    # its "}" were six: 2,807 tokens.
+    tokens, _ = _scan(bench_workloads().relay(400).models["relay"], "d.tm")
+    assert len(tokens) <= 3000, len(tokens)
+
+
+def test_parse_reads_no_event_body_of_a_relay():
+    # Every relay event folds whole, so the token parser reads none of them.
+    text = bench_workloads().relay(400).models["relay"]
+    with mock.patch.object(_Parser, "parse_body", side_effect=AssertionError) as body:
+        assert parse(text).model is not None
+    assert body.call_count == 0
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -493,7 +516,7 @@ def test_deep_machine_nesting_has_no_recursion_limit():
 
 # -- folded lines ------------------------------------------------------------
 # parse folds each complete flow, trigger, thing and leaf machine line, each
-# event head line and each chronology block into one token. The token path
+# whole event block and each chronology block into one token. The token path
 # (unfolded _scan and the token parser alone) is the reference it must match.
 
 
@@ -594,6 +617,7 @@ def test_folded_lines_parse_like_tokens_on_seeded_line_mutations():
     "trigger a.release ~> a.process", "chronology {", "e -> e", "flow thing a.create -> a.release",
     "flow x a.create ~> a.release", "trigger a.release -> a.process",
     "machine b", "event e perpetual {", "chronology {\n  e -> f\n}", "  e -> f",
+    "event e {\n  node a.create\n\n  flow x a.create -> a.release # c\n}\n",
 )), max_size=30))
 def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
     _paths_agree("".join(fragments))
@@ -669,6 +693,44 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         ("event e {\n  thing y\n}\n",
          "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'thing'",
          (5, 3, 5, 7)),
+        # a whole event block folds: blank and comment lines in its body, a
+        # node item, CRLF line ends and tabs, glued arrows, a comment that is
+        # not ASCII, and a "}" line that is indented or holds a comment
+        ("event e {\n\n  # note\n\n  flow x a.create -> a.release  # c\n}\n",
+         "event 'e': no flow 'x a.create -> a.release' in the model", (8, 3, 8, 30)),
+        ("event e perpetual {\n  node a.process\n}\n",
+         "event 'e': no stage 'a.process' in use", (5, 3, 5, 16)),
+        ("event\te\t{\r\n\tnode\ta.create\r\n}\r\n",
+         "event 'e': no stage 'a.create' in use", (5, 2, 5, 14)),
+        ("event e {\n  flow x a.create->a.release\n  trigger a.release~>a.process\n}\n",
+         "event 'e': no flow 'x a.create -> a.release' in the model", (5, 3, 5, 28)),
+        ("event e {\n  flow x a.create -> a.release  # café\n}\n",
+         "event 'e': no flow 'x a.create -> a.release' in the model", (5, 3, 5, 30)),
+        ("flow x a.create -> a.release\nevent e {\n  node a.create\n}\n"
+         "event e {\n  node a.create\n  }  # c\n",
+         "duplicate event name 'e'", (8, 1, 10, 3)),
+        # an event block that does not fold: an item continued by a "." line,
+        # a reserved word as a thing or a path segment, a "}" after an item,
+        # an event left open, a name that is not ASCII, a form feed, and an
+        # event inside a machine block
+        ("event e {\n  flow x a.create -> a.release\n  .process\n}\n",
+         "syntax error: stage kinds may only end a stage reference", (5, 22, 6, 10)),
+        ("event e {\n  flow node a.create -> a.release\n}\n",
+         "syntax error: expected thing name, found 'node'", (5, 8, 5, 11)),
+        ("event e {\n  node a.flow.create\n}\n",
+         "syntax error: expected a stage reference segment, found 'flow'", (5, 10, 5, 13)),
+        ("flow x a.create -> a.release\nevent e {\n  node a.create\n}\n"
+         "event e {\n  node a.create }\n",
+         "duplicate event name 'e'", (8, 1, 9, 17)),
+        ("event e {\n  node a.create",
+         "syntax error: unterminated event block, expected '}'", (5, 10, 5, 15)),
+        ("event é {\n}\n",
+         "syntax error: expected event name, found 'é'", (4, 7, 4, 7)),
+        ("event e {\n  node\fa.create\n}\n",
+         "syntax error: expected a stage reference segment, found '\\x0c'", (5, 7, 5, 7)),
+        ("machine b {\n  event e {\n    node a.create\n  }\n}\n",
+         "syntax error: expected 'machine' or '}' inside machine block, found 'event'",
+         (5, 3, 5, 7)),
     ],
 )
 def test_folded_line_edge_cases_parse_like_tokens(text, message, where):
@@ -695,10 +757,12 @@ def test_each_folded_shape_is_one_token():
     tokens, folded = _scan(text, "d.tm")
     assert [(tok.text, tok.line) for tok in tokens] == [
         ("model", 1), ("m", 1), ("thing", 2), ("machine", 3), ("flow", 4), ("trigger", 5),
-        ("event", 6), ("flow", 7), ("}", 8), ("chronology", 9), ("", 14)]
+        ("event", 6), ("chronology", 9), ("", 14)]
     assert folded[3] == MachineDecl("a", (), SourceSpan("d.tm", 3, 1, 3, 9))
-    assert folded[6] == EventDecl("e", True, (), SourceSpan("d.tm", 6, 1, 6, 19))
-    assert folded[9] == ChronologyDecl((("e", "f"), ("f", "e")), SourceSpan("d.tm", 9, 1, 14, 1))
+    flow = FlowDecl("x", parse_stage_ref("a.create"), parse_stage_ref("a.process"),
+                    SourceSpan("d.tm", 7, 3, 7, 30))
+    assert folded[6] == EventDecl("e", True, (flow,), SourceSpan("d.tm", 6, 1, 8, 1))
+    assert folded[7] == ChronologyDecl((("e", "f"), ("f", "e")), SourceSpan("d.tm", 9, 1, 14, 1))
     _paths_agree(text)
 
 
@@ -761,16 +825,28 @@ def test_parse_reports_an_e001_exactly_where_the_reference_parser_rejects():
     rejected = continued = 0
     texts += [_mutant(seed, bases) for seed in range(2000)]
     texts += [_token_mutant(seed, bases) for seed in range(2000)]
+    round_trips = 0
     for text in texts:
         where = reference_parse(text)
-        e001 = [d.location for d in parse(text, "d.tm").diagnostics if d.code == "E001"]
+        result = parse(text, "d.tm")
+        e001 = [d.location for d in result.diagnostics if d.code == "E001"]
         assert (where is None) == (not e001), text
+        if result.model is not None:  # an accepted text that builds a model
+            # its canonical text parses to the same model, with the same
+            # warnings (at other spans) and no more
+            canonical = serialize(result.model)
+            again = parse(canonical)
+            assert [(d.code, d.message) for d in again.diagnostics] == [
+                (d.code, d.message) for d in result.diagnostics], text
+            assert serialize(again.model) == canonical, text
+            round_trips += 1
         if where is not None:
             rejected += 1
             if (e001[0].start_line, e001[0].start_col) != where:
                 assert _continues_a_complete_reference(text, where), (text, where, e001[0])
                 continued += 1
     assert (rejected, continued) == (3440, 19)
+    assert round_trips == 229, round_trips
 
 
 def test_a_dot_line_after_a_stage_kind_is_where_parse_and_the_reference_differ():

@@ -821,6 +821,37 @@ def test_a_state_holding_a_token_twice_is_refused():
     assert len(step(model, replace(state))[1]) == 21
 
 
+def test_a_state_holding_a_token_of_an_unknown_thing_is_refused():
+    # Rebuilt with tok2 a "ghost", reservoir's second step carried it along
+    # and made 16 entries where the unbroken chain makes 21.
+    model = load_corpus_model("reservoir")
+    state, _ = step(model, init_state(model, load_corpus_scenario("reservoir")))
+    first, second = state.tokens
+    ghost = second._replace(thing="ghost")
+    with pytest.raises(ValueError, match="tokens hold 'tok2' of unknown thing 'ghost'") as refused:
+        step(model, replace(state, tokens=(first, ghost)))
+    assert type(refused.value) is ValueError
+
+
+def test_a_state_whose_timings_name_no_event_is_refused():
+    model = load_corpus_model("reservoir")
+    state, _ = step(model, init_state(model, load_corpus_scenario("reservoir")))
+    timings = state.timings + (("nosuch", state.timings[0][1]),)
+    with pytest.raises(ValueError, match="timings name 'nosuch'") as refused:
+        step(model, replace(state, timings=timings))
+    assert type(refused.value) is ValueError
+
+
+def test_a_state_whose_timings_repeat_an_event_is_refused():
+    model = load_corpus_model("reservoir")
+    state, _ = step(model, init_state(model, load_corpus_scenario("reservoir")))
+    (pair,) = state.timings
+    with pytest.raises(ValueError, match=f"timings hold '{pair[0]}' twice") as refused:
+        step(model, replace(state, timings=(pair, pair)))
+    assert type(refused.value) is ValueError
+    assert len(step(model, replace(state, timings=(pair,)))[1]) == 21
+
+
 def test_a_returned_entries_list_is_unchanged_by_later_steps():
     model, scenario = perpetual_relay(20, 30)
     chain = _step_chain(model, init_state(model, scenario), 10)
