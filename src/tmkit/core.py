@@ -82,22 +82,21 @@ RESERVED_WORDS = frozenset(
      "perpetual", "node"}
 ) | frozenset(STAGE_KINDS)
 
-# Legal (src, dst) stage pairs for a flow staying inside one machine.
-# Release is always the exit gate: create may not jump straight to transfer.
-_SAME_MACHINE_LEGAL = frozenset(
-    {
-        (StageKind.CREATE, StageKind.PROCESS),
-        (StageKind.CREATE, StageKind.RELEASE),
-        (StageKind.RECEIVE, StageKind.PROCESS),
-        (StageKind.RECEIVE, StageKind.RELEASE),
-        (StageKind.PROCESS, StageKind.RELEASE),
-        (StageKind.RELEASE, StageKind.TRANSFER),
-        (StageKind.TRANSFER, StageKind.RECEIVE),
+# The code of an illegal flow by (source kind, destination kind, same machine):
+# E104 into create, else E102 inside one machine and E103 across machines. The
+# eight keys left out are the legal flows. Inside a machine release is the only
+# exit gate, so create may not jump straight to transfer; a machine boundary is
+# crossed from transfer to transfer only.
+_FLOW_CODES: dict[tuple[StageKind, StageKind, bool], str] = {
+    (src, dst, same): "E104" if dst is StageKind.CREATE else "E102" if same else "E103"
+    for src in StageKind for dst in StageKind for same in (True, False)
+    if (src._value_, dst._value_, same) not in {
+        ("create", "process", True), ("create", "release", True),
+        ("process", "release", True), ("release", "transfer", True),
+        ("transfer", "receive", True), ("receive", "process", True),
+        ("receive", "release", True), ("transfer", "transfer", False),
     }
-)
-
-# Crossing a machine boundary is legal only gateway to gateway.
-_CROSS_MACHINE_LEGAL = frozenset({(StageKind.TRANSFER, StageKind.TRANSFER)})
+}
 
 #: Registry of diagnostic codes (bit-exact strings).
 DIAGNOSTIC_CODES: dict[str, str] = {
@@ -120,9 +119,7 @@ DIAGNOSTIC_CODES: dict[str, str] = {
 
 def flow_legal(src_kind: StageKind, dst_kind: StageKind, same_machine: bool) -> bool:
     """Pure lookup in the 5x5x2 stage-pair legality table."""
-    if same_machine:
-        return (src_kind, dst_kind) in _SAME_MACHINE_LEGAL
-    return (src_kind, dst_kind) in _CROSS_MACHINE_LEGAL
+    return (src_kind, dst_kind, bool(same_machine)) not in _FLOW_CODES
 
 
 # Stage refs, region items and raw declarations are named tuples: built by one
@@ -926,7 +923,9 @@ def validate(model: Model, *, lax: bool = False) -> list[Diagnostic]:
 
     Computed once per model and ``lax`` value; each call returns a fresh,
     equal list. With ``lax=True`` cross-boundary violations (E103) are
-    downgraded to warnings, admitting figure-style shortcut flows.
+    downgraded to warnings, admitting figure-style shortcut flows. A stage
+    of a hand-built model that does not resolve gets an E101, located by
+    its text.
     """
     cache = model._validation
     if lax not in cache:
@@ -960,27 +959,17 @@ def _paused(call, *args):
 def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for e in model.flows:
-        same = e.src.path == e.dst.path
-        if e.dst.kind is StageKind.CREATE:
-            diags.append(_error("E104", f"flow into create stage '{e.dst}'", e.id))
-        elif not same and not flow_legal(e.src.kind, e.dst.kind, False):
-            make = _warning if lax else _error
-            diags.append(
-                make(
-                    "E103",
-                    f"flow crosses machine boundary without transfer: {e.src} -> {e.dst}",
-                    e.id,
-                )
-            )
-        elif same and not flow_legal(e.src.kind, e.dst.kind, True):
-            diags.append(
-                _error(
-                    "E102",
-                    f"illegal flow {e.src.kind} -> {e.dst.kind} within machine "
-                    f"'{'.'.join(e.src.path)}'",
-                    e.id,
-                )
-            )
+        src, dst = e.src, e.dst
+        code = _FLOW_CODES.get((src.kind, dst.kind, src.path == dst.path))
+        if code == "E104":
+            diags.append(_error(code, f"flow into create stage '{dst}'", e.id))
+        elif code == "E103":
+            message = f"flow crosses machine boundary without transfer: {src} -> {dst}"
+            diags.append((_warning if lax else _error)(code, message, e.id))
+        elif code == "E102":
+            message = (f"illegal flow {src.kind} -> {dst.kind} within machine "
+                       f"'{'.'.join(src.path)}'")
+            diags.append(_error(code, message, e.id))
     for t in model.triggers:
         if t.dst.kind not in (StageKind.CREATE, StageKind.PROCESS):
             diags.append(
@@ -1017,10 +1006,14 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
                     t.id,
                 )
             )
-    # A machine's subtree is touched iff its path prefixes a touched path.
+    # A machine's subtree is touched iff its path prefixes a touched path. Each
+    # stage build_model makes resolves; a hand-built one may name no machine.
+    machines = model.machines_by_path
     touched_prefixes: set[tuple[str, ...]] = set()
-    for ref in model.stages:
+    for ref, stage in model.stages.items():
         path = ref.path
+        if path not in machines and stage.text != f"{ENV_NAME}.transfer":
+            diags.append(_error("E101", _resolve_ref(ref, machines)[1], stage.text))
         while path and path != (ENV_NAME,) and path not in touched_prefixes:
             touched_prefixes.add(path)
             path = path[:-1]

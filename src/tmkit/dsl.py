@@ -506,12 +506,14 @@ class _Parser:
                 found = repr(tok.text) if tok.text else "end of input"
                 self.error_here(f"expected a stage reference segment, found {found}")
                 return None
-            if self.peek().kind == ".":
+            if self.peek().kind == "." and segments[0] not in STAGE_KINDS:
                 self.advance()
                 continue
             break
         last = self.tokens[self.pos - 1]
-        if segments[-1] not in STAGE_KINDS:
+        if self.peek().kind == ".":  # a stage kind starts a dotted reference: report at the kind
+            problem = "stage kinds may only end a stage reference"
+        elif segments[-1] not in STAGE_KINDS:
             problem = (
                 "stage reference must end in a stage kind "
                 "(create, process, release, transfer, receive)"

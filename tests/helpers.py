@@ -325,6 +325,270 @@ def reference_parse(text: str) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
+# Validator oracle: the README's legality rules and diagnostic codes, applied
+# to model text by plain string handling. It names nothing of tmkit.core (no
+# flow_legal, no legality table), so a rule that core.py misapplies shows.
+
+# Inside one machine a thing may take these steps; release is the only exit
+# gate. Across machines it may step from transfer to transfer only.
+_LEGAL_STEPS = {("create", "process"), ("create", "release"), ("process", "release"),
+                ("release", "transfer"), ("transfer", "receive"), ("receive", "process"),
+                ("receive", "release")}
+
+
+def _split_ref(ref: str) -> tuple[str, str]:
+    """A stage reference's machine path and stage kind."""
+    path, _, kind = ref.rpartition(".")
+    return path, kind
+
+
+def reference_severity(code: str, lax: bool) -> str:
+    """W codes are warnings, and so is E103 under ``lax``; every other code is an error."""
+    return "warning" if code[0] == "W" or (lax and code == "E103") else "error"
+
+
+def reference_diagnostics(text: str) -> list[tuple[str, str]]:
+    """A ``(code, subject)`` pair for each diagnostic that ``parse`` must give
+    ``text``, a model of one item, block head or ``}`` per line and no comments
+    (as ``random_rule_text`` writes). The subject is ``"LINE: item"``: the line
+    of the thing, machine, flow, trigger, event, event item or chronology the
+    diagnostic is about; an E105 is about the first flow into its stage.
+
+    Any build error (E101, E104, E106, E301, E302, E303) stops the build, so
+    only those are reported; otherwise the validation's E102, E103, E105,
+    W201 and W202 are."""
+    lines = text.split("\n")
+    things: dict[str, str] = {}
+    machines: dict[str, str] = {}  # machine path -> subject, in declaration order
+    flows, triggers, events, chronologies = [], [], [], []
+    build: list[tuple[str, str]] = []
+    blocks: list[tuple[str, object]] = []  # each open block's keyword, and its path or entries
+    siblings = [set()]  # names declared at each open machine level
+    for number, line in enumerate(lines[1:], 2):
+        words = line.split()
+        if not words:
+            continue
+        subject = f"{number}: {line.strip()}"
+        head, open_ = words[0], words[-1] == "{"
+        inside = blocks[-1] if blocks else ("model", None)
+        if head == "}":
+            kind, _ = blocks.pop()
+            if kind == "machine":
+                siblings.pop()
+        elif inside[0] == "event":
+            inside[1].append((words, subject))
+        elif inside[0] == "chronology":
+            inside[1].append((words[0], words[2]))
+        elif head == "thing":
+            if words[1] in things:
+                build.append(("E106", subject))
+            things.setdefault(words[1], subject)
+        elif head == "machine":
+            parent = inside[1] if inside[0] == "machine" else ""
+            name = words[1]
+            path = None  # a machine that is refused declares nothing, its children neither
+            if parent is not None:
+                if name == "env" or name in siblings[-1]:
+                    build.append(("E106", subject))
+                else:
+                    siblings[-1].add(name)
+                    path = f"{parent}.{name}" if parent else name
+                    machines[path] = subject
+            if open_:
+                blocks.append(("machine", path))
+                siblings.append(set())
+        elif head in ("flow", "trigger"):
+            (flows if head == "flow" else triggers).append((words, subject))
+        elif head == "event":
+            events.append((words[1], subject, []))
+            blocks.append(("event", events[-1][2]))
+        elif head == "chronology":
+            chronologies.append((subject, []))
+            blocks.append(("chronology", chronologies[-1][1]))
+
+    def resolves(ref: str) -> bool:
+        path, kind = _split_ref(ref)
+        if path.split(".")[0] == "env":  # the outside has one stage, env.transfer
+            return path == "env" and kind == "transfer"
+        return path in machines
+
+    kept_flows: dict[tuple[str, str, str], str] = {}  # (thing, src, dst) -> subject
+    for words, subject in flows:
+        thing, src, dst = words[1], words[2], words[4]
+        unresolved = [ref for ref in (src, dst) if not resolves(ref)]
+        build += [("E101", subject)] * ((thing not in things) + len(unresolved))
+        if thing not in things or unresolved:
+            continue
+        if _split_ref(dst)[1] == "create":
+            build.append(("E104", subject))
+        elif (thing, src, dst) in kept_flows:
+            build.append(("E106", subject))
+        else:
+            kept_flows[thing, src, dst] = subject
+    kept_triggers: dict[tuple[str, str], str] = {}
+    for words, subject in triggers:
+        src, dst = words[1], words[3]
+        unresolved = [ref for ref in (src, dst) if not resolves(ref)]
+        build += [("E101", subject)] * len(unresolved)
+        if unresolved:
+            continue
+        if (src, dst) in kept_triggers:
+            build.append(("E106", subject))
+        else:
+            kept_triggers[src, dst] = subject
+    in_use = {ref for key in (*kept_flows, *kept_triggers) for ref in key[-2:]}
+
+    built: list[str] = []  # the events without an error
+    for name, subject, items in events:
+        errors = [("E303", subject)] if name in built else []
+        if not items:
+            errors.append(("E301", subject))
+        for words, item in items:
+            if words[0] == "node":
+                found = words[1] in in_use
+            elif words[0] == "flow":
+                found = (words[1], words[2], words[4]) in kept_flows
+            else:
+                found = (words[1], words[3]) in kept_triggers
+            if not found:
+                errors.append(("E301", item))
+        build += errors
+        if not errors:
+            built.append(name)
+    for subject, _ in chronologies[1:]:
+        build.append(("E106", subject))
+    if chronologies:
+        subject, edges = chronologies[0]
+        after: dict[str, set[str]] = {name: set() for name in built}
+        for a, b in edges:
+            unknown = [n for n in (a, b) if n not in after]
+            build += [("E303", subject)] * len(unknown)
+            if not unknown and b in after[a]:
+                build.append(("E106", subject))
+            elif not unknown:
+                after[a].add(b)
+        # One E302 per set of events that each reach every other one round a cycle.
+        reach = {}
+        for name in built:
+            seen, todo = set(), [*after[name]]
+            while todo:
+                n = todo.pop()
+                if n not in seen:
+                    seen.add(n)
+                    todo += after[n]
+            reach[name] = seen
+        cycles = {frozenset(m for m in reach[n] if n in reach[m]) for n in built if n in reach[n]}
+        build += [("E302", subject)] * len(cycles)
+    if build:
+        return build
+
+    out: list[tuple[str, str]] = []
+    ins: dict[str, list[str]] = {}  # stage -> things flowing in, then out
+    outs: dict[str, list[str]] = {}
+    first_in: dict[str, str] = {}
+    for (thing, src, dst), subject in kept_flows.items():
+        (src_path, src_kind), (dst_path, dst_kind) = _split_ref(src), _split_ref(dst)
+        if src_path != dst_path and (src_kind, dst_kind) != ("transfer", "transfer"):
+            out.append(("E103", subject))
+        elif src_path == dst_path and (src_kind, dst_kind) not in _LEGAL_STEPS:
+            out.append(("E102", subject))
+        ins.setdefault(dst, []).append(thing)
+        outs.setdefault(src, []).append(thing)
+        first_in.setdefault(dst, subject)
+    for stage in ins.keys() & outs.keys():  # a thing keeps its identity through a stage
+        if len({*ins[stage], *outs[stage]}) > 1:
+            out.append(("E105", first_in[stage]))
+    for (src, dst), subject in kept_triggers.items():
+        if _split_ref(dst)[1] not in ("create", "process"):
+            out.append(("E102", subject))
+        touching = [{*ins.get(ref, ()), *outs.get(ref, ())} for ref in (src, dst)]
+        if touching[0] & touching[1]:
+            out.append(("W201", subject))
+    touched = {".".join(path.split(".")[:i + 1])
+               for ref in in_use for path in [_split_ref(ref)[0]]
+               for i in range(path.count(".") + 1)}
+    out += [("W202", subject) for path, subject in machines.items() if path not in touched]
+    return out
+
+
+def random_rule_text(seed: int) -> str:
+    """A model text for ``reference_diagnostics``: nested machines, flows and
+    triggers between stages drawn at random (``env.transfer`` among them),
+    events over them and a chronology. About one text in three may also
+    repeat or misname a declaration, which stops the build."""
+    rng = random.Random(seed)
+    faulty = rng.random() < 0.35
+    kinds = ("create", "process", "release", "transfer", "receive")
+    things = ["x", "y", "z"][:rng.randint(1, 3)]
+    blocks = [[f"thing {t}"] for t in things]
+    if faulty and rng.random() < 0.3:
+        blocks.append([f"thing {rng.choice(things)}"])
+    names, paths = iter("abcdefghijklmnopqrstuvw"), []
+
+    def machine(prefix: str, depth: int, taken: list[str]) -> list[str]:
+        name = next(names)
+        if faulty and rng.random() < 0.15:
+            name = rng.choice(["env", *taken])
+        taken.append(name)
+        path = f"{prefix}.{name}" if prefix else name
+        paths.append(path)
+        if depth == 2 or rng.random() < 0.65:
+            return [f"machine {name}"]
+        inner: list[str] = []
+        children = [f"  {line}" for _ in range(rng.randint(1, 2))
+                    for line in machine(path, depth + 1, inner)]
+        return [f"machine {name} {{", *children, "}"]
+
+    roots: list[str] = []
+    blocks += [machine("", 0, roots) for _ in range(rng.randint(1, 3))]
+    stages = ["env.transfer"] + [f"{p}.{k}" for p in paths for k in kinds]
+    pool = rng.sample(stages, min(len(stages), rng.randint(3, 8)))
+    if faulty:
+        pool += rng.sample(["ghost.process", "env.receive", "env.sub.transfer",
+                            f"{paths[0]}.ghost.release"], 1)
+    flows: list[str] = []
+    for _ in range(rng.randint(1, 7)):
+        dsts = [s for s in pool if faulty or not s.endswith(".create")]
+        thing = rng.choice(things + ["w"] * faulty)  # w is never declared
+        line = f"flow {thing} {rng.choice(pool)} -> {rng.choice(dsts)}"
+        if faulty or line not in flows:
+            flows.append(line)
+    triggers: list[str] = []
+    for _ in range(rng.randint(0, 3)):
+        line = f"trigger {rng.choice(pool)} ~> {rng.choice(pool)}"
+        if faulty or line not in triggers:
+            triggers.append(line)
+    blocks += [[line] for line in flows + triggers]
+    events: list[str] = []
+    for i in range(rng.randint(0, 3)):
+        name = f"e{i + 1}"
+        if faulty and events and rng.random() < 0.2:
+            name = rng.choice(events)
+        events.append(name)
+        declared = flows + triggers
+        items = rng.sample(declared, min(len(declared), rng.randint(0 if faulty else 1, 2)))
+        items += [f"node {ref}" for ref in rng.sample(pool, rng.randint(0, 1))
+                  if faulty or any(ref in line.split() for line in declared)]  # a stage in use
+        if faulty and rng.random() < 0.3:
+            items.append(f"flow {things[0]} {rng.choice(pool)} -> {rng.choice(pool)}")
+        head = f"event {name} perpetual {{" if rng.random() < 0.3 else f"event {name} {{"
+        blocks.append([head, *[f"  {item}" for item in items], "}"])
+    for _ in range(rng.randint(1, 2) if events and rng.random() < 0.6 else 0):
+        edges = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(events), rng.choice(events + ["q"] * faulty)
+            edge = f"  {a} -> {b}"
+            if faulty or (events.index(a) < events.index(b) and edge not in edges):
+                edges.append(edge)
+        blocks.append(["chronology {", *edges, "}"])
+        if not faulty:
+            break
+    if rng.random() < 0.3:
+        rng.shuffle(blocks)
+    return "\n".join([f"model m{seed}", *[line for block in blocks for line in block]]) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Structural equality oracle: field-walking comparison written independently
 # of the generated __eq__ it is used to check.
 

@@ -17,6 +17,7 @@ from tmkit.core import (
     Event,
     EventDecl,
     FlowDecl,
+    FlowEdge,
     MachineDecl,
     Machine,
     Model,
@@ -617,8 +618,25 @@ def test_a_replaced_model_gets_its_own_diagnostics():
     bent = replace(model, flows=model.flows + (
         replace(edge, id="f99", dst=StageRef(("nowhere",), StageKind.CREATE)),
     ))
-    assert codes(validate(bent)) == ["E104"]
+    assert codes(validate(bent)) == ["E104", "E101"]
     assert validate(model) == []
+
+
+@pytest.mark.parametrize("ghost", [StageRef(("ghost",), StageKind.TRANSFER),
+                                   StageRef(("env", "sub"), StageKind.TRANSFER)])
+@pytest.mark.parametrize("into", [True, False])
+def test_validate_reports_a_hand_built_stage_that_names_no_machine(ghost, into):
+    # serialize writes such a model as text that parse refuses with an E101,
+    # so validate refuses it too, with the same message, located by the stage
+    model = load_corpus_model("murderer")
+    transfer = next(ref for ref in model.stages
+                    if ref.kind is StageKind.TRANSFER and not ref.is_env)
+    ends = (transfer, ghost) if into else (ghost, transfer)
+    bent = replace(model, flows=model.flows + (FlowEdge("f999", model.things[0].name, *ends),))
+    reparsed = parse(serialize(bent)).diagnostics
+    assert [(d.code, d.location, d.message) for d in validate(bent)] == [
+        ("E101", str(ghost), reparsed[0].message)]
+    assert codes(reparsed) == ["E101"]
 
 
 def _deep_chain(depth: int) -> list:

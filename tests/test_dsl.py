@@ -642,6 +642,14 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         # a stage kind inside a reference
         ("flow x a.create.b.release -> a.release\n",
          "syntax error: stage kinds may only end a stage reference", (4, 8, 4, 25)),
+        # a reference that starts with a stage kind and a ".", as the
+        # reference parser finds it: at the kind, whatever follows the "."
+        ("trigger release .\n",
+         "syntax error: stage kinds may only end a stage reference", (4, 9, 4, 15)),
+        ("trigger release.a.create ~> a.process\n",
+         "syntax error: stage kinds may only end a stage reference", (4, 9, 4, 15)),
+        ("flow x release . -> a.process\n",
+         "syntax error: stage kinds may only end a stage reference", (4, 8, 4, 14)),
         # a folded line is the last token of an unterminated event
         ("event e {\n  flow x a.create -> a.release  # open",
          "syntax error: unterminated event block, expected '}'", (5, 24, 5, 30)),
