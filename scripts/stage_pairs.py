@@ -23,8 +23,9 @@ perfbench's emit block gets it, and ``tables``, ``simulate`` and the step
 loop on a freshly parsed model, so that building the simulator's tables is
 timed with ``simulate`` and the step loop.
 Before the tables it prints each side's ``_scan`` token count and folded
-declaration count for the relay text, so that a front-end change shows its
-count delta beside its timings.
+declaration count for the relay text, and on a second line their sums over
+the 4 corpus models, so that a front-end change shows its count deltas
+beside its timings.
 The script exits non-zero if the two sides' emitter bytes (``render_events``
 also on a fresh model that runs it before ``render_static``), flood trace
 bytes, relay or flood step-loop entries (as text) differ, or the trace bytes of
@@ -220,6 +221,12 @@ def step_text(tmkit, text: str, scenario_text: str) -> str:
         for state in states)
 
 
+def scan_counts(tmkit, texts) -> str:
+    """``_scan``'s tokens and folded declarations, each summed over ``texts``."""
+    scans = [tmkit.dsl._scan(text, FILE) for text in texts]
+    return f"{sum(len(t) for t, _ in scans)} tokens, {sum(len(f) for _, f in scans)} folded"
+
+
 def timed(make) -> float:
     call = make()
     gc.collect()
@@ -267,15 +274,15 @@ def main(argv: list[str] | None = None) -> int:
     flood = workloads.flood()
     flood_text, flood_scenario = flood.models["flood"], flood.sims[0].scenario
     stepped = runs | {"flood": (flood_text, flood_scenario)}
-    sides, outputs, counts = {}, {}, []
+    sides, outputs, counts = {}, {}, {"relay": [], "corpus": []}
     for label, src in (("parent", args.parent), ("change", args.change)):
         tmkit = load(src, f"tmkit_{label}")
         relay_sim = sim_calls(tmkit, text, relay.sims[0].scenario, FILE)
         sides[label] = (stage_calls(tmkit, text)
                         | {f"relay {stage}": relay_sim[stage] for stage in RELAY_SIM}
                         | sim_calls(tmkit, flood_text, flood_scenario, FLOOD))
-        tokens, folded = tmkit.dsl._scan(text, FILE)
-        counts.append(f"{label} {len(tokens)} tokens, {len(folded)} folded")
+        counts["relay"].append(f"{label} {scan_counts(tmkit, [text])}")
+        counts["corpus"].append(f"{label} {scan_counts(tmkit, corpus.models.values())}")
         model = tmkit.dsl.parse(text, FILE).model
         if not model:
             sys.exit(f"{src}: relay n={args.n} does not parse to a model")
@@ -295,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         if out != outputs["change"][name]:
             sys.exit(f"{name}: the two sides' output bytes differ")
     samples = measure(sides, args.calls)
-    print(f"relay n={args.n} _scan: {'; '.join(counts)}")
+    print(f"relay n={args.n} _scan: {'; '.join(counts['relay'])}")
+    print(f"corpus {len(corpus.models)} models _scan: {'; '.join(counts['corpus'])}")
     titles = {"_scan": f"relay n={args.n}", "relay simulate": f"relay n={args.n} scenario",
               "simulate": f"flood {workloads.FLOOD_MACHINES} machines, "
               f"{workloads.FLOOD_STEPS} steps"}

@@ -691,7 +691,7 @@ def _chronology_diagnostics(chronology: Chronology) -> list[Diagnostic]:
     kept: dict[tuple[str, str], None] = {}  # each edge between nodes, once
     for a, b in chronology.edges:
         if a not in nodes or b not in nodes:
-            diags += [_unknown_event(n) for n in (a, b) if n not in nodes]
+            diags += [_unknown_event(n) for n in dict.fromkeys((a, b)) if n not in nodes]
             continue
         if (a, b) in kept:
             diags.append(
@@ -831,15 +831,16 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
     machines_by_path = static.machines_by_path
     resolved: set[StageRef] = set()  # an equal ref resolves alike; only failures repeat
 
-    def end(ref: StageRef | str, span: object | None) -> StageRef | None:
-        """``ref`` resolved, or None after reporting its E101."""
+    def end(ref: StageRef | str, span: object | None, src: object = None) -> StageRef | None:
+        """``ref`` resolved, or None after reporting its E101, unless it is
+        ``src``, its edge's other end, whose E101 is reported already."""
         if ref in resolved:  # never text: the set holds refs
             return ref
         out, msg = _resolve_ref(ref, machines_by_path)
-        if out is None:
-            diags.append(_error("E101", msg, span or str(ref)))
-        else:
+        if out is not None:
             resolved.add(out)
+        elif ref != src:  # compared only on a failure: the records' __ne__ is Python code
+            diags.append(_error("E101", msg, span or str(ref)))
         return out
 
     flows_by_key: dict[tuple[str, StageRef, StageRef], FlowEdge] = {}
@@ -849,7 +850,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
             diags.append(
                 _error("E101", f"unresolved path: unknown thing '{d.thing}'", d.span or d.thing)
             )
-        src, dst = end(d.src, d.span), end(d.dst, d.span)
+        src, dst = end(d.src, d.span), end(d.dst, d.span, d.src)
         if not known or src is None or dst is None:
             continue
         if dst.kind is StageKind.CREATE:
@@ -871,7 +872,7 @@ def build_model(name: str, elements: Iterable[Decl]) -> Model | list[Diagnostic]
 
     triggers_by_key: dict[tuple[StageRef, StageRef], TriggerEdge] = {}
     for d in trigger_decls:
-        src, dst = end(d.src, d.span), end(d.dst, d.span)
+        src, dst = end(d.src, d.span), end(d.dst, d.span, d.src)
         if src is None or dst is None:
             continue
         key = (src, dst)
@@ -1014,6 +1015,7 @@ def _diagnose(model: Model, lax: bool) -> list[Diagnostic]:
         path = ref.path
         if path not in machines and stage.text != f"{ENV_NAME}.transfer":
             diags.append(_error("E101", _resolve_ref(ref, machines)[1], stage.text))
+            continue  # a stage that names no machine touches none
         while path and path != (ENV_NAME,) and path not in touched_prefixes:
             touched_prefixes.add(path)
             path = path[:-1]

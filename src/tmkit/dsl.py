@@ -27,28 +27,27 @@ token: the match takes the spaces before the token and the spaces, comment
 and line end after it, and a blank or comment-only line is one match. Its
 unfolded mode gives the token stream. ``parse`` uses the folded mode, which
 reads the text a line at a time and splits each line's code into words, so
-that most input reaches the parser a line or a block at a time. Six shapes
+that most input reaches the parser a line or a block at a time. Seven shapes
 fold, indented or not, each line with or without a trailing comment:
 
 - a ``flow THING REF -> REF``, ``trigger REF ~> REF``, ``thing NAME`` or
   ``machine NAME`` line, unless the next line that holds code starts with a
   ``.`` (which would continue the last reference) or a ``{`` (which would
   open a block);
-- a whole ``event NAME {`` or ``event NAME perpetual {`` block of one
-  ``node``, ``flow`` or ``trigger`` item per line, and a whole
-  ``chronology {`` block of one ``NAME -> NAME`` per line, blank and comment
-  lines allowed, each closed by a ``}`` line.
+- a whole ``machine NAME {`` block of one ``machine NAME`` leaf, nested
+  ``machine NAME {`` head or ``}`` per line, a whole ``event NAME {`` or
+  ``event NAME perpetual {`` block of one ``node``, ``flow`` or ``trigger``
+  item per line, and a whole ``chronology {`` block of one ``NAME -> NAME``
+  per line, blank and comment lines allowed, each closed by a ``}`` line.
 
 Each is cut to its keyword token, and its declaration is kept beside that
 token. A shape folds only where the token path builds the same: its code is
 plain ASCII, and it names no reserved word, inside a stage reference or
-out. Any other line, including the head of an event whose body does not
-fold, goes to the token regex. The parser takes a folded declaration where
-the token path would build the same: every shape at the top level, a leaf
-``machine`` line inside a machine block, and in ``parse_body`` a ``flow`` or
-``trigger`` line of an event body (a chronology body takes none). Anywhere
-else it sees the keyword token, so every diagnostic comes from the token
-path.
+out. Any other line, including each line of a block that does not fold,
+goes to the token regex. A line inside a block folds only as part of its
+whole block; the parser takes folded declarations only at the top level.
+Anywhere else it sees the keyword token, so every diagnostic comes from the
+token path.
 """
 
 from __future__ import annotations
@@ -167,16 +166,20 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
     The folded mode reads a line at a time. A line's code, the text before
     its ``#``, is split into words at spaces, ``->`` and ``~>`` being words
     of their own, and the words decide its shape: a ``flow``, ``trigger``,
-    ``thing`` or leaf ``machine`` line, or an ``event`` or ``chronology``
-    head whose body lines, up to a ``}`` line, each hold one item of the
-    block or nothing. A shape folds only if its code is printable ASCII
-    besides tabs and CRs, each name is an identifier that is not reserved,
-    and each stage reference is a path of such names ending in a stage kind;
-    a single-line shape is unfolded again when the next line that holds code
-    starts with ``.`` or ``{``. A block that does not fold gives its head line
-    to the token regex and its body lines are read one by one. Runs of lines
-    that do not fold are given to the token regex. One ``StageRef`` per
-    distinct reference text, one tuple per path."""
+    ``thing`` or leaf ``machine`` line, or a ``machine``, ``event`` or
+    ``chronology`` head whose body lines, up to its ``}`` line, each hold one
+    item of the block or nothing; a machine block's items are leaves and
+    nested blocks, which wait on a stack. A shape folds only if its code is
+    printable ASCII besides tabs and CRs, each name is an identifier that is
+    not reserved, and each stage reference is a path of such names ending in
+    a stage kind; a single-line shape is unfolded again when the next line
+    that holds code starts with ``.`` or ``{``. Runs of lines that do not
+    fold are given to the token regex. A line inside a block folds only as
+    part of its whole block, so the parser takes folded declarations only at
+    the top level: each ``{`` of a line given to the token regex opens a
+    depth that its ``}`` closes (a ``}`` at depth 0 closes nothing), and no
+    line folds while the depth is above 0. One ``StageRef`` per distinct
+    reference text, one tuple per path."""
     tokens: list[_Token] = []
     folded: dict[int, Decl] = {}
     lines = text.split("\n")
@@ -243,17 +246,21 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
             return None
 
         def block(at: int, code: str, words: list[str]) -> tuple[Decl, int] | None:
-            """A whole event or chronology block whose head is line ``at``:
-            its declaration and the index of its ``}`` line, or None."""
+            """A whole machine, event or chronology block whose head, a line
+            ending in ``{``, is line ``at``: its declaration and the index of
+            its last ``}`` line, or None."""
             word, size = words[0], len(words)
-            if word == "event":
-                name = words[1] if 3 <= size <= 4 else ""
-                if words[-1] != "{" or size == 4 and words[2] != "perpetual" or \
-                        not name.isidentifier() or name in RESERVED_WORDS:
-                    return None
-            elif words != ["chronology", "{"]:
+            name = words[1] if size > 2 else ""
+            if word == "chronology" and size == 2:
+                kinds = ()
+            elif (word == "event" and (size == 3 or size == 4 and words[2] == "perpetual")
+                  or word == "machine" and size == 3) and \
+                    name.isidentifier() and name not in RESERVED_WORDS:
+                kinds = ("machine",) if word == "machine" else ("flow", "trigger", "node")
+            else:
                 return None
-            entries = []
+            # The blocks open, innermost last: head line, column, name, entries.
+            opened = [(at, code.find(word) + 1, name, [])]
             for end in range(at + 1, len(lines)):
                 body = lines[end].partition("#")[0]
                 items = split(body)
@@ -262,20 +269,28 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
                         return None
                     continue
                 if items[0] == "}" and len(items) == 1:
-                    span = new(SourceSpan, (file, at + 1, code.find(word) + 1,
-                                            end + 1, body.find("}") + 1))
+                    head, col, name, entries = opened.pop()
+                    span = new(SourceSpan, (file, head + 1, col, end + 1, body.find("}") + 1))
                     if word == "chronology":
                         return new(ChronologyDecl, (tuple(entries), span)), end
-                    return new(EventDecl, (name, size == 4, tuple(entries), span)), end
-                if word == "chronology":
+                    if word == "event":
+                        return new(EventDecl, (name, size == 4, tuple(entries), span)), end
+                    decl = new(MachineDecl, (name, tuple(entries), span))
+                    if not opened:
+                        return decl, end
+                    opened[-1][3].append(decl)
+                elif word == "chronology":
                     edge = items[0], items[-1]
                     if len(items) != 3 or items[1] != "->" or not all(
                             map(str.isidentifier, edge)) or not RESERVED_WORDS.isdisjoint(edge):
                         return None
-                    entries.append(edge)
-                elif items[0] in ("flow", "trigger", "node") and (
-                        entry := item(body, items, end + 1)) is not None:
-                    entries.append(entry)
+                    opened[-1][3].append(edge)
+                elif items[0] in kinds and (entry := item(body, items, end + 1)) is not None:
+                    opened[-1][3].append(entry)
+                elif word == "machine" and len(items) == 3 and items[2] == "{" \
+                        and items[0] == "machine" and items[1].isidentifier() \
+                        and items[1] not in RESERVED_WORDS:
+                    opened.append((end, body.find("machine") + 1, items[1], []))
                 else:
                     return None
             return None
@@ -283,6 +298,7 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
         count = len(lines)
         at = chunk = 0  # the line read, and the first line not yet tokenized
         last = -1  # the line of a single-line fold no line holding code has followed
+        depth = 0  # the "{" the lines given to the token regex leave open
         while at < count:
             code = lines[at].partition("#")[0]
             words = split(code)
@@ -299,13 +315,17 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
                     chunk = last
                 last = -1
             decl = end = None
-            if words:
+            if words and not depth:  # inside a block, a line folds only with its block
                 word = words[0]
-                if word == "event" or word == "chronology":
+                if words[-1] == "{":
                     decl, end = block(at, code, words) or (None, None)
                 elif word != "node":
                     decl = item(code, words, at + 1)
             if decl is None:
+                before, *rest = code.split("}")  # a "}" at depth 0 closes nothing
+                depth += before.count("{")
+                for after in rest:
+                    depth = max(depth - 1, 0) + after.count("{")
                 at += 1
                 continue
             if chunk < at:
@@ -332,7 +352,7 @@ def _scan(text: str, file: str, fold: bool = True) -> tuple[list[_Token], dict[i
 class _Parser:
     def __init__(self, tokens: list[_Token], folded: dict[int, Decl], file: str):
         self.tokens = tokens
-        self.folded = folded  # taken whole where the token path builds the same
+        self.folded = folded  # taken whole by parse's top-level loop
         self.file = file
         self.pos = 0
         self.open = 0  # blocks the current item has opened and not closed
@@ -359,19 +379,6 @@ class _Parser:
         if tok.kind == "eof" and self.pos > 0:
             # point at the last real token, e.g. a dangling arrow
             tok = self.tokens[self.pos - 1]
-            decl = self.folded.get(self.pos - 1)
-            if decl is not None:
-                # a folded line ends in a thing or machine name or a stage
-                # kind, a folded block in its "}"
-                kind, end = type(decl), decl.span
-                if kind is ThingDecl or kind is MachineDecl:
-                    size = len(decl.name)
-                elif kind is FlowDecl or kind is TriggerDecl:
-                    size = len(decl.dst.kind._value_)
-                else:
-                    size = 1
-                tok = tok._replace(line=end.end_line, col=end.end_col - size + 1,
-                                   end_col=end.end_col)
         self.diagnostics.append(
             Diagnostic("E001", "error", self.span_of(tok), f"syntax error: {message}")
         )
@@ -458,21 +465,16 @@ class _Parser:
         # Open blocks wait on an explicit stack, so nesting depth is unbounded.
         blocks: list[tuple[_Token, _Token, list[MachineDecl]]] = []
         while True:
-            leaf = self.folded.get(self.pos)  # a folded leaf line, inside a block
-            if leaf is None:
-                start = self.advance()
-                tok = self.expect("ident", "machine name")
-                if tok is None:
-                    return None
-                if self.peek().kind == "{":
-                    self.advance()
-                    blocks.append((start, tok, []))
-                    self.open += 1
-                else:
-                    leaf = MachineDecl(tok.text, (), self.span_of(start, tok))
+            start = self.advance()
+            tok = self.expect("ident", "machine name")
+            if tok is None:
+                return None
+            if self.peek().kind == "{":
+                self.advance()
+                blocks.append((start, tok, []))
+                self.open += 1
             else:
-                self.pos += 1
-            if leaf is not None:
+                leaf = MachineDecl(tok.text, (), self.span_of(start, tok))
                 if not blocks:
                     return leaf
                 blocks[-1][2].append(leaf)
@@ -556,7 +558,7 @@ class _Parser:
             self.advance()
         if self.expect("{") is None:
             return None
-        body = self.parse_body("event", self.parse_event_item, (FlowDecl, TriggerDecl))
+        body = self.parse_body("event", self.parse_event_item)
         if body is None:
             return None
         return EventDecl(tok.text, perpetual, body[0], self.span_of(start, body[1]))
@@ -578,7 +580,7 @@ class _Parser:
         start = self.advance()
         if self.expect("{") is None:
             return None
-        body = self.parse_body("chronology", self.parse_chronology_edge, ())
+        body = self.parse_body("chronology", self.parse_chronology_edge)
         if body is None:
             return None
         return ChronologyDecl(body[0], self.span_of(start, body[1]))
@@ -590,22 +592,16 @@ class _Parser:
         after = self.expect("ident", "event name")
         return None if after is None else (before.text, after.text)
 
-    def parse_body(
-        self, what: str, entry: Callable[[], object], folds: tuple[type, ...]
-    ) -> tuple[tuple, _Token] | None:
+    def parse_body(self, what: str, entry: Callable[[], object]) -> tuple[tuple, _Token] | None:
         """The entries of an event or chronology body up to its closing "}",
-        and that "}". A folded line whose declaration type is in ``folds`` is
-        taken whole; ``entry`` parses any other entry, or reports an E001."""
+        and that "}". ``entry`` parses each entry, or reports an E001."""
         self.open = 1
         entries = []
         while (tok := self.peek()).kind != "}":
             if tok.kind == "eof":
                 self.error_here(f"unterminated {what} block, expected '}}'")
                 return None
-            decl = self.folded.get(self.pos)
-            if decl is not None and type(decl) in folds:
-                self.pos += 1
-            elif (decl := entry()) is None:
+            if (decl := entry()) is None:
                 return None
             entries.append(decl)
         self.open = 0

@@ -415,7 +415,7 @@ def reference_diagnostics(text: str) -> list[tuple[str, str]]:
     kept_flows: dict[tuple[str, str, str], str] = {}  # (thing, src, dst) -> subject
     for words, subject in flows:
         thing, src, dst = words[1], words[2], words[4]
-        unresolved = [ref for ref in (src, dst) if not resolves(ref)]
+        unresolved = [ref for ref in {src, dst} if not resolves(ref)]
         build += [("E101", subject)] * ((thing not in things) + len(unresolved))
         if thing not in things or unresolved:
             continue
@@ -428,7 +428,7 @@ def reference_diagnostics(text: str) -> list[tuple[str, str]]:
     kept_triggers: dict[tuple[str, str], str] = {}
     for words, subject in triggers:
         src, dst = words[1], words[3]
-        unresolved = [ref for ref in (src, dst) if not resolves(ref)]
+        unresolved = [ref for ref in {src, dst} if not resolves(ref)]
         build += [("E101", subject)] * len(unresolved)
         if unresolved:
             continue
@@ -461,7 +461,7 @@ def reference_diagnostics(text: str) -> list[tuple[str, str]]:
         subject, edges = chronologies[0]
         after: dict[str, set[str]] = {name: set() for name in built}
         for a, b in edges:
-            unknown = [n for n in (a, b) if n not in after]
+            unknown = [n for n in {a, b} if n not in after]
             build += [("E303", subject)] * len(unknown)
             if not unknown and b in after[a]:
                 build.append(("E106", subject))

@@ -639,6 +639,31 @@ def test_validate_reports_a_hand_built_stage_that_names_no_machine(ghost, into):
     assert codes(reparsed) == ["E101"]
 
 
+def test_a_hand_built_stage_that_names_no_machine_touches_none():
+    # a.ghost.transfer names no machine, so it does not count as a use of a
+    model = build_model("m", [ThingDecl("x"), MachineDecl("a"), MachineDecl("b"),
+                              FlowDecl("x", "b.create", "b.release")])
+    ghost = StageRef(("a", "ghost"), StageKind.TRANSFER)
+    bent = replace(model, flows=model.flows + (FlowEdge("f2", "x", model.flows[0].dst, ghost),))
+    assert [(d.code, d.location) for d in validate(bent)] == [
+        ("E103", "f2"), ("E101", "a.ghost.transfer"), ("W202", "a")]
+
+
+@pytest.mark.parametrize("item, expected", [
+    ("flow x ghost.process -> ghost.process", ["E101"]),
+    ("trigger ghost.process ~> ghost.process", ["E101"]),
+    ("flow y ghost.process -> ghost.process", ["E101", "E101"]),  # the thing, then the stage
+    ("flow x ghost.process -> ghost.release", ["E101", "E101"]),
+    ("trigger ghost.process ~> spook.process", ["E101", "E101"]),
+    ("chronology {\n  q -> q\n}", ["E303"]),
+    ("chronology {\n  q -> r\n}", ["E303", "E303"]),
+])
+def test_each_distinct_unresolved_name_of_an_edge_is_reported_once(item, expected):
+    diagnostics = parse(f"model m\nthing x\nmachine a\n{item}\n").diagnostics
+    assert codes(diagnostics) == expected
+    assert len(set(diagnostics)) == len(diagnostics)
+
+
 def _deep_chain(depth: int) -> list:
     chain = MachineDecl(f"m{depth - 1}")
     for i in reversed(range(depth - 1)):

@@ -463,6 +463,15 @@ def test_scan_folds_a_relay_to_at_most_3000_tokens():
     assert len(tokens) <= 3000, len(tokens)
 
 
+def test_scan_folds_the_corpus_to_at_most_200_tokens():
+    # Each machine block folds whole, nested ones included, where its leaves
+    # were one token each and its head and "}" lines were tokens too: 198
+    # tokens, 252 when the leaves folded one line at a time.
+    tokens = sum(len(_scan(corpus_path(f"{name}.tm").read_text(), "d.tm")[0])
+                 for name in CORPUS_NAMES)
+    assert tokens <= 200, tokens
+
+
 def test_parse_reads_no_event_body_of_a_relay():
     # Every relay event folds whole, so the token parser reads none of them.
     text = bench_workloads().relay(400).models["relay"]
@@ -516,8 +525,39 @@ def test_deep_machine_nesting_has_no_recursion_limit():
 
 # -- folded lines ------------------------------------------------------------
 # parse folds each complete flow, trigger, thing and leaf machine line, each
-# whole event block and each chronology block into one token. The token path
+# whole machine, event and chronology block into one token. The token path
 # (unfolded _scan and the token parser alone) is the reference it must match.
+
+
+def _open_braces_at_folds(text: str) -> list[int]:
+    """For each folded keyword, the "{" that the token stream before it
+    leaves open, a "}" at depth 0 counting for nothing."""
+    tokens, folded = _scan(text, "d.tm")
+    keywords = {tokens[at][2:4] for at in folded}  # (line, col)
+    depths, depth = [], 0
+    for tok in _lex(text):
+        if tok[2:4] in keywords:
+            depths.append(depth)
+        depth = max(depth + (tok.kind == "{") - (tok.kind == "}"), 0)
+    assert len(depths) == len(folded)
+    return depths
+
+
+def test_a_line_inside_a_block_folds_only_with_its_whole_block():
+    workloads = bench_workloads()
+    bases = [corpus_path(f"{name}.tm").read_text() for name in CORPUS_NAMES]
+    texts = list(bases)
+    for inputs in (workloads.relay(40), workloads.flood(12, 12)):
+        texts += list(inputs.models.values()) + [text for text, _ in inputs.broken.values()]
+    bases += [workloads.relay(3).models["relay"], workloads.flood(3, 3).models["flood"]]
+    texts += [_mutant(seed, bases) for seed in range(2000)]
+    texts += [_token_mutant(seed, bases) for seed in range(2000)]
+    folds = 0
+    for text in texts:
+        depths = _open_braces_at_folds(text)
+        assert not any(depths), text
+        folds += len(depths)
+    assert folds > 10000, folds
 
 
 def _outcome(text: str) -> tuple[list, str | None]:
@@ -650,7 +690,7 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
          "syntax error: stage kinds may only end a stage reference", (4, 9, 4, 15)),
         ("flow x release . -> a.process\n",
          "syntax error: stage kinds may only end a stage reference", (4, 8, 4, 14)),
-        # a folded line is the last token of an unterminated event
+        # the last line of an unterminated event, which does not fold
         ("event e {\n  flow x a.create -> a.release  # open",
          "syntax error: unterminated event block, expected '}'", (5, 24, 5, 30)),
         ("event e {\n  trigger a.create ~> a.process\t",
@@ -684,8 +724,8 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         ("flow x a.create -> a.process\nevent e { node a.create }\n"
          "chronology {\n  # only\n\n  e -> e # loop\n  }",
          "chronology cycle: e -> e", (6, 1, 10, 3)),
-        # an unterminated machine block that ends on a folded leaf, and an
-        # unterminated event right after a folded head
+        # an unterminated machine block that ends on a leaf, and an
+        # unterminated event right after its head
         ("machine b {\n  machine c  # open",
          "syntax error: unterminated machine block, expected '}'", (5, 11, 5, 11)),
         ("event e perpetual {  # open\n",
@@ -694,8 +734,8 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         ("event e {\n  machine b\n}\n",
          "syntax error: expected 'node', 'flow', 'trigger' or '}' inside event, found 'machine'",
          (5, 3, 5, 9)),
-        # a body takes whole only the folded lines its grammar holds: an event
-        # body its flow and trigger lines, a chronology body none
+        # a body holds only the items its grammar holds: a chronology body
+        # no flow line, an event body no thing line
         ("chronology {\n  flow x a.create -> a.release\n}\n",
          "syntax error: expected event name, found 'flow'", (5, 3, 5, 6)),
         ("event e {\n  thing y\n}\n",
@@ -739,6 +779,18 @@ def test_folded_lines_parse_like_tokens_on_fragment_soup(fragments):
         ("machine b {\n  event e {\n    node a.create\n  }\n}\n",
          "syntax error: expected 'machine' or '}' inside machine block, found 'event'",
          (5, 3, 5, 7)),
+        # a machine block folds whole, nested blocks included; one that holds a
+        # line that does not fold, or whose "{" is on a line of its own, does
+        # not fold, nor do its leaves; a stray "}" leaves no block open
+        ("flow x a.create -> a.release\nmachine b {\n  machine c {  # nested\n"
+         "    machine d\n\n  }\n  machine e\n}\n",
+         "machine 'b' has no incident edges", (5, 1, 11, 1)),
+        ("flow x a.create -> a.release\nmachine b {\n  machine c\n  machine d }\n}\n",
+         "syntax error: expected an item keyword, found '}'", (8, 1, 8, 1)),
+        ("flow x a.create -> a.release\nmachine b\n{\n  machine c\n}\n",
+         "machine 'b' has no incident edges", (5, 1, 8, 1)),
+        ("}\nthing y\nthing y\n",
+         "syntax error: expected an item keyword, found '}'", (4, 1, 4, 1)),
     ],
 )
 def test_folded_line_edge_cases_parse_like_tokens(text, message, where):

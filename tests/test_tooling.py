@@ -217,6 +217,11 @@ def test_stage_pairs_times_every_front_end_stage():
                         r"change (\d+) tokens, (\d+) folded$", proc.stdout, re.M)
     assert len(counts) == 1 and counts[0][:2] == counts[0][2:], proc.stdout
     assert 0 < int(counts[0][1]) < int(counts[0][0])
+    # and their sums over the 4 corpus models, on the next line
+    corpus = re.findall(r"^corpus 4 models _scan: parent (\d+) tokens, (\d+) folded; "
+                        r"change (\d+) tokens, (\d+) folded$", proc.stdout, re.M)
+    assert len(corpus) == 1 and corpus[0][:2] == corpus[0][2:], proc.stdout
+    assert 0 < int(corpus[0][1]) < int(corpus[0][0])
 
 
 def _cli_pairs_rows(*options: str) -> tuple[str, list[tuple]]:
